@@ -5,7 +5,7 @@
 //! latency). Reported as average IPC per pattern type normalized to page
 //! set size 8. Paper shape: all three sizes within ~10% of each other.
 
-use hpe_bench::{bench_config, f3, manual_strategy_for, mean, run_hpe_with, save_json, Table};
+use hpe_bench::{bench_config, f3, manual_strategy_for, mean, run, save_json, RunSpec, Table};
 use hpe_core::HpeConfig;
 use uvm_types::Oversubscription;
 use uvm_util::json;
@@ -37,8 +37,11 @@ fn main() {
             let ipcs: Vec<f64> = registry::by_pattern(pattern)
                 .into_iter()
                 .map(|app| {
-                    let r = run_hpe_with(&cfg, app, rate, sensitivity_cfg(size, 64, app))
-                        .expect("bench run");
+                    let r = run(
+                        &cfg,
+                        &RunSpec::hpe(app, rate, sensitivity_cfg(size, 64, app)),
+                    )
+                    .expect("bench run");
                     r.stats.ipc()
                 })
                 .collect();

@@ -7,7 +7,7 @@
 //! unstable for type II (best for SRD, worst for STN), so the paper picks
 //! 64.
 
-use hpe_bench::{bench_config, f3, manual_strategy_for, mean, run_hpe_with, save_json, Table};
+use hpe_bench::{bench_config, f3, manual_strategy_for, mean, run, save_json, RunSpec, Table};
 use hpe_core::HpeConfig;
 use uvm_types::Oversubscription;
 use uvm_util::json;
@@ -35,8 +35,11 @@ fn main() {
             let ipcs: Vec<f64> = registry::by_pattern(pattern)
                 .into_iter()
                 .map(|app| {
-                    let r = run_hpe_with(&cfg, app, rate, sensitivity_cfg(interval, app))
-                        .expect("bench run");
+                    let r = run(
+                        &cfg,
+                        &RunSpec::hpe(app, rate, sensitivity_cfg(interval, app)),
+                    )
+                    .expect("bench run");
                     r.stats.ipc()
                 })
                 .collect();
@@ -81,7 +84,7 @@ fn main() {
         let ipcs: Vec<f64> = intervals
             .iter()
             .map(|&i| {
-                run_hpe_with(&cfg, app, rate, sensitivity_cfg(i, app))
+                run(&cfg, &RunSpec::hpe(app, rate, sensitivity_cfg(i, app)))
                     .expect("bench run")
                     .stats
                     .ipc()

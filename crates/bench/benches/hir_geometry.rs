@@ -4,7 +4,7 @@
 //! address-order buffer on storage. This bench sweeps the geometry and
 //! reports conflicts and IPC.
 
-use hpe_bench::{bench_config, run_hpe_with, save_json, Table};
+use hpe_bench::{bench_config, run, save_json, RunSpec, Table};
 use hpe_core::HpeConfig;
 use uvm_types::{HirGeometry, Oversubscription};
 use uvm_util::json;
@@ -35,7 +35,7 @@ fn main() {
                 ways,
                 counter_bits: 2,
             };
-            let r = run_hpe_with(&cfg, app, rate, hpe_cfg).expect("bench run");
+            let r = run(&cfg, &RunSpec::hpe(app, rate, hpe_cfg)).expect("bench run");
             let p = &r.stats.policy;
             row.push(format!(
                 "{} ({:.2})",

@@ -4,7 +4,7 @@
 //! Paper finding: 16 makes the best tradeoff between transfer frequency
 //! and performance (result not shown in the paper due to space).
 
-use hpe_bench::{bench_config, f3, geomean, run_hpe_with, save_json, Table};
+use hpe_bench::{bench_config, f3, geomean, run, save_json, RunSpec, Table};
 use hpe_core::HpeConfig;
 use uvm_types::Oversubscription;
 use uvm_util::json;
@@ -29,7 +29,7 @@ fn main() {
             .map(|&ti| {
                 let mut hpe_cfg = HpeConfig::from_sim(&cfg);
                 hpe_cfg.transfer_interval = ti;
-                run_hpe_with(&cfg, app, rate, hpe_cfg)
+                run(&cfg, &RunSpec::hpe(app, rate, hpe_cfg))
                     .expect("bench run")
                     .stats
                     .ipc()

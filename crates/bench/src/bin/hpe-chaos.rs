@@ -34,18 +34,17 @@
 use std::process::ExitCode;
 
 use hpe_bench::{
-    bench_config, campaign, check_containment, f2, replay_repro, repro_for, run_explore, run_mix,
-    run_policy, run_policy_profiled, run_policy_recovering, save_json, MixOptions, PolicyKind,
-    RecoveryOptions, Table, CONTAINMENT_APPS,
+    bench_config, campaign, check_containment, drive, f2, replay_repro, repro_for, run,
+    run_explore, run_mix, run_policy, save_json, CampaignRun, MixOptions, PolicyKind,
+    RecoveryOptions, RunResult, RunSpec, Table, CONTAINMENT_APPS,
 };
-use hpe_core::{Hpe, HpeConfig};
 use uvm_sim::{
-    trace_for, ExploreSpec, FallbackVictim, FaultPlan, HirMode, ReproCase, RetryPolicy, Simulation,
-    TenantMix, DEFAULT_PROFILE_CADENCE, DEFAULT_SANITIZER_CADENCE,
+    trace_for, ExploreSpec, FallbackVictim, FaultPlan, HirMode, ReproCase, RetryPolicy, TenantMix,
+    DEFAULT_PROFILE_CADENCE, DEFAULT_SANITIZER_CADENCE,
 };
 use uvm_types::{Oversubscription, SimError};
 use uvm_util::{json, Json, JsonError, ToJson};
-use uvm_workloads::{registry, App};
+use uvm_workloads::registry;
 
 /// Default campaign seed (the paper's publication year, for no deeper
 /// reason than reproducibility needs *some* pinned value).
@@ -310,6 +309,34 @@ struct CampaignRow {
 }
 
 impl CampaignRow {
+    /// The row comparing a `chaos` cell against its policy's `clean` cell.
+    fn new(clean: &CampaignRun, chaos: &CampaignRun) -> Self {
+        let res = &chaos.stats.resilience;
+        CampaignRow {
+            app: chaos.app.clone(),
+            policy: chaos.policy.clone(),
+            plan: chaos.plan.clone(),
+            faults: chaos.stats.faults(),
+            clean_cycles: clean.stats.cycles,
+            chaos_cycles: chaos.stats.cycles,
+            injected_delay_cycles: res.injected_delay_cycles,
+            tail_latency_events: res.tail_latency_events,
+            congested_services: res.congested_services,
+            completions_lost: res.completions_lost,
+            fallback_victims: res.fallback_victims,
+            spurious_wrong_evictions: res.spurious_wrong_evictions,
+            faults_during_hir_outage: res.faults_during_hir_outage,
+            degraded_entries: chaos.stats.policy.degraded_entries,
+            degraded_faults: chaos.stats.policy.degraded_faults,
+            victims_dropped: res.victims_dropped,
+            delayed_hir_flushes: res.delayed_hir_flushes,
+            hir_flushes_lost: res.hir_flushes_lost,
+            circuit_breaker_trips: res.circuit_breaker_trips,
+            retry_attempts: res.retry_attempts,
+            retry_backoff_cycles: res.retry_backoff_cycles,
+        }
+    }
+
     /// Wall-clock inflation of the chaos run relative to the clean run.
     fn slowdown(&self) -> f64 {
         self.chaos_cycles as f64 / self.clean_cycles as f64
@@ -359,53 +386,56 @@ impl CampaignRow {
     }
 }
 
-/// Runs `policies` x `plans` on `app` and collects one row per chaos run.
-/// This is the single-threaded path `smoke` uses; `campaign` itself goes
-/// through the parallel engine (`campaign::run_campaign`).
-fn run_campaign(
-    app: &App,
-    rate: Oversubscription,
-    policies: &[PolicyKind],
-    plans: &[(String, FaultPlan)],
-    recovery: RecoveryOptions,
-) -> Result<Vec<CampaignRow>, SimError> {
-    let cfg = bench_config();
+/// Runs `spec` on the campaign engine (`campaign::run_campaign`) and
+/// pairs every chaos cell with its policy's clean cell, in grid order.
+/// Returns the report fingerprint and one row per chaos cell.
+fn campaign_rows(
+    spec: &campaign::CampaignSpec,
+    workers: usize,
+) -> Result<(String, Vec<CampaignRow>), CmdError> {
+    let pool = campaign::PoolOptions {
+        workers,
+        ..campaign::PoolOptions::default()
+    };
+    let report = campaign::run_campaign(&bench_config(), spec, &pool, None)
+        .and_then(|outcome| outcome.report())
+        .map_err(|e| CmdError::Run(e.to_string()))?;
     let mut rows = Vec::new();
-    for &kind in policies {
-        let clean = run_policy(&cfg, app, rate, kind)?;
-        debug_assert!(
-            !clean.stats.resilience.any(),
-            "clean run must not record injection"
-        );
-        for (plan_name, plan) in plans {
-            let chaos = run_policy_recovering(&cfg, app, rate, kind, Some(plan), recovery)?;
-            let res = &chaos.stats.resilience;
-            rows.push(CampaignRow {
-                app: clean.app.to_string(),
-                policy: clean.policy.to_string(),
-                plan: plan_name.clone(),
-                faults: chaos.stats.faults(),
-                clean_cycles: clean.stats.cycles,
-                chaos_cycles: chaos.stats.cycles,
-                injected_delay_cycles: res.injected_delay_cycles,
-                tail_latency_events: res.tail_latency_events,
-                congested_services: res.congested_services,
-                completions_lost: res.completions_lost,
-                fallback_victims: res.fallback_victims,
-                spurious_wrong_evictions: res.spurious_wrong_evictions,
-                faults_during_hir_outage: res.faults_during_hir_outage,
-                degraded_entries: chaos.stats.policy.degraded_entries,
-                degraded_faults: chaos.stats.policy.degraded_faults,
-                victims_dropped: res.victims_dropped,
-                delayed_hir_flushes: res.delayed_hir_flushes,
-                hir_flushes_lost: res.hir_flushes_lost,
-                circuit_breaker_trips: res.circuit_breaker_trips,
-                retry_attempts: res.retry_attempts,
-                retry_backoff_cycles: res.retry_backoff_cycles,
-            });
+    for abbr in &spec.apps {
+        for &kind in &spec.policies {
+            for rate in &spec.rates {
+                let cell = |plan: &str| {
+                    let key = campaign::grid_key(abbr, kind.label(), &rate.label(), plan);
+                    report
+                        .find(&key)
+                        .ok_or_else(|| CmdError::Run(format!("missing {plan} cell for {abbr}")))
+                };
+                let clean = cell("clean")?;
+                if !clean.ok {
+                    return Err(CmdError::Run(format!(
+                        "clean run failed for {abbr}/{}: {}",
+                        kind.label(),
+                        clean.error
+                    )));
+                }
+                debug_assert!(
+                    !clean.stats.resilience.any(),
+                    "clean run must not record injection"
+                );
+                for plan in spec.plans.iter().filter(|p| p.plan.is_some()) {
+                    let chaos = cell(&plan.name)?;
+                    if !chaos.ok {
+                        return Err(CmdError::Run(format!(
+                            "chaos run failed for {}: {}",
+                            chaos.key, chaos.error
+                        )));
+                    }
+                    rows.push(CampaignRow::new(clean, chaos));
+                }
+            }
         }
     }
-    Ok(rows)
+    Ok((report.fingerprint, rows))
 }
 
 fn print_campaign(title: &str, rows: &[CampaignRow]) {
@@ -481,81 +511,7 @@ fn cmd_campaign(flags: &Flags) -> Result<(), CmdError> {
         flags.fallback.label(),
         flags.workers.max(1),
     );
-    let pool = campaign::PoolOptions {
-        workers: flags.workers,
-        ..campaign::PoolOptions::default()
-    };
-    let outcome = campaign::run_campaign(&bench_config(), &spec, &pool, None)
-        .map_err(|e| CmdError::Run(e.to_string()))?;
-    let report = outcome.report().map_err(|e| CmdError::Run(e.to_string()))?;
-
-    let rate_label = flags.rate.label();
-    let mut rows = Vec::new();
-    for abbr in &spec.apps {
-        for &kind in &spec.policies {
-            let clean = report
-                .find(&campaign::grid_key(
-                    abbr,
-                    kind.label(),
-                    &rate_label,
-                    "clean",
-                ))
-                .ok_or_else(|| CmdError::Run(format!("missing clean cell for {abbr}")))?;
-            if !clean.ok {
-                return Err(CmdError::Run(format!(
-                    "clean run failed for {abbr}/{}: {}",
-                    kind.label(),
-                    clean.error
-                )));
-            }
-            debug_assert!(
-                !clean.stats.resilience.any(),
-                "clean run must not record injection"
-            );
-            for plan in spec.plans.iter().filter(|p| p.plan.is_some()) {
-                let chaos = report
-                    .find(&campaign::grid_key(
-                        abbr,
-                        kind.label(),
-                        &rate_label,
-                        &plan.name,
-                    ))
-                    .ok_or_else(|| {
-                        CmdError::Run(format!("missing {} cell for {abbr}", plan.name))
-                    })?;
-                if !chaos.ok {
-                    return Err(CmdError::Run(format!(
-                        "chaos run failed for {}: {}",
-                        chaos.key, chaos.error
-                    )));
-                }
-                let res = &chaos.stats.resilience;
-                rows.push(CampaignRow {
-                    app: chaos.app.clone(),
-                    policy: chaos.policy.clone(),
-                    plan: plan.name.clone(),
-                    faults: chaos.stats.faults(),
-                    clean_cycles: clean.stats.cycles,
-                    chaos_cycles: chaos.stats.cycles,
-                    injected_delay_cycles: res.injected_delay_cycles,
-                    tail_latency_events: res.tail_latency_events,
-                    congested_services: res.congested_services,
-                    completions_lost: res.completions_lost,
-                    fallback_victims: res.fallback_victims,
-                    spurious_wrong_evictions: res.spurious_wrong_evictions,
-                    faults_during_hir_outage: res.faults_during_hir_outage,
-                    degraded_entries: chaos.stats.policy.degraded_entries,
-                    degraded_faults: chaos.stats.policy.degraded_faults,
-                    victims_dropped: res.victims_dropped,
-                    delayed_hir_flushes: res.delayed_hir_flushes,
-                    hir_flushes_lost: res.hir_flushes_lost,
-                    circuit_breaker_trips: res.circuit_breaker_trips,
-                    retry_attempts: res.retry_attempts,
-                    retry_backoff_cycles: res.retry_backoff_cycles,
-                });
-            }
-        }
-    }
+    let (fingerprint, rows) = campaign_rows(&spec, flags.workers)?;
     let total_faults: u64 = rows.iter().map(|r| r.faults).sum();
     print_campaign(
         format!(
@@ -564,7 +520,7 @@ fn cmd_campaign(flags: &Flags) -> Result<(), CmdError> {
             flags.rate.label(),
             rows.len(),
             total_faults,
-            report.fingerprint
+            fingerprint
         )
         .as_str(),
         &rows,
@@ -584,15 +540,12 @@ fn cmd_livelock(flags: &Flags) -> Result<(), CmdError> {
         flags.rate.label(),
         if flags.retry { ", retry policy on" } else { "" }
     );
-    let outcome = run_policy_recovering(
-        &cfg,
-        app,
-        flags.rate,
-        PolicyKind::Lru,
-        Some(&plan),
-        flags.recovery(),
-    );
-    match (flags.retry, outcome) {
+    let spec = RunSpec {
+        plan: Some(&plan),
+        recovery: flags.recovery(),
+        ..RunSpec::new(app, flags.rate, PolicyKind::Lru)
+    };
+    match (flags.retry, run(&cfg, &spec)) {
         (false, Err(SimError::Stalled { cycle, in_flight })) => {
             println!(
                 "watchdog fired: SimError::Stalled at cycle {cycle} with {in_flight} \
@@ -646,16 +599,10 @@ fn cmd_resume(flags: &Flags) -> Result<(), CmdError> {
 
     let cfg = bench_config();
     let trace = trace_for(&cfg, app);
-    let capacity = flags.rate.capacity_pages(app.footprint_pages());
-    let build = || -> Result<Simulation<Hpe>, SimError> {
-        let hpe = Hpe::new(HpeConfig::from_sim(&cfg))?;
-        let mut sim = Simulation::new(cfg.clone(), &trace, hpe, capacity)?;
-        sim.set_fault_plan(plan.clone())?;
-        if let Some(rp) = flags.recovery().retry {
-            sim.set_retry_policy(rp)?;
-        }
-        sim.set_fallback_victim(flags.fallback);
-        Ok(sim)
+    let spec = RunSpec {
+        plan: Some(&plan),
+        recovery: flags.recovery(),
+        ..RunSpec::new(app, flags.rate, PolicyKind::Hpe)
     };
 
     eprintln!(
@@ -665,26 +612,23 @@ fn cmd_resume(flags: &Flags) -> Result<(), CmdError> {
         flags.seed,
         flags.at
     );
-    let straight = build()?.run()?.stats;
-
-    let mut paused = build()?;
-    let done = paused.run_until(flags.at)?;
-    let ckpt = paused.checkpoint();
-    save_json("chaos-checkpoint", &ckpt);
-    if done {
-        eprintln!(
-            "note: the run completed before cycle {}; the checkpoint captures its final state",
-            flags.at
+    let straight = drive(&cfg, &spec, &trace, None, |_, _| {})?.result.stats;
+    let on_checkpoint = |ckpt: &uvm_sim::Checkpoint, done: bool| {
+        save_json("chaos-checkpoint", ckpt);
+        if done {
+            eprintln!(
+                "note: the run completed before cycle {}; the checkpoint captures its final state",
+                flags.at
+            );
+        }
+        println!(
+            "checkpointed at cycle {} ({} faults serviced, {} cycles simulated)",
+            ckpt.cycle, ckpt.stats.driver.faults_serviced, ckpt.stats.cycles
         );
-    }
-    println!(
-        "checkpointed at cycle {} ({} faults serviced, {} cycles simulated)",
-        ckpt.cycle, ckpt.stats.driver.faults_serviced, ckpt.stats.cycles
-    );
-
-    let mut resumed = build()?;
-    resumed.resume(&ckpt)?;
-    let stats = resumed.finish()?.stats;
+    };
+    let stats = drive(&cfg, &spec, &trace, Some(flags.at), on_checkpoint)?
+        .result
+        .stats;
 
     let (a, b) = (stats.to_json().to_string(), straight.to_json().to_string());
     if a != b {
@@ -701,17 +645,21 @@ fn cmd_resume(flags: &Flags) -> Result<(), CmdError> {
 }
 
 fn cmd_smoke(flags: &Flags) -> Result<(), CmdError> {
-    let app = registry::by_abbr("STN").expect("STN is registered");
-    let policies = [PolicyKind::Lru, PolicyKind::Rrip, PolicyKind::Hpe];
-    let plans = campaign_plans(flags.seed);
     // The smoke gate runs with the invariant sanitizer on: a corrupted
     // residency count or broken policy structure under injection fails
     // CI as a typed InvariantViolated, not a wrong number downstream.
-    let recovery = RecoveryOptions {
-        sanitize: Some(flags.sanitize.unwrap_or(DEFAULT_SANITIZER_CADENCE)),
-        ..RecoveryOptions::default()
+    let spec = campaign::CampaignSpec {
+        apps: vec!["STN".to_string()],
+        policies: vec![PolicyKind::Lru, PolicyKind::Rrip, PolicyKind::Hpe],
+        rates: vec![Oversubscription::Rate75],
+        plans: campaign::chaos_plan_set(flags.seed),
+        recovery: RecoveryOptions {
+            sanitize: Some(flags.sanitize.unwrap_or(DEFAULT_SANITIZER_CADENCE)),
+            ..RecoveryOptions::default()
+        },
+        seed: flags.seed,
     };
-    let rows = run_campaign(app, Oversubscription::Rate75, &policies, &plans, recovery)?;
+    let (_, rows) = campaign_rows(&spec, flags.workers)?;
     let mut injected = 0usize;
     for r in &rows {
         if r.injected_delay_cycles > 0
@@ -762,12 +710,17 @@ fn cmd_smoke(flags: &Flags) -> Result<(), CmdError> {
     Ok(())
 }
 
-/// `sanitize`: prove the runtime invariant sanitizer is observation-only.
-/// For each app, run HPE once with the sanitizer off and once with it on
-/// (at `--sanitize` cadence) and require byte-identical `SimStats` JSON.
-fn cmd_sanitize(flags: &Flags) -> Result<(), CmdError> {
+/// The observation-only gate `sanitize` and `profile` share: for each app
+/// (default STN and SGM), run HPE straight and with the `observer`'s
+/// `recovery` knobs, require byte-identical `SimStats` JSON, then hand
+/// the observed run to `report`.
+fn observation_only(
+    flags: &Flags,
+    observer: &str,
+    recovery: RecoveryOptions,
+    mut report: impl FnMut(&str, &RunResult) -> Result<(), CmdError>,
+) -> Result<(), CmdError> {
     let cfg = bench_config();
-    let cadence = flags.sanitize.unwrap_or(DEFAULT_SANITIZER_CADENCE);
     let abbrs: Vec<&str> = if flags.positional.is_empty() {
         vec!["STN", "SGM"]
     } else {
@@ -776,69 +729,59 @@ fn cmd_sanitize(flags: &Flags) -> Result<(), CmdError> {
     for abbr in abbrs {
         let app = registry::by_abbr(abbr)
             .ok_or_else(|| CmdError::Usage(format!("unknown app '{abbr}'")))?;
-        let off = run_policy(&cfg, app, flags.rate, PolicyKind::Hpe)?;
-        let on = run_policy_recovering(
+        let straight = run_policy(&cfg, app, flags.rate, PolicyKind::Hpe)?;
+        let observed = run(
             &cfg,
-            app,
-            flags.rate,
-            PolicyKind::Hpe,
-            None,
-            RecoveryOptions {
-                sanitize: Some(cadence),
-                ..RecoveryOptions::default()
+            &RunSpec {
+                recovery,
+                ..RunSpec::new(app, flags.rate, PolicyKind::Hpe)
             },
         )?;
         let (a, b) = (
-            on.stats.to_json().to_string(),
-            off.stats.to_json().to_string(),
+            observed.stats.to_json().to_string(),
+            straight.stats.to_json().to_string(),
         );
         if a != b {
             return Err(CmdError::Run(format!(
-                "sanitizer perturbed {abbr}: stats diverged\nsanitized: {a}\nplain:     {b}"
+                "{observer} perturbed {abbr}: stats diverged\nwith:    {a}\nwithout: {b}"
             )));
         }
+        report(abbr, &observed)?;
+    }
+    Ok(())
+}
+
+/// `sanitize`: prove the runtime invariant sanitizer is observation-only
+/// at `--sanitize` cadence.
+fn cmd_sanitize(flags: &Flags) -> Result<(), CmdError> {
+    let cadence = flags.sanitize.unwrap_or(DEFAULT_SANITIZER_CADENCE);
+    let recovery = RecoveryOptions {
+        sanitize: Some(cadence),
+        ..RecoveryOptions::default()
+    };
+    observation_only(flags, "sanitizer", recovery, |abbr, on| {
         println!(
             "{abbr}: {} cycles, {} faults — sanitizer (cadence {cadence}) left \
              SimStats byte-identical",
             on.stats.cycles,
             on.stats.faults()
         );
-    }
-    Ok(())
+        Ok(())
+    })
 }
 
-/// `profile`: prove the cycle-attribution profiler is observation-only.
-///
-/// Runs HPE with the profiler off, then on, and requires (a) byte-identical
-/// `SimStats` JSON and (b) the profiler's timeline accounts to sum exactly
-/// to the run's total cycles (the conservation law the breakdown rests on).
+/// `profile`: prove the cycle-attribution profiler is observation-only,
+/// and that its timeline accounts sum exactly to the run's total cycles
+/// (the conservation law the breakdown rests on).
 fn cmd_profile(flags: &Flags) -> Result<(), CmdError> {
-    let cfg = bench_config();
-    let abbrs: Vec<&str> = if flags.positional.is_empty() {
-        vec!["STN", "SGM"]
-    } else {
-        flags.positional.iter().map(String::as_str).collect()
+    let recovery = RecoveryOptions {
+        profile: Some(DEFAULT_PROFILE_CADENCE),
+        ..RecoveryOptions::default()
     };
-    for abbr in abbrs {
-        let app = registry::by_abbr(abbr)
-            .ok_or_else(|| CmdError::Usage(format!("unknown app '{abbr}'")))?;
-        let off = run_policy(&cfg, app, flags.rate, PolicyKind::Hpe)?;
-        let (on, profile) = run_policy_profiled(
-            &cfg,
-            app,
-            flags.rate,
-            PolicyKind::Hpe,
-            DEFAULT_PROFILE_CADENCE,
-        )?;
-        let (a, b) = (
-            on.stats.to_json().to_string(),
-            off.stats.to_json().to_string(),
-        );
-        if a != b {
-            return Err(CmdError::Run(format!(
-                "profiler perturbed {abbr}: stats diverged\nprofiled: {a}\nplain:    {b}"
-            )));
-        }
+    observation_only(flags, "profiler", recovery, |abbr, on| {
+        let Some(profile) = &on.profile else {
+            return Err(CmdError::Run(format!("no profile recorded for {abbr}")));
+        };
         if profile.timeline_sum() != profile.total_cycles {
             return Err(CmdError::Run(format!(
                 "profiler accounts for {abbr} do not conserve: timeline sum {} vs {} total cycles",
@@ -853,8 +796,8 @@ fn cmd_profile(flags: &Flags) -> Result<(), CmdError> {
             on.stats.faults(),
             profile.driver_idle()
         );
-    }
-    Ok(())
+        Ok(())
+    })
 }
 
 /// Loads a JSON document from `path` through a strict decoder — unknown

@@ -13,7 +13,7 @@
 //! hpe-lint check path/to/checkout              # explicit root
 //! hpe-lint rules                               # list families and rules
 //! hpe-lint graph                               # call-graph summary from the roots
-//! hpe-lint graph MixState::record              # one symbol: trail + callees
+//! hpe-lint graph Pool::run                      # one symbol: trail + callees
 //! hpe-lint explain panic-reachability          # what a rule means and how to fix
 //! ```
 //!
@@ -37,7 +37,7 @@ fn usage() -> ExitCode {
          \x20       lint the workspace at ROOT (default: the enclosing\n\
          \x20       checkout) with the selected rule families\n\
          \x20       (default: all of determinism, hermeticity,\n\
-         \x20       error-discipline, paper-constants, tenant-isolation,\n\
+         \x20       error-discipline, paper-constants,\n\
          \x20       panic-reachability, determinism-taint, stale-allow,\n\
          \x20       explore-specs)\n\
          \x20 graph [SYMBOL] [--json] [ROOT]\n\
@@ -460,21 +460,12 @@ const EXPLANATIONS: &[(&str, &str)] = &[
          change that re-derives the dependent results.",
     ),
     (
-        "tenant-isolation",
-        "Per-tenant slot state (`.slots`) may only be touched inside the\n\
-         `impl MixState` block; everything else goes through the\n\
-         accessors. Since v2 the rule is symbol-aware and workspace-wide:\n\
-         code inside the impl block is exempt by position (no\n\
-         annotations needed), code outside it is flagged wherever it\n\
-         lives.",
-    ),
-    (
         "panic-reachability",
         "A panic site (`panic!`, `unreachable!`, `todo!`,\n\
          `unimplemented!`, `.unwrap()`, `.expect(`) that the call graph\n\
          can reach from a simulation root — `Simulation::run`,\n\
-         `Simulation::run_until`, `run_campaign`, `run_mix`, or any\n\
-         `MixState` accessor — can abort a campaign mid-flight. The\n\
+         `Simulation::run_until`, `run_campaign`, `run_mix`, or the\n\
+         worker pool's `Pool::run` — can abort a campaign mid-flight. The\n\
          finding carries the call trail (`hpe-lint graph` shows all of\n\
          them). Resolution is name-based and deliberately\n\
          over-approximate: a common method name may pull in an\n\
@@ -537,14 +528,10 @@ fn cmd_rules() -> ExitCode {
          \x20                  profile.rs)\n\
          paper-constants    paper-constants (config constructors vs the\n\
          \x20                  declared manifest)\n\
-         tenant-isolation   tenant-isolation (symbol-aware since v2:\n\
-         \x20                  `.slots` access outside the `impl MixState`\n\
-         \x20                  block, workspace-wide; the impl block is\n\
-         \x20                  exempt by position)\n\
          panic-reachability panic-reachability (panic sites the call\n\
          \x20                  graph reaches from Simulation::run,\n\
-         \x20                  run_campaign, run_mix, or the MixState\n\
-         \x20                  accessors; findings carry a call trail)\n\
+         \x20                  run_campaign, run_mix, or Pool::run;\n\
+         \x20                  findings carry a call trail)\n\
          determinism-taint  rng-taint (Rng::seed_from_u64 must derive\n\
          \x20                  its seed from a parameter or config field)\n\
          stale-allow        stale-allow (lint:allow annotations that no\n\

@@ -26,8 +26,8 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use hpe_bench::{
-    bench_config, run_policy_profiled, run_policy_traced, traces_dir, write_jsonl, PolicyKind,
-    Table,
+    bench_config, run, run_policy_traced, traces_dir, write_jsonl, PolicyKind, RecoveryOptions,
+    RunSpec, Table,
 };
 use uvm_sim::{
     parse_jsonl, EventCounters, IntervalCollector, IntervalKey, ProfileReport, SimEvent,
@@ -588,9 +588,17 @@ fn profiled_run(spec: &str, flags: &Flags) -> Result<ProfileReport, CmdError> {
         flags.policy.label(),
         flags.rate.label()
     );
-    let (_, profile) = run_policy_profiled(&bench_config(), app, flags.rate, flags.policy, cadence)
-        .map_err(|e| CmdError::Run(format!("{} run failed: {e}", app.abbr())))?;
-    Ok(profile)
+    let run_spec = RunSpec {
+        recovery: RecoveryOptions {
+            profile: Some(cadence),
+            ..RecoveryOptions::default()
+        },
+        ..RunSpec::new(app, flags.rate, flags.policy)
+    };
+    run(&bench_config(), &run_spec)
+        .map_err(|e| CmdError::Run(format!("{} run failed: {e}", app.abbr())))?
+        .profile
+        .ok_or_else(|| CmdError::Run(format!("{} run recorded no profile", app.abbr())))
 }
 
 /// `profile`: per-account cycle breakdown plus the sampled metrics

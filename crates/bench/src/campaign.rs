@@ -1,6 +1,6 @@
 //! Parallel campaign engine: fans `(app, policy, rate, plan)` runs across
-//! a pool of scoped worker threads and merges the results deterministically
-//! by grid key.
+//! the ordered worker pool ([`uvm_util::pool`]) and merges the results
+//! deterministically by grid key.
 //!
 //! Every cell of a campaign grid is an independent simulation — it owns its
 //! seed (the app's trace seed plus the fault plan's injection stream) and
@@ -38,16 +38,14 @@ use std::fmt;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc;
-use std::thread;
 
 use uvm_sim::FaultPlan;
 use uvm_types::{Oversubscription, SimConfig, SimStats};
+use uvm_util::pool::Pool;
 use uvm_util::{check_unknown_fields, json, FromJson, Json, JsonError, Rng, ToJson};
 use uvm_workloads::{registry, App};
 
-use crate::runner::{run_policy_recovering, PolicyKind, RecoveryOptions};
+use crate::runner::{run, PolicyKind, RecoveryOptions, RunSpec};
 
 /// Snapshot cadence used when the caller does not pick one: frequent
 /// enough that a killed full-grid campaign (2 254 cells) loses at most a
@@ -557,9 +555,8 @@ impl CampaignSnapshot {
 pub struct PoolOptions {
     /// Worker threads (0 and 1 both mean one worker).
     pub workers: usize,
-    /// Shuffle the injector queue with this seed before dispatch. A test
-    /// hook: exercises arbitrary completion orders without changing the
-    /// merged report.
+    /// Shuffle the dispatch order with this seed. A test hook: exercises
+    /// arbitrary completion orders without changing the merged report.
     pub shuffle: Option<u64>,
     /// Auto-snapshot file. `None` disables checkpointing.
     pub snapshot_path: Option<PathBuf>,
@@ -567,8 +564,9 @@ pub struct PoolOptions {
     pub snapshot_every: usize,
     /// Resume from `snapshot_path` if it exists (fingerprint-checked).
     pub resume: bool,
-    /// Stop dispatching after this many completions this invocation — a
-    /// deterministic stand-in for a mid-campaign kill (tests, `--limit`).
+    /// Dispatch only the first this-many pending cells this invocation —
+    /// a deterministic stand-in for a mid-campaign kill (tests,
+    /// `--limit`): exactly this many execute, for any worker count.
     pub limit: Option<usize>,
 }
 
@@ -618,13 +616,13 @@ impl CampaignOutcome {
 /// which is what makes the merged report order-independent.
 fn execute_cell(cfg: &SimConfig, spec: &CampaignSpec, cell: Cell) -> CampaignRun {
     let plan_spec = &spec.plans[cell.plan_idx];
-    let outcome = run_policy_recovering(
+    let outcome = run(
         cfg,
-        cell.app,
-        cell.rate,
-        cell.policy,
-        plan_spec.plan.as_ref(),
-        spec.recovery,
+        &RunSpec {
+            plan: plan_spec.plan.as_ref(),
+            recovery: spec.recovery,
+            ..RunSpec::new(cell.app, cell.rate, cell.policy)
+        },
     );
     let (ok, error, stats) = match outcome {
         Ok(r) => (true, String::new(), r.stats),
@@ -674,13 +672,14 @@ pub fn run_campaign_serial(
     })
 }
 
-/// Runs the campaign on a scoped worker pool.
+/// Runs the campaign on the ordered worker pool ([`uvm_util::pool`]).
 ///
-/// Workers pull cell indices from a shared injector queue (an atomic
-/// cursor over the dispatch order) and push completed runs to the
-/// collector over a channel; the collector streams JSONL progress,
-/// auto-snapshots every [`PoolOptions::snapshot_every`] completions, and
-/// merges results by grid index.
+/// Workers claim pending cells in dispatch order; results merge by grid
+/// index, and the collector streams one JSONL progress line per
+/// completed cell and auto-snapshots every
+/// [`PoolOptions::snapshot_every`] completions. [`PoolOptions::limit`]
+/// caps the dispatch order, so a limit-stopped invocation executes
+/// exactly that many cells for any worker count.
 ///
 /// # Errors
 ///
@@ -704,7 +703,7 @@ pub fn run_campaign(
     };
 
     // Resume: pre-fill completed slots from the snapshot, if any.
-    let mut done: Vec<Option<CampaignRun>> = vec![None; total];
+    let mut done = Pool::new(total);
     let mut resumed = 0usize;
     if pool.resume {
         if let Some(path) = &pool.snapshot_path {
@@ -739,7 +738,7 @@ pub fn run_campaign(
                             idx, run.key
                         )));
                     }
-                    done[idx] = Some(run);
+                    done.prefill(idx, run);
                     resumed += 1;
                 }
             }
@@ -747,80 +746,39 @@ pub fn run_campaign(
     }
 
     // Dispatch order over the *pending* cells: grid order, optionally
-    // shuffled (a test hook; the merge makes it unobservable).
-    let pending: Vec<Cell> = cells
-        .iter()
-        .copied()
-        .filter(|c| done[c.index].is_none())
-        .collect();
-    let mut order: Vec<usize> = (0..pending.len()).collect();
+    // shuffled (a test hook; the merge makes it unobservable), capped at
+    // `limit` by the pool.
+    let mut order: Vec<usize> = (0..total).filter(|&i| !done.is_done(i)).collect();
     if let Some(seed) = pool.shuffle {
         Rng::seed_from_u64(seed).shuffle(&mut order);
     }
 
-    let workers = pool.workers.max(1);
-    let cursor = AtomicUsize::new(0);
-    let stop = AtomicBool::new(false);
-    let mut executed = 0usize;
-    let mut io_error: Option<CampaignError> = None;
-
-    thread::scope(|s| {
-        let (tx, rx) = mpsc::channel::<CampaignRun>();
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let (cursor, stop, order, pending) = (&cursor, &stop, &order, &pending);
-            s.spawn(move || loop {
-                if stop.load(Ordering::Relaxed) {
-                    break;
-                }
-                let slot = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(&cell_idx) = order.get(slot) else {
-                    break;
-                };
-                let run = execute_cell(cfg, spec, pending[cell_idx]);
-                if tx.send(run).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(tx);
-
-        // Collector: arrival-ordered progress, index-ordered merge.
-        for run in rx.iter() {
-            if let Some(w) = progress.as_deref_mut() {
-                if let Err(e) = writeln!(w, "{}", run.progress_line()) {
-                    io_error.get_or_insert(CampaignError::Io(e.to_string()));
-                    stop.store(true, Ordering::Relaxed);
-                }
+    // Collector: arrival-ordered progress and snapshots, index-ordered
+    // merge.
+    let mut completions = 0usize;
+    let executed = done.run(
+        &order,
+        pool.workers,
+        pool.limit,
+        |i| execute_cell(cfg, spec, cells[i]),
+        |i, slots| {
+            if let (Some(w), Some(run)) = (progress.as_deref_mut(), slots.get(i)) {
+                writeln!(w, "{}", run.progress_line())?;
             }
-            let index = run.index as usize;
-            done[index] = Some(run);
-            executed += 1;
-            let at_boundary = executed.is_multiple_of(snapshot_every);
-            let at_limit = pool.limit.is_some_and(|l| executed >= l);
-            if at_limit {
-                stop.store(true, Ordering::Relaxed);
-            }
-            if at_boundary || at_limit {
-                if let Some(path) = &pool.snapshot_path {
-                    if let Err(e) = write_snapshot(path, &fingerprint, total, &done) {
-                        io_error.get_or_insert(e);
-                        stop.store(true, Ordering::Relaxed);
-                    }
+            completions += 1;
+            match &pool.snapshot_path {
+                Some(path) if completions.is_multiple_of(snapshot_every) => {
+                    write_snapshot(path, &fingerprint, slots)
                 }
+                _ => Ok(()),
             }
-        }
-    });
-
-    if let Some(e) = io_error {
-        return Err(e);
-    }
+        },
+    )?;
 
     // Final snapshot so a completed (or limit-stopped) campaign's file
-    // reflects everything that finished, including in-flight stragglers
-    // that completed after the stop flag was raised.
+    // reflects everything that finished.
     if let Some(path) = &pool.snapshot_path {
-        write_snapshot(path, &fingerprint, total, &done)?;
+        write_snapshot(path, &fingerprint, &done)?;
     }
 
     Ok(CampaignOutcome {
@@ -828,21 +786,20 @@ pub fn run_campaign(
         total,
         resumed,
         executed,
-        runs: done.into_iter().flatten().collect(),
+        runs: done.into_completed(),
     })
 }
 
 fn write_snapshot(
     path: &Path,
     fingerprint: &str,
-    total: usize,
-    done: &[Option<CampaignRun>],
+    done: &Pool<CampaignRun>,
 ) -> Result<(), CampaignError> {
     let snap = CampaignSnapshot {
         schema: CAMPAIGN_SNAPSHOT_SCHEMA,
         fingerprint: fingerprint.to_string(),
-        total: total as u64,
-        completed: done.iter().flatten().cloned().collect(),
+        total: done.len() as u64,
+        completed: done.completed().cloned().collect(),
     };
     snap.save(path)
 }

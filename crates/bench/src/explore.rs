@@ -5,16 +5,16 @@
 //! shrinking control flow, report types. This module owns everything
 //! that needs the policy zoo and a thread pool:
 //!
-//! * building the simulation for a case (any [`PolicyKind`], boxed
-//!   behind [`Traced`] except HPE, which is run concretely so its
-//!   degraded-mode state stays inspectable),
+//! * running a case through the shared runner ([`crate::runner::drive`]:
+//!   any [`PolicyKind`] from the one constructor table, straight or
+//!   interrupted-and-resumed),
 //! * evaluating the spec's invariant set on a case — one sanitized run
 //!   shared by `completes`/`sanitizer`/`conservation`/`recovery`, plus
 //!   one extra run each for `replay` and `checkpoint`,
-//! * fanning the case list over a scoped worker pool (the campaign
-//!   engine's injector/collector pattern: an atomic cursor over the
-//!   enumeration order, results merged by case id, so the report is
-//!   **byte-identical for any worker count**),
+//! * fanning the case list over the ordered worker pool
+//!   ([`uvm_util::pool`]: claimed in enumeration order, verdicts merged
+//!   by case id, so the report is **byte-identical for any worker
+//!   count**),
 //! * shrinking failing cases serially, in enumeration order, with
 //!   [`uvm_sim::shrink_plan`] — the serial phase is what keeps the
 //!   counterexample bytes independent of worker count,
@@ -23,24 +23,17 @@
 
 use std::fmt;
 use std::io;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
-use std::thread;
 
-use hpe_core::{Hpe, HpeConfig};
-use uvm_policies::{
-    ClockPro, ClockProConfig, EvictionPolicy, Lfu, Lru, RandomPolicy, Rrip, Traced,
-};
 use uvm_sim::{
-    ideal_for, shrink_plan, trace_for, Counterexample, ExploreReport, ExploreSpec, FaultPlan,
-    ReproCase, RetryPolicy, Sanitizer, SimOutcome, Simulation, TenantMix, TenantReport,
-    ALL_INVARIANTS,
+    shrink_plan, trace_for, Counterexample, ExploreReport, ExploreSpec, FaultPlan, ReproCase,
+    RetryPolicy, TenantMix, TenantReport, ALL_INVARIANTS,
 };
-use uvm_types::{Oversubscription, SimConfig, SimError, SimStats};
+use uvm_types::{Oversubscription, SimConfig, SimError};
 use uvm_util::json;
+use uvm_util::pool::Pool;
 use uvm_workloads::{registry, App, Trace};
 
-use crate::runner::{rrip_config_for, PolicyKind};
+use crate::runner::{drive, Driven, PolicyKind, RecoveryOptions, RunSpec};
 use crate::tenant::{check_containment, containment_mix, run_mix_serial, MixOptions};
 
 /// Clean-fault headroom after which a still-degraded HPE run counts as a
@@ -80,15 +73,6 @@ impl fmt::Display for ExploreError {
 
 impl std::error::Error for ExploreError {}
 
-/// What one probe run observed (enough state for every invariant).
-struct ProbeResult {
-    stats: SimStats,
-    hir_down: bool,
-    clean_streak: u64,
-    /// `Some` only for HPE (the one policy with a degraded mode).
-    degraded: Option<bool>,
-}
-
 /// One case's invariant evaluation.
 #[derive(Debug, Clone)]
 struct Verdict {
@@ -106,7 +90,7 @@ struct Ctx<'a> {
     cfg: &'a SimConfig,
     app: &'static App,
     trace: Trace,
-    capacity: u64,
+    rate: Oversubscription,
     kind: PolicyKind,
     retry: Option<RetryPolicy>,
     /// The spec's invariant selection, in [`ALL_INVARIANTS`] order.
@@ -121,103 +105,34 @@ struct Ctx<'a> {
     tenant_target: u64,
 }
 
-/// Runs a built simulation to completion — straight through, or
-/// interrupted at `interrupt` with a checkpoint taken and a *fresh*
-/// simulation resumed from it (the `checkpoint` invariant's subject).
-fn drive<P: EvictionPolicy>(
-    build: &dyn Fn() -> Result<Simulation<P>, SimError>,
-    interrupt: Option<u64>,
-) -> Result<SimOutcome<P>, SimError> {
-    match interrupt {
-        None => build()?.run(),
-        Some(at) => {
-            let mut first = build()?;
-            if first.run_until(at)? {
-                return first.finish();
-            }
-            let ckpt = first.checkpoint();
-            let mut resumed = build()?;
-            resumed.resume(&ckpt)?;
-            resumed.finish()
-        }
-    }
-}
-
 impl Ctx<'_> {
     fn want(&self, invariant: &str) -> bool {
         self.invariants.iter().any(|i| i == invariant)
     }
 
-    fn boxed_policy(&self) -> Box<dyn EvictionPolicy> {
-        match self.kind {
-            PolicyKind::Lru => Box::new(Lru::new()),
-            PolicyKind::Random => Box::new(RandomPolicy::seeded(self.app.seed())),
-            PolicyKind::Lfu => Box::new(Lfu::new()),
-            PolicyKind::Rrip => Box::new(Rrip::new(rrip_config_for(self.app))),
-            PolicyKind::ClockPro => Box::new(ClockPro::new(ClockProConfig::default())),
-            // Hpe is handled concretely in `probe`; Ideal is the only
-            // other policy needing per-run construction inputs.
-            PolicyKind::Ideal | PolicyKind::Hpe => Box::new(ideal_for(&self.trace)),
-        }
-    }
-
-    fn configure<P: EvictionPolicy>(
-        &self,
-        sim: &mut Simulation<P>,
-        plan: &FaultPlan,
-        sanitize: Option<u64>,
-    ) -> Result<(), SimError> {
-        sim.set_fault_plan(plan.clone())?;
-        if let Some(rp) = self.retry {
-            sim.set_retry_policy(rp)?;
-        }
-        if let Some(cadence) = sanitize {
-            sim.set_sanitizer(Sanitizer::new(cadence));
-        }
-        Ok(())
-    }
-
-    /// One simulation run of `plan` under this context.
+    /// One simulation run of `plan` under this context, interrupted and
+    /// resumed at `interrupt` when given (the `checkpoint` invariant's
+    /// subject).
     fn probe(
         &self,
         plan: &FaultPlan,
         sanitize: Option<u64>,
         interrupt: Option<u64>,
-    ) -> Result<ProbeResult, SimError> {
-        if self.kind == PolicyKind::Hpe {
-            let build = || -> Result<Simulation<Hpe>, SimError> {
-                let hpe = Hpe::new(HpeConfig::from_sim(self.cfg))?;
-                let mut sim = Simulation::new(self.cfg.clone(), &self.trace, hpe, self.capacity)?;
-                self.configure(&mut sim, plan, sanitize)?;
-                Ok(sim)
-            };
-            let out = drive(&build, interrupt)?;
-            Ok(ProbeResult {
-                stats: out.stats,
-                hir_down: out.hir_down,
-                clean_streak: out.hir_clean_streak_faults,
-                degraded: Some(out.policy.is_degraded()),
-            })
-        } else {
-            let build = || -> Result<Simulation<Traced<Box<dyn EvictionPolicy>>>, SimError> {
-                let policy = Traced::new(self.boxed_policy());
-                let mut sim =
-                    Simulation::new(self.cfg.clone(), &self.trace, policy, self.capacity)?;
-                self.configure(&mut sim, plan, sanitize)?;
-                Ok(sim)
-            };
-            let out = drive(&build, interrupt)?;
-            Ok(ProbeResult {
-                stats: out.stats,
-                hir_down: out.hir_down,
-                clean_streak: out.hir_clean_streak_faults,
-                degraded: None,
-            })
-        }
+    ) -> Result<Driven, SimError> {
+        let spec = RunSpec {
+            plan: Some(plan),
+            recovery: RecoveryOptions {
+                retry: self.retry,
+                sanitize,
+                ..RecoveryOptions::default()
+            },
+            ..RunSpec::new(self.app, self.rate, self.kind)
+        };
+        drive(self.cfg, &spec, &self.trace, interrupt, |_, _| {})
     }
 
-    fn check_conservation(&self, base: &ProbeResult) -> Option<String> {
-        let s = &base.stats;
+    fn check_conservation(&self, base: &Driven) -> Option<String> {
+        let s = &base.result.stats;
         if s.mem_accesses != self.trace.total_ops() {
             return Some(format!(
                 "executed {} memory accesses but the trace has {} ops",
@@ -232,11 +147,12 @@ impl Ctx<'_> {
                 s.driver.evictions, inflow
             ));
         }
-        if inflow - s.driver.evictions > self.capacity {
+        let capacity = self.rate.capacity_pages(self.app.footprint_pages());
+        if inflow - s.driver.evictions > capacity {
             return Some(format!(
                 "{} pages resident at end exceed capacity {}",
                 inflow - s.driver.evictions,
-                self.capacity
+                capacity
             ));
         }
         if s.walk_hits > s.walks {
@@ -248,14 +164,12 @@ impl Ctx<'_> {
         None
     }
 
-    fn check_recovery(&self, base: &ProbeResult) -> Option<String> {
-        if base.degraded == Some(true)
-            && !base.hir_down
-            && base.clean_streak > RECOVERY_STREAK_FAULTS
+    fn check_recovery(&self, base: &Driven) -> Option<String> {
+        if base.degraded && !base.hir_down && base.hir_clean_streak_faults > RECOVERY_STREAK_FAULTS
         {
             return Some(format!(
                 "HPE still degraded after {} clean faults with the HIR channel up",
-                base.clean_streak
+                base.hir_clean_streak_faults
             ));
         }
         None
@@ -287,11 +201,11 @@ impl Ctx<'_> {
         &self,
         plan: &FaultPlan,
         sanitize: Option<u64>,
-        base: &ProbeResult,
+        base: &Driven,
     ) -> Option<String> {
         match self.probe(plan, sanitize, None) {
             Err(e) => Some(format!("second identical run failed: {e}")),
-            Ok(again) if again.stats != base.stats => {
+            Ok(again) if again.result.stats != base.result.stats => {
                 Some("two identical runs produced different statistics".to_string())
             }
             Ok(_) => None,
@@ -302,14 +216,14 @@ impl Ctx<'_> {
         &self,
         plan: &FaultPlan,
         sanitize: Option<u64>,
-        base: &ProbeResult,
+        base: &Driven,
     ) -> Option<String> {
         match self.probe(plan, sanitize, Some(self.checkpoint_at)) {
             Err(e) => Some(format!(
                 "interrupted-and-resumed run failed at cycle {}: {e}",
                 self.checkpoint_at
             )),
-            Ok(resumed) if resumed.stats != base.stats => Some(format!(
+            Ok(resumed) if resumed.result.stats != base.result.stats => Some(format!(
                 "run resumed from a cycle-{} checkpoint diverged from the straight run",
                 self.checkpoint_at
             )),
@@ -493,7 +407,7 @@ fn context<'a>(cfg: &'a SimConfig, p: CtxParams<'_>) -> Result<Ctx<'a>, ExploreE
         cfg,
         app,
         trace: trace_for(cfg, app),
-        capacity: rate.capacity_pages(app.footprint_pages()),
+        rate,
         kind,
         retry,
         invariants: ordered,
@@ -506,7 +420,7 @@ fn context<'a>(cfg: &'a SimConfig, p: CtxParams<'_>) -> Result<Ctx<'a>, ExploreE
 }
 
 /// Runs the exploration: enumerates the spec's cases, fans them over
-/// `workers` scoped threads, shrinks every failing case to a minimal
+/// `workers` pool threads, shrinks every failing case to a minimal
 /// counterexample, and returns the merged coverage report.
 ///
 /// The report is **byte-identical for any worker count**: verdicts are
@@ -551,48 +465,29 @@ pub fn run_explore(
         return Err(ExploreError::EmptyCaseList);
     }
 
-    // Parallel verdict phase: injector cursor over enumeration order,
-    // collector merges by case id (the campaign pool pattern).
-    let workers = workers.max(1).min(cases.len());
-    let cursor = AtomicUsize::new(0);
-    let mut verdicts: Vec<Option<Verdict>> = vec![None; cases.len()];
-    let mut io_error: Option<ExploreError> = None;
-    thread::scope(|s| {
-        let (tx, rx) = mpsc::channel::<(usize, Verdict)>();
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let (cursor, ctx, cases) = (&cursor, &ctx, &cases);
-            s.spawn(move || loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(case) = cases.get(i) else {
-                    break;
-                };
-                let verdict = ctx.verdict(&case.plan);
-                if tx.send((i, verdict)).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(tx);
-        for (i, verdict) in rx.iter() {
-            if let Some(w) = progress.as_deref_mut() {
-                let line = json!({
-                    "id": cases[i].id,
-                    "label": cases[i].label.clone(),
-                    "ok": verdict.violation.is_none(),
-                    "invariant": verdict.violation.as_ref().map(|(inv, _)| inv.clone()),
-                })
-                .to_string();
-                if let Err(e) = writeln!(w, "{line}") {
-                    io_error.get_or_insert(ExploreError::Io(e.to_string()));
-                }
-            }
-            verdicts[i] = Some(verdict);
-        }
-    });
-    if let Some(e) = io_error {
-        return Err(e);
-    }
+    // Parallel verdict phase on the ordered pool: claimed in enumeration
+    // order, merged by case id.
+    let order: Vec<usize> = (0..cases.len()).collect();
+    let mut verdicts = Pool::new(cases.len());
+    verdicts.run(
+        &order,
+        workers,
+        None,
+        |i| ctx.verdict(&cases[i].plan),
+        |i, done| {
+            let (Some(w), Some(verdict)) = (progress.as_deref_mut(), done.get(i)) else {
+                return Ok(());
+            };
+            let line = json!({
+                "id": cases[i].id,
+                "label": cases[i].label.clone(),
+                "ok": verdict.violation.is_none(),
+                "invariant": verdict.violation.as_ref().map(|(inv, _)| inv.clone()),
+            })
+            .to_string();
+            writeln!(w, "{line}").map_err(|e| ExploreError::Io(e.to_string()))
+        },
+    )?;
 
     let mut runs = 0u64;
     let mut invariant_checks = 0u64;
@@ -600,8 +495,7 @@ pub fn run_explore(
     let mut counterexamples = Vec::new();
     // Serial shrink phase, in enumeration order: the probe sequence (and
     // therefore the shrunk plan bytes) must not depend on worker count.
-    for (case, slot) in cases.iter().zip(&verdicts) {
-        let Some(verdict) = slot else { continue };
+    for (case, verdict) in cases.iter().zip(verdicts.completed()) {
         runs += verdict.runs;
         invariant_checks += verdict.checks;
         let Some((target, first_error)) = verdict.violation.clone() else {

@@ -30,9 +30,8 @@ pub use explore::{replay_repro, repro_for, run_explore, ExploreError, RECOVERY_S
 pub use perf::{BenchSnapshot, PolicyPerf, Tolerance, Verdict, WallClock, BENCH_SCHEMA_VERSION};
 pub use report::{f2, f3, geomean, mean, save_json, traces_dir, write_jsonl, Table};
 pub use runner::{
-    manual_strategy_for, rrip_config_for, run_hpe_with, run_hpe_with_plan, run_policy,
-    run_policy_profiled, run_policy_recovering, run_policy_traced, run_policy_with_plan, HpeReport,
-    PolicyKind, RecoveryOptions, RunResult, TraceCapture, TRACE_CYCLE_WINDOW,
+    drive, manual_strategy_for, rrip_config_for, run, run_policy, run_policy_traced, Driven,
+    HpeReport, PolicyKind, RecoveryOptions, RunResult, RunSpec, TraceCapture, TRACE_CYCLE_WINDOW,
 };
 pub use tenant::{
     check_containment, containment_mix, fairness_grid, load_snapshot, run_mix, run_mix_serial,

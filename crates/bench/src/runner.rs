@@ -1,6 +1,12 @@
 //! Shared experiment runner: one application x one policy x one
 //! oversubscription rate, on the scaled reproduction configuration.
+//!
+//! `PolicyKind::build` is the one policy-constructor table; [`run`] is
+//! the one entry point over it. Everything an experiment varies — a
+//! custom HPE configuration, a fault plan, the recovery, sanitizer and
+//! profiler knobs — is a field of [`RunSpec`].
 
+use std::any::Any;
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -9,13 +15,13 @@ use uvm_policies::{
     ClockPro, ClockProConfig, EvictionPolicy, Lfu, Lru, RandomPolicy, Rrip, RripConfig, Traced,
 };
 use uvm_sim::{
-    ideal_for, trace_for, EventCounters, EventLog, FallbackVictim, FaultPlan, IntervalCollector,
-    IntervalKey, MultiObserver, ProfileConfig, ProfileReport, Profiler, RetryPolicy, Sanitizer,
-    SimObserver, Simulation, TraceHistograms,
+    ideal_for, trace_for, Checkpoint, EventCounters, EventLog, FallbackVictim, FaultPlan,
+    IntervalCollector, IntervalKey, MultiObserver, ProfileConfig, ProfileReport, Profiler,
+    RetryPolicy, Sanitizer, SimObserver, Simulation, TraceHistograms,
 };
 use uvm_types::{Oversubscription, SimConfig, SimError, SimStats};
 use uvm_util::{json, Json, ToJson};
-use uvm_workloads::{App, PatternType};
+use uvm_workloads::{App, PatternType, Trace};
 
 /// The policies compared in the paper's evaluation (plus LFU from the
 /// related-work discussion).
@@ -44,6 +50,24 @@ impl Default for PolicyKind {
     fn default() -> Self {
         PolicyKind::Hpe
     }
+}
+
+/// A continuation over a concrete policy type. [`PolicyKind::build`]
+/// hands it a factory for the policy, so the simulation the continuation
+/// builds is monomorphised (no `Box<dyn EvictionPolicy>` on the hot
+/// path) and can be built more than once (checkpoint/resume).
+pub(crate) trait WithPolicy {
+    /// What the continuation returns.
+    type Output;
+    /// Receives the factory of the policy [`PolicyKind::build`] chose.
+    ///
+    /// # Errors
+    ///
+    /// Whatever the continuation's run (or the factory) fails with.
+    fn call<P, M>(self, make: M) -> Result<Self::Output, SimError>
+    where
+        P: EvictionPolicy + 'static,
+        M: Fn() -> Result<P, SimError>;
 }
 
 impl PolicyKind {
@@ -77,6 +101,40 @@ impl PolicyKind {
             PolicyKind::Hpe => "HPE",
         }
     }
+
+    /// The policy-constructor table: hands `then` a factory for this
+    /// kind's policy on `app`, built from the inputs the paper's
+    /// evaluation uses (the app's seed for Random, [`rrip_config_for`],
+    /// the default CLOCK-Pro configuration, the Belady oracle of `trace`,
+    /// and `hpe` or else [`HpeConfig::from_sim`]). `hpe` is read only by
+    /// [`PolicyKind::Hpe`].
+    ///
+    /// # Errors
+    ///
+    /// Returns whatever `then` returns; the HPE factory fails with
+    /// [`SimError`] on an invalid configuration.
+    pub(crate) fn build<W: WithPolicy>(
+        self,
+        cfg: &SimConfig,
+        app: &App,
+        trace: &Trace,
+        hpe: Option<&HpeConfig>,
+        then: W,
+    ) -> Result<W::Output, SimError> {
+        match self {
+            PolicyKind::Lru => then.call(|| Ok(Lru::new())),
+            PolicyKind::Random => then.call(|| Ok(RandomPolicy::seeded(app.seed()))),
+            PolicyKind::Lfu => then.call(|| Ok(Lfu::new())),
+            PolicyKind::Rrip => then.call(|| Ok(Rrip::new(rrip_config_for(app)))),
+            PolicyKind::ClockPro => then.call(|| Ok(ClockPro::new(ClockProConfig::default()))),
+            PolicyKind::Ideal => then.call(|| Ok(ideal_for(trace))),
+            PolicyKind::Hpe => then.call(|| {
+                Ok(Hpe::new(
+                    hpe.cloned().unwrap_or_else(|| HpeConfig::from_sim(cfg)),
+                )?)
+            }),
+        }
+    }
 }
 
 /// HPE-specific observations extracted after a run.
@@ -99,9 +157,11 @@ pub struct HpeReport {
 }
 
 impl HpeReport {
-    fn from_policy(hpe: &Hpe) -> Self {
+    /// The report of `policy` if it is HPE, else `None`.
+    fn of<P: 'static>(policy: &P) -> Option<Self> {
+        let hpe = (policy as &dyn Any).downcast_ref::<Hpe>()?;
         let (mruc_searches, mruc_comparisons) = hpe.mruc_search_overhead();
-        HpeReport {
+        Some(HpeReport {
             classification: hpe.classification().copied(),
             old_sets_at_full: hpe.old_sets_at_full(),
             timeline: hpe.strategy_timeline().to_vec(),
@@ -109,7 +169,7 @@ impl HpeReport {
             mruc_searches,
             mruc_comparisons,
             divided_sets: hpe.divided_sets(),
-        }
+        })
     }
 }
 
@@ -126,6 +186,9 @@ pub struct RunResult {
     pub stats: SimStats,
     /// HPE-specific extras (None for baselines).
     pub hpe: Option<HpeReport>,
+    /// The cycle-attribution profile when [`RecoveryOptions::profile`]
+    /// attached the profiler, else `None`.
+    pub profile: Option<ProfileReport>,
 }
 
 /// Recovery knobs applied to a run (chaos campaigns): the driver's
@@ -148,7 +211,8 @@ pub struct RecoveryOptions {
     /// Cycle-attribution profiler metrics cadence (cycles between
     /// time-series samples). `None` disables the profiler entirely (zero
     /// cost); `Some` attaches it, which is observation-only — the run's
-    /// [`SimStats`] stay byte-identical.
+    /// [`SimStats`] stay byte-identical and [`RunResult::profile`]
+    /// carries the report.
     pub profile: Option<u64>,
 }
 
@@ -161,7 +225,52 @@ pub fn rrip_config_for(app: &App) -> RripConfig {
     }
 }
 
-/// Runs `app` under `kind` at `rate` using simulator configuration `cfg`.
+/// One run: `app` under `kind` at `rate`, plus the knobs experiments
+/// vary. [`RunSpec::new`] gives the plain run; set the other fields with
+/// struct-update syntax.
+#[derive(Clone)]
+pub struct RunSpec<'a> {
+    /// The application.
+    pub app: &'a App,
+    /// The oversubscription rate.
+    pub rate: Oversubscription,
+    /// The eviction policy.
+    pub kind: PolicyKind,
+    /// A custom HPE configuration (sensitivity studies, shared-HIR
+    /// tenants); `None` uses [`HpeConfig::from_sim`]. Only read when
+    /// `kind` is [`PolicyKind::Hpe`].
+    pub hpe: Option<HpeConfig>,
+    /// A fault-injection plan (chaos campaigns); `None` runs clean.
+    pub plan: Option<&'a FaultPlan>,
+    /// Driver retry, fallback victim, sanitizer and profiler knobs.
+    pub recovery: RecoveryOptions,
+}
+
+impl<'a> RunSpec<'a> {
+    /// The plain run: paper-default HPE configuration, no fault plan,
+    /// default recovery.
+    pub fn new(app: &'a App, rate: Oversubscription, kind: PolicyKind) -> Self {
+        RunSpec {
+            app,
+            rate,
+            kind,
+            hpe: None,
+            plan: None,
+            recovery: RecoveryOptions::default(),
+        }
+    }
+
+    /// HPE under a custom configuration (sensitivity studies).
+    pub fn hpe(app: &'a App, rate: Oversubscription, hpe: HpeConfig) -> Self {
+        RunSpec {
+            hpe: Some(hpe),
+            ..RunSpec::new(app, rate, PolicyKind::Hpe)
+        }
+    }
+}
+
+/// Runs `app` under `kind` at `rate` using simulator configuration `cfg`:
+/// shorthand for [`run`] on [`RunSpec::new`].
 ///
 /// # Errors
 ///
@@ -173,148 +282,118 @@ pub fn run_policy(
     rate: Oversubscription,
     kind: PolicyKind,
 ) -> Result<RunResult, SimError> {
-    run_policy_with_plan(cfg, app, rate, kind, None)
+    run(cfg, &RunSpec::new(app, rate, kind))
 }
 
-/// Like [`run_policy`], with an optional fault-injection plan applied to
-/// the run (chaos campaigns).
+/// Runs `spec` using simulator configuration `cfg`.
 ///
 /// # Errors
 ///
-/// Returns [`SimError`] if `cfg` or the plan is invalid, or the run cannot
-/// complete soundly — an injected unbounded livelock surfaces here as
-/// [`SimError::Stalled`].
-pub fn run_policy_with_plan(
-    cfg: &SimConfig,
-    app: &App,
-    rate: Oversubscription,
-    kind: PolicyKind,
-    plan: Option<&FaultPlan>,
-) -> Result<RunResult, SimError> {
-    run_policy_recovering(cfg, app, rate, kind, plan, RecoveryOptions::default())
+/// Returns [`SimError`] if any configuration or the plan is invalid, or
+/// the run cannot complete soundly — an injected unbounded livelock
+/// surfaces as [`SimError::Stalled`], or as
+/// [`SimError::RetriesExhausted`] with a retry policy set.
+pub fn run(cfg: &SimConfig, spec: &RunSpec) -> Result<RunResult, SimError> {
+    let trace = trace_for(cfg, spec.app);
+    Ok(drive(cfg, spec, &trace, None, |_, _| {})?.result)
 }
 
-/// Like [`run_policy_with_plan`], with explicit [`RecoveryOptions`]
-/// (driver retry/backoff and fallback victim selection).
+/// A finished run as [`drive`] reports it: the [`RunResult`] plus the
+/// engine's end-of-run HIR-channel state.
+#[derive(Debug, Clone)]
+pub struct Driven {
+    /// The result, as [`run`] returns it.
+    pub result: RunResult,
+    /// Whether an injected HIR channel outage was still active at the end.
+    pub hir_down: bool,
+    /// Demand faults serviced since the HIR channel last came (or was) up.
+    pub hir_clean_streak_faults: u64,
+    /// Whether the policy ended the run in its degraded mode.
+    pub degraded: bool,
+}
+
+/// Runs `spec` over `trace` (which must be `trace_for(cfg, spec.app)`)
+/// to completion: straight through when `interrupt` is `None`, else
+/// paused at that cycle, checkpointed, and resumed from the checkpoint in
+/// a fresh simulation. `on_checkpoint` sees the checkpoint and whether
+/// the run had already finished by the pause (it is then finished in
+/// place instead of resumed).
 ///
 /// # Errors
 ///
-/// Returns [`SimError`] if any configuration is invalid or the run cannot
-/// complete soundly. With a retry policy set, an unbounded injected
-/// livelock surfaces as [`SimError::RetriesExhausted`] instead of
-/// [`SimError::Stalled`].
-pub fn run_policy_recovering(
+/// As [`run`]; a checkpoint that does not replay surfaces as the
+/// resume's [`SimError`].
+pub fn drive(
     cfg: &SimConfig,
-    app: &App,
-    rate: Oversubscription,
-    kind: PolicyKind,
-    plan: Option<&FaultPlan>,
-    recovery: RecoveryOptions,
-) -> Result<RunResult, SimError> {
-    run_policy_inner(cfg, app, rate, kind, plan, recovery).map(|(result, _)| result)
-}
-
-/// Runs `app` under `kind` at `rate` with the cycle-attribution profiler
-/// attached, returning both the (byte-identical) result and the
-/// [`ProfileReport`]: per-account cycle breakdown, fault-lifecycle span
-/// histograms, and the metrics time series sampled every `cadence`
-/// cycles.
-///
-/// # Errors
-///
-/// Returns [`SimError`] if `cfg` is invalid or the run cannot complete
-/// soundly.
-pub fn run_policy_profiled(
-    cfg: &SimConfig,
-    app: &App,
-    rate: Oversubscription,
-    kind: PolicyKind,
-    cadence: u64,
-) -> Result<(RunResult, ProfileReport), SimError> {
-    let recovery = RecoveryOptions {
-        profile: Some(cadence),
-        ..RecoveryOptions::default()
+    spec: &RunSpec,
+    trace: &Trace,
+    interrupt: Option<u64>,
+    on_checkpoint: impl FnOnce(&Checkpoint, bool),
+) -> Result<Driven, SimError> {
+    let then = Drive {
+        cfg,
+        spec,
+        trace,
+        interrupt,
+        on_checkpoint,
     };
-    let (result, profile) = run_policy_inner(cfg, app, rate, kind, None, recovery)?;
-    Ok((result, profile.expect("profiler was attached")))
+    spec.kind
+        .build(cfg, spec.app, trace, spec.hpe.as_ref(), then)
 }
 
-fn run_policy_inner(
-    cfg: &SimConfig,
-    app: &App,
-    rate: Oversubscription,
-    kind: PolicyKind,
-    plan: Option<&FaultPlan>,
-    recovery: RecoveryOptions,
-) -> Result<(RunResult, Option<ProfileReport>), SimError> {
-    let trace = trace_for(cfg, app);
-    let capacity = rate.capacity_pages(app.footprint_pages());
-    let rec = recovery;
-    let (stats, hpe, profile) = match kind {
-        PolicyKind::Lru => {
-            let (s, p) = run_sim(cfg, &trace, Lru::new(), capacity, plan, rec)?;
-            (s, None, p)
-        }
-        PolicyKind::Random => {
-            let (s, p) = run_sim(
-                cfg,
-                &trace,
-                RandomPolicy::seeded(app.seed()),
-                capacity,
-                plan,
-                rec,
-            )?;
-            (s, None, p)
-        }
-        PolicyKind::Lfu => {
-            let (s, p) = run_sim(cfg, &trace, Lfu::new(), capacity, plan, rec)?;
-            (s, None, p)
-        }
-        PolicyKind::Rrip => {
-            let (s, p) = run_sim(
-                cfg,
-                &trace,
-                Rrip::new(rrip_config_for(app)),
-                capacity,
-                plan,
-                rec,
-            )?;
-            (s, None, p)
-        }
-        PolicyKind::ClockPro => {
-            let (s, p) = run_sim(
-                cfg,
-                &trace,
-                ClockPro::new(ClockProConfig::default()),
-                capacity,
-                plan,
-                rec,
-            )?;
-            (s, None, p)
-        }
-        PolicyKind::Ideal => {
-            let (s, p) = run_sim(cfg, &trace, ideal_for(&trace), capacity, plan, rec)?;
-            (s, None, p)
-        }
-        PolicyKind::Hpe => {
-            let hpe = Hpe::new(HpeConfig::from_sim(cfg))?;
-            let mut sim = Simulation::new(cfg.clone(), &trace, hpe, capacity)?;
-            configure(&mut sim, plan, rec)?;
-            let outcome = sim.run()?;
-            let report = HpeReport::from_policy(&outcome.policy);
-            (outcome.stats, Some(report), outcome.profile)
-        }
-    };
-    Ok((
-        RunResult {
-            app: app.abbr(),
-            policy: kind.label(),
-            rate,
-            stats,
-            hpe,
-        },
-        profile,
-    ))
+struct Drive<'a, F> {
+    cfg: &'a SimConfig,
+    spec: &'a RunSpec<'a>,
+    trace: &'a Trace,
+    interrupt: Option<u64>,
+    on_checkpoint: F,
+}
+
+impl<F: FnOnce(&Checkpoint, bool)> WithPolicy for Drive<'_, F> {
+    type Output = Driven;
+
+    fn call<P, M>(self, make: M) -> Result<Driven, SimError>
+    where
+        P: EvictionPolicy + 'static,
+        M: Fn() -> Result<P, SimError>,
+    {
+        let spec = self.spec;
+        let capacity = spec.rate.capacity_pages(spec.app.footprint_pages());
+        let build = || -> Result<Simulation<P>, SimError> {
+            let mut sim = Simulation::new(self.cfg.clone(), self.trace, make()?, capacity)?;
+            configure(&mut sim, spec.plan, spec.recovery)?;
+            Ok(sim)
+        };
+        let outcome = match self.interrupt {
+            None => build()?.run()?,
+            Some(at) => {
+                let mut first = build()?;
+                let done = first.run_until(at)?;
+                let ckpt = first.checkpoint();
+                (self.on_checkpoint)(&ckpt, done);
+                if done {
+                    first.finish()?
+                } else {
+                    let mut resumed = build()?;
+                    resumed.resume(&ckpt)?;
+                    resumed.finish()?
+                }
+            }
+        };
+        Ok(Driven {
+            result: RunResult {
+                app: spec.app.abbr(),
+                policy: spec.kind.label(),
+                rate: spec.rate,
+                stats: outcome.stats,
+                hpe: HpeReport::of(&outcome.policy),
+                profile: outcome.profile,
+            },
+            hir_down: outcome.hir_down,
+            hir_clean_streak_faults: outcome.hir_clean_streak_faults,
+            degraded: outcome.policy.is_degraded(),
+        })
+    }
 }
 
 fn configure<P: EvictionPolicy>(
@@ -336,54 +415,6 @@ fn configure<P: EvictionPolicy>(
         sim.set_profiler(Profiler::new(ProfileConfig::new(cadence)));
     }
     Ok(())
-}
-
-/// Runs `app` under a *custom* HPE configuration (sensitivity studies).
-///
-/// # Errors
-///
-/// Returns [`SimError`] if either configuration is invalid or the run
-/// cannot complete soundly.
-pub fn run_hpe_with(
-    cfg: &SimConfig,
-    app: &App,
-    rate: Oversubscription,
-    hpe_cfg: HpeConfig,
-) -> Result<RunResult, SimError> {
-    run_hpe_with_plan(cfg, app, rate, hpe_cfg, None)
-}
-
-/// Like [`run_hpe_with`], with an optional fault-injection plan — the
-/// tenant engine uses this to run a shared-HIR (scaled-geometry) tenant
-/// with a fault plan scoped to it.
-///
-/// # Errors
-///
-/// Returns [`SimError`] if either configuration or the plan is invalid,
-/// or the run cannot complete soundly.
-pub fn run_hpe_with_plan(
-    cfg: &SimConfig,
-    app: &App,
-    rate: Oversubscription,
-    hpe_cfg: HpeConfig,
-    plan: Option<&FaultPlan>,
-) -> Result<RunResult, SimError> {
-    let trace = trace_for(cfg, app);
-    let capacity = rate.capacity_pages(app.footprint_pages());
-    let hpe = Hpe::new(hpe_cfg)?;
-    let mut sim = Simulation::new(cfg.clone(), &trace, hpe, capacity)?;
-    if let Some(p) = plan {
-        sim.set_fault_plan(p.clone())?;
-    }
-    let outcome = sim.run()?;
-    let report = HpeReport::from_policy(&outcome.policy);
-    Ok(RunResult {
-        app: app.abbr(),
-        policy: "HPE",
-        rate,
-        stats: outcome.stats,
-        hpe: Some(report),
-    })
 }
 
 /// Cycle-window width used by [`run_policy_traced`]'s cycle-keyed series
@@ -439,7 +470,6 @@ pub fn run_policy_traced(
     kind: PolicyKind,
 ) -> Result<(RunResult, TraceCapture), SimError> {
     let trace = trace_for(cfg, app);
-    let capacity = rate.capacity_pages(app.footprint_pages());
 
     let counters = Rc::new(RefCell::new(EventCounters::default()));
     let by_fault = Rc::new(RefCell::new(IntervalCollector::new(IntervalKey::Faults(
@@ -458,33 +488,14 @@ pub fn run_policy_traced(
     multi.push(log.clone());
     let observer: Rc<RefCell<dyn SimObserver>> = Rc::new(RefCell::new(multi));
 
-    let run_traced = |policy: Box<dyn EvictionPolicy>| -> Result<SimStats, SimError> {
-        let mut sim = Simulation::new(cfg.clone(), &trace, Traced::new(policy), capacity)?;
-        sim.set_observer(observer.clone());
-        Ok(sim.run()?.stats)
+    let then = Observed {
+        cfg,
+        trace: &trace,
+        capacity: rate.capacity_pages(app.footprint_pages()),
+        observer: &observer,
+        native: kind == PolicyKind::Hpe,
     };
-    let (stats, hpe) = match kind {
-        PolicyKind::Lru => (run_traced(Box::new(Lru::new()))?, None),
-        PolicyKind::Random => (
-            run_traced(Box::new(RandomPolicy::seeded(app.seed())))?,
-            None,
-        ),
-        PolicyKind::Lfu => (run_traced(Box::new(Lfu::new()))?, None),
-        PolicyKind::Rrip => (run_traced(Box::new(Rrip::new(rrip_config_for(app))))?, None),
-        PolicyKind::ClockPro => (
-            run_traced(Box::new(ClockPro::new(ClockProConfig::default())))?,
-            None,
-        ),
-        PolicyKind::Ideal => (run_traced(Box::new(ideal_for(&trace)))?, None),
-        PolicyKind::Hpe => {
-            let hpe = Hpe::new(HpeConfig::from_sim(cfg))?;
-            let mut sim = Simulation::new(cfg.clone(), &trace, hpe, capacity)?;
-            sim.set_observer(observer.clone());
-            let outcome = sim.run()?;
-            let report = HpeReport::from_policy(&outcome.policy);
-            (outcome.stats, Some(report))
-        }
-    };
+    let (stats, hpe) = kind.build(cfg, app, &trace, None, then)?;
 
     // The simulation was consumed above, releasing its observer handle;
     // dropping ours releases the MultiObserver's clones of each sink.
@@ -508,22 +519,45 @@ pub fn run_policy_traced(
         rate,
         stats,
         hpe,
+        profile: None,
     };
     Ok((result, capture))
 }
 
-fn run_sim<P: EvictionPolicy>(
-    cfg: &SimConfig,
-    trace: &uvm_workloads::Trace,
-    policy: P,
+/// [`run_policy_traced`]'s continuation: one run with `observer`
+/// attached, the policy wrapped in [`Traced`] unless it emits `native`
+/// decision events.
+struct Observed<'a> {
+    cfg: &'a SimConfig,
+    trace: &'a Trace,
     capacity: u64,
-    plan: Option<&FaultPlan>,
-    recovery: RecoveryOptions,
-) -> Result<(SimStats, Option<ProfileReport>), SimError> {
-    let mut sim = Simulation::new(cfg.clone(), trace, policy, capacity)?;
-    configure(&mut sim, plan, recovery)?;
-    let outcome = sim.run()?;
-    Ok((outcome.stats, outcome.profile))
+    observer: &'a Rc<RefCell<dyn SimObserver>>,
+    native: bool,
+}
+
+impl Observed<'_> {
+    fn run<P: EvictionPolicy>(&self, policy: P) -> Result<uvm_sim::SimOutcome<P>, SimError> {
+        let mut sim = Simulation::new(self.cfg.clone(), self.trace, policy, self.capacity)?;
+        sim.set_observer(self.observer.clone());
+        sim.run()
+    }
+}
+
+impl WithPolicy for Observed<'_> {
+    type Output = (SimStats, Option<HpeReport>);
+
+    fn call<P, M>(self, make: M) -> Result<Self::Output, SimError>
+    where
+        P: EvictionPolicy + 'static,
+        M: Fn() -> Result<P, SimError>,
+    {
+        if self.native {
+            let outcome = self.run(make()?)?;
+            Ok((outcome.stats, HpeReport::of(&outcome.policy)))
+        } else {
+            Ok((self.run(Traced::new(make()?))?.stats, None))
+        }
+    }
 }
 
 /// The strategy the paper manually assigns per application for the

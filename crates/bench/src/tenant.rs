@@ -1,6 +1,7 @@
 //! Tenant execution engine: runs every admitted tenant of a
-//! [`TenantMix`] through the policy zoo on a scoped worker pool and
-//! merges the per-tenant results into a deterministic [`TenantReport`].
+//! [`TenantMix`] through the policy zoo on the ordered worker pool
+//! ([`uvm_util::pool`]) and merges the per-tenant results into a
+//! deterministic [`TenantReport`].
 //!
 //! The sim-side tenant layer (`uvm_sim::tenant`) resolves the admission
 //! timeline without running a cycle; this module executes it. Each
@@ -20,11 +21,11 @@
 //! 3. the report serializes rows in schedule order with the
 //!    deterministic insertion-ordered JSON writer.
 //!
-//! Tenant state (the per-slot results) is deliberately funneled through
-//! the [`MixState`] accessors; the `tenant-isolation` lint rule flags
-//! any code in this module that reaches into the slot vector directly,
-//! so the blast-radius argument ("one tenant's result cannot clobber
-//! another's") stays auditable.
+//! Tenant state (the per-slot results) lives in the pool's private slot
+//! vector: a slot is written once, by its own tenant's job or the resume
+//! prefill, and this module can only read it — so the blast-radius
+//! argument ("one tenant's result cannot clobber another's") is a
+//! privacy fact the compiler checks.
 //!
 //! Long mixes checkpoint themselves at tenant boundaries: every
 //! `snapshot_every` completions the collector writes a
@@ -37,9 +38,6 @@ use std::fmt;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc;
-use std::thread;
 
 use hpe_core::HpeConfig;
 use uvm_sim::{
@@ -47,10 +45,11 @@ use uvm_sim::{
     TenantSnapshot, TENANT_SNAPSHOT_SCHEMA,
 };
 use uvm_types::{HirGeometry, Oversubscription, SimConfig, TenantStats};
+use uvm_util::pool::Pool;
 use uvm_util::{Json, ToJson};
 use uvm_workloads::registry;
 
-use crate::runner::{run_hpe_with_plan, run_policy_with_plan, PolicyKind};
+use crate::runner::{run, PolicyKind, RunSpec};
 
 /// Default completions between auto-snapshots.
 pub const DEFAULT_TENANT_SNAPSHOT_EVERY: usize = 8;
@@ -130,44 +129,6 @@ pub struct MixOptions {
     pub resume: bool,
 }
 
-/// Per-slot tenant results, private to the collector. Every read and
-/// write of the slot vector goes through these accessors — the
-/// `tenant-isolation` lint rule flags direct `.slots` access anywhere
-/// else, which keeps the "one tenant per slot, no cross-tenant writes"
-/// argument auditable.
-struct MixState {
-    slots: Vec<Option<TenantStats>>,
-}
-
-impl MixState {
-    fn new(total: usize) -> Self {
-        MixState {
-            slots: vec![None; total],
-        }
-    }
-
-    /// Installs tenant `idx`'s result. Scoped: a slot belongs to exactly
-    /// one tenant and is written exactly once.
-    fn record(&mut self, idx: usize, row: TenantStats) {
-        debug_assert!(self.slots[idx].is_none(), "tenant slot {idx} written twice");
-        self.slots[idx] = Some(row);
-    }
-
-    /// Whether tenant `idx` already has a result (resume prefill).
-    fn is_done(&self, idx: usize) -> bool {
-        self.slots.get(idx).is_some_and(Option::is_some)
-    }
-
-    /// Completed rows in schedule order (skips pending slots).
-    fn completed(&self) -> Vec<TenantStats> {
-        self.slots.iter().flatten().cloned().collect()
-    }
-
-    fn total(&self) -> usize {
-        self.slots.len()
-    }
-}
-
 /// Runs one tenant's admission row to a report row. Pure: same row +
 /// same options → same `TenantStats`, which is what makes the merged
 /// report order-independent.
@@ -206,15 +167,17 @@ fn execute_tenant(
         Some(id) if id == spec.id => plan,
         _ => None,
     };
-    let outcome = match (policy, hir_mode) {
-        (PolicyKind::Hpe, HirMode::Shared) => {
-            let mut hpe_cfg = HpeConfig::from_sim(cfg);
-            hpe_cfg.hir = shared_hir_geometry(hpe_cfg.hir, adm.concurrent);
-            run_hpe_with_plan(cfg, app, rate, hpe_cfg, tenant_plan)
-        }
-        _ => run_policy_with_plan(cfg, app, rate, policy, tenant_plan),
+    let hpe = (hir_mode == HirMode::Shared).then(|| {
+        let mut hpe_cfg = HpeConfig::from_sim(cfg);
+        hpe_cfg.hir = shared_hir_geometry(hpe_cfg.hir, adm.concurrent);
+        hpe_cfg
+    });
+    let run_spec = RunSpec {
+        hpe,
+        plan: tenant_plan,
+        ..RunSpec::new(app, rate, policy)
     };
-    match outcome {
+    match run(cfg, &run_spec) {
         Ok(r) => {
             row.ok = true;
             row.stats = r.stats;
@@ -280,9 +243,9 @@ pub fn run_mix_serial(
     ))
 }
 
-/// Runs the mix on a scoped worker pool: workers pull schedule indices
-/// from an atomic cursor and push finished rows to the collector, which
-/// merges by index and auto-snapshots at tenant boundaries.
+/// Runs the mix on the ordered worker pool: workers claim pending
+/// tenants in schedule order, rows merge by schedule index, and the
+/// collector auto-snapshots at tenant boundaries.
 ///
 /// # Errors
 ///
@@ -306,7 +269,7 @@ pub fn run_mix(
     };
 
     // Resume: prefill completed slots from the snapshot, if any.
-    let mut state = MixState::new(total);
+    let mut state = Pool::new(total);
     if opts.resume {
         if let Some(path) = &opts.snapshot_path {
             if path.exists() {
@@ -334,69 +297,43 @@ pub fn run_mix(
                             row.tenant
                         )));
                     };
-                    state.record(idx, row);
+                    state.prefill(idx, row);
                 }
             }
         }
     }
 
-    let pending: Vec<usize> = (0..total).filter(|&i| !state.is_done(i)).collect();
-    let workers = opts.workers.max(1);
-    let cursor = AtomicUsize::new(0);
-    let stop = AtomicBool::new(false);
-    let mut executed = 0usize;
-    let mut io_error: Option<TenantRunError> = None;
-
-    thread::scope(|s| {
-        let (tx, rx) = mpsc::channel::<(usize, TenantStats)>();
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let (cursor, stop, pending, sched) = (&cursor, &stop, &pending, &sched);
-            let opts = &*opts;
-            s.spawn(move || loop {
-                if stop.load(Ordering::Relaxed) {
-                    break;
+    let order: Vec<usize> = (0..total).collect();
+    let mut completions = 0usize;
+    state.run(
+        &order,
+        opts.workers,
+        None,
+        |idx| {
+            execute_tenant(
+                cfg,
+                &sched.admissions[idx],
+                mix.hir_mode,
+                opts.policy,
+                opts.plan.as_ref(),
+                opts.fault_tenant,
+            )
+        },
+        |_, slots| {
+            completions += 1;
+            match &opts.snapshot_path {
+                Some(path) if completions.is_multiple_of(snapshot_every) => {
+                    write_snapshot(path, &fingerprint, slots)
                 }
-                let slot = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(&idx) = pending.get(slot) else {
-                    break;
-                };
-                let row = execute_tenant(
-                    cfg,
-                    &sched.admissions[idx],
-                    mix.hir_mode,
-                    opts.policy,
-                    opts.plan.as_ref(),
-                    opts.fault_tenant,
-                );
-                if tx.send((idx, row)).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(tx);
-
-        for (idx, row) in rx.iter() {
-            state.record(idx, row);
-            executed += 1;
-            if executed.is_multiple_of(snapshot_every) {
-                if let Some(path) = &opts.snapshot_path {
-                    if let Err(e) = write_snapshot(path, &fingerprint, &state) {
-                        io_error.get_or_insert(e);
-                        stop.store(true, Ordering::Relaxed);
-                    }
-                }
+                _ => Ok(()),
             }
-        }
-    });
+        },
+    )?;
 
-    if let Some(e) = io_error {
-        return Err(e);
-    }
     if let Some(path) = &opts.snapshot_path {
         write_snapshot(path, &fingerprint, &state)?;
     }
-    let rows = state.completed();
+    let rows = state.into_completed();
     Ok(assemble_report(
         mix,
         opts,
@@ -452,12 +389,16 @@ fn assemble_report(
     }
 }
 
-fn write_snapshot(path: &Path, fingerprint: &str, state: &MixState) -> Result<(), TenantRunError> {
+fn write_snapshot(
+    path: &Path,
+    fingerprint: &str,
+    state: &Pool<TenantStats>,
+) -> Result<(), TenantRunError> {
     let snap = TenantSnapshot {
         schema: TENANT_SNAPSHOT_SCHEMA,
         fingerprint: fingerprint.to_string(),
-        total: state.total() as u64,
-        completed: state.completed(),
+        total: state.len() as u64,
+        completed: state.completed().cloned().collect(),
     };
     let tmp = path.with_extension("tmp");
     fs::write(&tmp, snap.to_json().pretty())?;

@@ -43,7 +43,6 @@ fn sub_grid() -> CampaignSpec {
 fn killed_campaign_resumes_from_auto_snapshot_to_identical_report() {
     let cfg = bench_config();
     let spec = sub_grid();
-    let path = temp_snapshot("kill");
 
     // Reference: the same grid run straight through, no snapshotting.
     let reference = run_campaign(&cfg, &spec, &PoolOptions::default(), None)
@@ -53,56 +52,60 @@ fn killed_campaign_resumes_from_auto_snapshot_to_identical_report() {
         .to_json()
         .to_string();
 
-    // "Kill" the campaign: stop dispatch after 4 completions, with a
-    // snapshot boundary exactly there, then drop the pool. One worker
-    // keeps the completion count exact (more workers could finish an
-    // in-flight straggler after the stop flag is raised).
-    let killed = run_campaign(
-        &cfg,
-        &spec,
-        &PoolOptions {
-            workers: 1,
-            shuffle: Some(11),
-            snapshot_path: Some(path.clone()),
-            snapshot_every: 4,
-            limit: Some(4),
-            ..PoolOptions::default()
-        },
-        None,
-    )
-    .expect("partial run");
-    assert!(!killed.is_complete());
-    assert_eq!(killed.executed, 4);
-    assert!(matches!(
-        killed.report(),
-        Err(CampaignError::Incomplete { done: 4, total: 8 })
-    ));
-    let snap = CampaignSnapshot::load(&path).expect("auto-snapshot exists and validates");
-    assert_eq!(snap.completed.len(), 4);
-    assert_eq!(snap.fingerprint, spec.fingerprint());
+    for workers in [1, 2, 8] {
+        let path = temp_snapshot(&format!("kill-{workers}"));
 
-    // Resume: only the pending cells run; the merge is byte-identical
-    // to the uninterrupted report.
-    let resumed = run_campaign(
-        &cfg,
-        &spec,
-        &PoolOptions {
-            workers: 2,
-            snapshot_path: Some(path.clone()),
-            resume: true,
-            ..PoolOptions::default()
-        },
-        None,
-    )
-    .expect("resumed run");
-    assert_eq!(resumed.resumed, 4);
-    assert_eq!(resumed.executed, 4);
-    assert!(resumed.is_complete());
-    assert_eq!(
-        resumed.report().expect("complete").to_json().to_string(),
-        reference
-    );
-    let _ = fs::remove_file(&path);
+        // "Kill" the campaign: dispatch only 4 cells, with a snapshot
+        // boundary exactly there, then drop the pool. The cap holds for
+        // any worker count.
+        let killed = run_campaign(
+            &cfg,
+            &spec,
+            &PoolOptions {
+                workers,
+                shuffle: Some(11),
+                snapshot_path: Some(path.clone()),
+                snapshot_every: 4,
+                limit: Some(4),
+                ..PoolOptions::default()
+            },
+            None,
+        )
+        .expect("partial run");
+        assert!(!killed.is_complete());
+        assert_eq!(killed.executed, 4, "workers {workers}");
+        assert!(matches!(
+            killed.report(),
+            Err(CampaignError::Incomplete { done: 4, total: 8 })
+        ));
+        let snap = CampaignSnapshot::load(&path).expect("auto-snapshot exists and validates");
+        assert_eq!(snap.completed.len(), 4);
+        assert_eq!(snap.fingerprint, spec.fingerprint());
+
+        // Resume: only the pending cells run; the merge is byte-identical
+        // to the uninterrupted report.
+        let resumed = run_campaign(
+            &cfg,
+            &spec,
+            &PoolOptions {
+                workers,
+                snapshot_path: Some(path.clone()),
+                resume: true,
+                ..PoolOptions::default()
+            },
+            None,
+        )
+        .expect("resumed run");
+        assert_eq!(resumed.resumed, 4);
+        assert_eq!(resumed.executed, 4);
+        assert!(resumed.is_complete());
+        assert_eq!(
+            resumed.report().expect("complete").to_json().to_string(),
+            reference,
+            "workers {workers}"
+        );
+        let _ = fs::remove_file(&path);
+    }
 }
 
 #[test]

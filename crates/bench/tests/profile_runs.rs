@@ -2,21 +2,39 @@
 //! workloads, byte-identical `SimStats` with the profiler attached, and
 //! the span/series surfaces the `hpe-trace` subcommands render.
 
-use hpe_bench::{
-    bench_config, run_policy, run_policy_profiled, run_policy_recovering, PolicyKind,
-    RecoveryOptions,
-};
-use uvm_sim::DEFAULT_PROFILE_CADENCE;
+use hpe_bench::{bench_config, run, run_policy, PolicyKind, RecoveryOptions, RunResult, RunSpec};
+use uvm_sim::{ProfileReport, DEFAULT_PROFILE_CADENCE};
 use uvm_types::{CycleAccount, Oversubscription, SpanStage};
 use uvm_util::ToJson;
-use uvm_workloads::registry;
+use uvm_workloads::{registry, App};
+
+/// `app` under `kind` at `rate` with the profiler attached at `cadence`:
+/// the result and its profile.
+fn run_profiled(
+    cfg: &uvm_types::SimConfig,
+    app: &App,
+    rate: Oversubscription,
+    kind: PolicyKind,
+    cadence: u64,
+) -> Result<(RunResult, ProfileReport), uvm_types::SimError> {
+    let spec = RunSpec {
+        recovery: RecoveryOptions {
+            profile: Some(cadence),
+            ..RecoveryOptions::default()
+        },
+        ..RunSpec::new(app, rate, kind)
+    };
+    let mut result = run(cfg, &spec)?;
+    let profile = result.profile.take().expect("profiler was attached");
+    Ok((result, profile))
+}
 
 #[test]
 fn profiled_stn_75_accounts_conserve_and_stats_stay_identical() {
     let cfg = bench_config();
     let app = registry::by_abbr("STN").unwrap();
     let plain = run_policy(&cfg, app, Oversubscription::Rate75, PolicyKind::Hpe).unwrap();
-    let (profiled, profile) = run_policy_profiled(
+    let (profiled, profile) = run_profiled(
         &cfg,
         app,
         Oversubscription::Rate75,
@@ -56,7 +74,7 @@ fn profiled_stn_75_accounts_conserve_and_stats_stay_identical() {
 fn profiled_run_reports_span_lifecycle_and_series() {
     let cfg = bench_config();
     let app = registry::by_abbr("STN").unwrap();
-    let (result, profile) = run_policy_profiled(
+    let (result, profile) = run_profiled(
         &cfg,
         app,
         Oversubscription::Rate75,
@@ -110,15 +128,14 @@ fn recovery_options_profile_knob_attaches_observation_only() {
     let cfg = bench_config();
     let app = registry::by_abbr("SGM").unwrap();
     let plain = run_policy(&cfg, app, Oversubscription::Rate50, PolicyKind::Lru).unwrap();
-    let profiled = run_policy_recovering(
+    let profiled = run(
         &cfg,
-        app,
-        Oversubscription::Rate50,
-        PolicyKind::Lru,
-        None,
-        RecoveryOptions {
-            profile: Some(1 << 16),
-            ..RecoveryOptions::default()
+        &RunSpec {
+            recovery: RecoveryOptions {
+                profile: Some(1 << 16),
+                ..RecoveryOptions::default()
+            },
+            ..RunSpec::new(app, Oversubscription::Rate50, PolicyKind::Lru)
         },
     )
     .unwrap();

@@ -13,8 +13,9 @@
 //!   `registry::by_abbr(..)` arrive shaped as free calls).
 //!
 //! Reachability runs BFS from the paper-critical roots — the
-//! simulation loop, the `MixState` accessors, and the campaign/mix
-//! worker entry points — recording parent pointers so every finding
+//! simulation loop, the worker pool's entry point (`Pool::run`, which
+//! drives every campaign/explore/mix collector), and the campaign/mix
+//! entry points — recording parent pointers so every finding
 //! carries its shortest call trail back to a root. Ties break on index
 //! order, which follows sorted file order, so trails are deterministic.
 
@@ -23,13 +24,10 @@ use std::collections::BTreeMap;
 use crate::index::{CallKind, FnItem, ItemIndex};
 
 /// Qualified names treated as reachability roots when present.
-const ROOT_QUALIFIED: &[&str] = &["Simulation::run", "Simulation::run_until"];
+const ROOT_QUALIFIED: &[&str] = &["Simulation::run", "Simulation::run_until", "Pool::run"];
 
 /// Free functions treated as reachability roots when present.
 const ROOT_FREE: &[&str] = &["run_campaign", "run_mix"];
-
-/// Every method of these types is a reachability root.
-const ROOT_IMPLS: &[&str] = &["MixState"];
 
 /// One panic site reachable from a root, with its call trail.
 #[derive(Debug, Clone)]
@@ -213,7 +211,6 @@ fn default_roots(idx: &ItemIndex) -> Vec<usize> {
             let q = f.qualified();
             ROOT_QUALIFIED.contains(&q.as_str())
                 || (f.owner.is_none() && ROOT_FREE.contains(&f.name.as_str()))
-                || f.owner.as_deref().is_some_and(|o| ROOT_IMPLS.contains(&o))
         })
         .map(|(i, _)| i)
         .collect();
@@ -297,10 +294,9 @@ mod tests {
     fn cross_file_method_calls_resolve() {
         let (_, findings) = graph_of(&[
             (
-                "crates/bench/src/tenant.rs",
-                "pub fn run_mix() { let s = MixState::new(); s.record(0); }\n\
-                 struct MixState;\n\
-                 impl MixState {\n  fn new() -> Self { MixState }\n  fn record(&self, i: u64) { other_helper(i) }\n}\n",
+                "crates/util/src/pool.rs",
+                "pub struct Pool;\n\
+                 impl Pool {\n  pub fn run(&mut self) { other_helper(0) }\n}\n",
             ),
             (
                 "crates/bench/src/lib.rs",
@@ -310,9 +306,9 @@ mod tests {
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].0, "crates/bench/src/lib.rs");
         assert_eq!(findings[0].1, ".unwrap()");
-        // MixState::record is itself a root, so the shortest trail
-        // starts there rather than at run_mix.
-        assert_eq!(findings[0].2, vec!["MixState::record", "other_helper"]);
+        // The pool entry point is a root, so the collector's callees are
+        // covered wherever they live.
+        assert_eq!(findings[0].2, vec!["Pool::run", "other_helper"]);
     }
 
     #[test]

@@ -20,8 +20,7 @@
 //! | `hermeticity` | `external-import` | every `.rs` file |
 //! | `error-discipline` | `unwrap`, `profile-guard` | `crates/{sim,core,policies}/src`, non-test |
 //! | `paper-constants` | `paper-constants` | manifest files (see [`manifest::MANIFEST`]) |
-//! | `tenant-isolation` | `tenant-isolation` | every indexed file; `impl MixState` is exempt |
-//! | `panic-reachability` | `panic-reachability` | call graph from `Simulation::run` / `MixState` / worker roots |
+//! | `panic-reachability` | `panic-reachability` | call graph from `Simulation::run` / `Pool::run` / worker roots |
 //! | `determinism-taint` | `rng-taint` | every indexed `Rng::seed_from_u64` call |
 //! | `stale-allow` | `stale-allow` | every `lint:allow` annotation |
 //!
@@ -79,9 +78,6 @@ pub enum RuleFamily {
     /// Cross-checks config literals against the paper-constants
     /// manifest.
     PaperConstants,
-    /// Flags direct access to tenant slot state outside the `MixState`
-    /// impl block (symbol-aware since v2; workspace-wide).
-    TenantIsolation,
     /// Flags panic sites transitively reachable from the simulation /
     /// campaign roots, with a call trail per finding.
     PanicReachability,
@@ -100,14 +96,13 @@ impl RuleFamily {
         RuleFamily::Hermeticity,
         RuleFamily::ErrorDiscipline,
         RuleFamily::PaperConstants,
-        RuleFamily::TenantIsolation,
         RuleFamily::PanicReachability,
         RuleFamily::DeterminismTaint,
         RuleFamily::StaleAllow,
     ];
 
     /// The CLI label (`determinism`, `hermeticity`, `error-discipline`,
-    /// `paper-constants`, `tenant-isolation`, `panic-reachability`,
+    /// `paper-constants`, `panic-reachability`,
     /// `determinism-taint`, `stale-allow`).
     pub fn label(self) -> &'static str {
         match self {
@@ -115,7 +110,6 @@ impl RuleFamily {
             RuleFamily::Hermeticity => "hermeticity",
             RuleFamily::ErrorDiscipline => "error-discipline",
             RuleFamily::PaperConstants => "paper-constants",
-            RuleFamily::TenantIsolation => "tenant-isolation",
             RuleFamily::PanicReachability => "panic-reachability",
             RuleFamily::DeterminismTaint => "determinism-taint",
             RuleFamily::StaleAllow => "stale-allow",

@@ -33,9 +33,6 @@ pub const RULE_UNWRAP: &str = "unwrap";
 pub const RULE_PAPER_CONSTANTS: &str = "paper-constants";
 /// Rule id: profiler accumulation outside the opt-in guard.
 pub const RULE_PROFILE_GUARD: &str = "profile-guard";
-/// Rule id: direct access to tenant slot state outside the `MixState`
-/// impl block.
-pub const RULE_TENANT_ISOLATION: &str = "tenant-isolation";
 /// Rule id: a panic site transitively reachable from a simulation /
 /// campaign root (call-graph rule).
 pub const RULE_PANIC_REACHABILITY: &str = "panic-reachability";
@@ -64,7 +61,6 @@ const ALLOW_CONSUMERS: &[(&str, &[RuleFamily])] = &[
     ),
     (RULE_PROFILE_GUARD, &[RuleFamily::ErrorDiscipline]),
     (RULE_PAPER_CONSTANTS, &[]),
-    (RULE_TENANT_ISOLATION, &[RuleFamily::TenantIsolation]),
     (RULE_PANIC_REACHABILITY, &[RuleFamily::PanicReachability]),
     (RULE_RNG_TAINT, &[RuleFamily::DeterminismTaint]),
     (RULE_STALE_ALLOW, &[RuleFamily::StaleAllow]),
@@ -85,24 +81,6 @@ const ERROR_DISCIPLINE_SCOPE: &[&str] = &[
     "crates/core/src/",
     "crates/policies/src/",
 ];
-
-/// Direct reads/writes of the per-tenant slot vector. Since v2 the rule
-/// is symbol-aware and workspace-wide: every one of these outside the
-/// `impl MixState` block breaks the "one tenant per slot, written
-/// exactly once" audit argument. The accessors themselves are exempt by
-/// impl-block membership, not by annotation.
-const TENANT_STATE_TOKENS: &[&str] = &[
-    ".slots[",
-    ".slots.get(",
-    ".slots.get_mut(",
-    ".slots.iter(",
-    ".slots.iter_mut(",
-    ".slots.len(",
-    ".slots.push(",
-];
-
-/// The type whose impl block is the tenant slot state's trust boundary.
-const TENANT_STATE_OWNER: &str = "MixState";
 
 /// Profiler accumulation methods: mutate profiler state, so every call
 /// site outside `profile.rs` itself must sit behind the opt-in guard
@@ -320,8 +298,7 @@ pub fn scan(rel_path: &str, lines: &[LineInfo], families: &[RuleFamily]) -> Vec<
 }
 
 /// Runs the symbol-aware rule families over the whole file set:
-/// `tenant-isolation` (v2, impl-block membership), `rng-taint`, and
-/// `panic-reachability` (call graph).
+/// `rng-taint` and `panic-reachability` (call graph).
 pub fn scan_cross_file(
     files: &[(String, Vec<LineInfo>)],
     idx: &ItemIndex,
@@ -329,9 +306,6 @@ pub fn scan_cross_file(
     tracker: &mut AllowTracker,
 ) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
-    if families.contains(&RuleFamily::TenantIsolation) {
-        scan_tenant_isolation(files, idx, tracker, &mut diags);
-    }
     if families.contains(&RuleFamily::DeterminismTaint) {
         scan_rng_taint(files, idx, tracker, &mut diags);
     }
@@ -339,44 +313,6 @@ pub fn scan_cross_file(
         scan_panic_reachability(files, idx, tracker, &mut diags);
     }
     diags
-}
-
-/// Tenant-isolation v2: direct slot-state access anywhere in the
-/// workspace is flagged unless the line sits inside the `impl MixState`
-/// block of the same file. Accessors are exempt by symbol position —
-/// no annotation needed (or consumed) inside the impl.
-fn scan_tenant_isolation(
-    files: &[(String, Vec<LineInfo>)],
-    idx: &ItemIndex,
-    tracker: &mut AllowTracker,
-    diags: &mut Vec<Diagnostic>,
-) {
-    for (rel_path, lines) in files {
-        for (n, line) in lines.iter().enumerate() {
-            if line.in_test {
-                continue;
-            }
-            for token in TENANT_STATE_TOKENS {
-                if find_token(&line.code, token).is_none() {
-                    continue;
-                }
-                if !idx.in_impl_of(rel_path, n as u32 + 1, TENANT_STATE_OWNER)
-                    && !tracker.allowed(rel_path, lines, n, RULE_TENANT_ISOLATION)
-                {
-                    diags.push(Diagnostic::new(
-                        rel_path,
-                        n as u64 + 1,
-                        RULE_TENANT_ISOLATION,
-                        format!(
-                            "`{token}` reaches into tenant slot state outside the \
-                             `impl MixState` block; go through the MixState accessors"
-                        ),
-                    ));
-                }
-                break;
-            }
-        }
-    }
 }
 
 /// Determinism-taint: every `Rng::seed_from_u64(..)` argument must
@@ -433,7 +369,7 @@ fn scan_rng_taint(
 /// Panic-reachability: every hard panic site (`panic!`, `unreachable!`,
 /// `todo!`, `unimplemented!`, `.unwrap()`, `.expect(`) inside a
 /// function transitively reachable from a root (`Simulation::run`,
-/// `MixState` accessors, the campaign/mix worker entry points) is
+/// `Pool::run`, the campaign/mix worker entry points) is
 /// flagged with its shortest call trail. A `lint:allow(unwrap)`
 /// annotation — the error-discipline escape hatch — also suppresses
 /// this rule, so a site justified once is justified everywhere.
@@ -1067,41 +1003,6 @@ mod tests {
         for path in ["crates/sim/src/profile.rs", "crates/bench/src/runner.rs"] {
             let d = scan_at(path, text, RuleFamily::ErrorDiscipline);
             assert!(d.is_empty(), "{path}: {d:?}");
-        }
-    }
-
-    #[test]
-    fn tenant_isolation_exempts_the_impl_block_without_annotations() {
-        let text = "pub struct MixState { slots: Vec<Option<u32>> }\n\
-                    impl MixState {\n\
-                    \x20 fn record(&mut self, idx: usize) {\n\
-                    \x20   self.slots[idx] = Some(1);\n\
-                    \x20 }\n\
-                    \x20 fn total(&self) -> usize {\n\
-                    \x20   self.slots.len()\n\
-                    \x20 }\n\
-                    }\n\
-                    fn bypass(state: &mut MixState) {\n\
-                    \x20 state.slots[0] = None;\n\
-                    \x20 state.slots.iter().count();\n\
-                    }\n";
-        let d = check_source(
-            "crates/bench/src/tenant.rs",
-            text,
-            &[RuleFamily::TenantIsolation],
-        );
-        let lines: Vec<u64> = d.iter().map(|d| d.line).collect();
-        assert_eq!(lines, vec![11, 12], "{d:?}");
-        assert!(d.iter().all(|d| d.rule == RULE_TENANT_ISOLATION));
-    }
-
-    #[test]
-    fn tenant_isolation_is_workspace_wide_in_v2() {
-        // v1 only looked at files named tenant*; v2 follows the symbol.
-        let text = "fn f(s: &mut MixState) { s.slots[0] = None; }\n";
-        for path in ["crates/bench/src/campaign.rs", "crates/core/src/hir.rs"] {
-            let d = check_source(path, text, &[RuleFamily::TenantIsolation]);
-            assert_eq!(d.len(), 1, "{path}: {d:?}");
         }
     }
 

@@ -29,7 +29,6 @@ const FIXTURES: &[(&str, &str)] = &[
         "profile_guard.rs",
         "crates/sim/src/fixture_profile_guard.rs",
     ),
-    ("tenant_isolation.rs", "crates/bench/src/tenant_fixture.rs"),
     ("panic_reachability.rs", "crates/bench/src/fixture_panic.rs"),
     ("rng_taint.rs", "crates/sim/src/fixture_rng_taint.rs"),
     ("stale_allow.rs", "crates/sim/src/fixture_stale_allow.rs"),
@@ -109,24 +108,6 @@ fn profile_guard_fixture_reports_the_unguarded_site_only() {
     assert!(d[0].message.contains("opt-in guard"));
     // Guarded (line 19) and annotated (line 24) sites must be exempt.
     assert!(d.iter().all(|d| d.line != 19 && d.line != 24));
-}
-
-#[test]
-fn tenant_isolation_fixture_reports_bypassing_sites_only() {
-    let d = lint_fixture("tenant_isolation.rs");
-    assert_eq!(
-        lines_and_rules(&d),
-        vec![
-            (11, "tenant-isolation"),
-            (12, "tenant-isolation"),
-            (13, "tenant-isolation")
-        ],
-        "{d:?}"
-    );
-    assert!(d[0].message.contains("impl MixState"));
-    // The accessors inside `impl MixState` (lines 18 and 22) are exempt
-    // by symbol position — no allow annotations, nothing stale.
-    assert!(d.iter().all(|d| d.line != 18 && d.line != 22));
 }
 
 #[test]

@@ -15,6 +15,9 @@
 //! - [`hist`] — a fixed-bucket [`Histogram`] for the tracing layer's
 //!   distribution series (no external dependency ever existed for this;
 //!   it lives here so every crate can record and serialize one).
+//! - [`pool`] — the ordered worker pool every parallel harness (campaign,
+//!   exploration, tenant mix) runs on: index-keyed merge, arrival-ordered
+//!   callback, exact dispatch cap.
 //!
 //! Determinism contract: the PRNG algorithm and the property-harness seed
 //! derivation are frozen. Changing either invalidates every golden-trace
@@ -25,6 +28,7 @@
 pub mod bench;
 pub mod hist;
 pub mod json;
+pub mod pool;
 pub mod prop;
 pub mod rng;
 pub mod strict;
