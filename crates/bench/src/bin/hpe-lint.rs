@@ -445,13 +445,6 @@ const EXPLANATIONS: &[(&str, &str)] = &[
          annotate an audited invariant with `// lint:allow(unwrap)`.",
     ),
     (
-        "profile-guard",
-        "Profiler accumulation must sit behind the opt-in guard\n\
-         (`if let Some(prof) = self.profiler.as_mut()`) so the hot path\n\
-         pays nothing when profiling is off. Scope: crates/sim/src\n\
-         except profile.rs.",
-    ),
-    (
         "paper-constants",
         "Config constructors named in the lint manifest must keep the\n\
          paper's pinned literals (epoch lengths, thresholds, geometry).\n\
@@ -522,10 +515,7 @@ fn cmd_rules() -> ExitCode {
          \x20                  (crates/{{sim,core,policies,workloads}}/src)\n\
          hermeticity        external-import (every .rs file)\n\
          error-discipline   unwrap (.unwrap()/.expect(/panic! outside tests;\n\
-         \x20                  crates/{{sim,core,policies}}/src),\n\
-         \x20                  profile-guard (profiler accumulation outside\n\
-         \x20                  the opt-in guard; crates/sim/src except\n\
-         \x20                  profile.rs)\n\
+         \x20                  crates/{{sim,core,policies}}/src)\n\
          paper-constants    paper-constants (config constructors vs the\n\
          \x20                  declared manifest)\n\
          panic-reachability panic-reachability (panic sites the call\n\

@@ -30,8 +30,8 @@ use hpe_bench::{
     RunSpec, Table,
 };
 use uvm_sim::{
-    parse_jsonl, EventCounters, IntervalCollector, IntervalKey, ProfileReport, SimEvent,
-    SimObserver, TenantReport, TraceHistograms, DEFAULT_PROFILE_CADENCE,
+    parse_jsonl, EventCounters, Instrument, IntervalCollector, IntervalKey, ProfileReport,
+    SimEvent, TenantReport, TraceHistograms, DEFAULT_PROFILE_CADENCE,
 };
 use uvm_types::Oversubscription;
 use uvm_util::{FromJson, Json, ToJson};
@@ -221,7 +221,7 @@ fn cmd_record(flags: &Flags) -> Result<(), CmdError> {
     Ok(())
 }
 
-fn replay<S: SimObserver>(sink: &mut S, events: &[SimEvent]) {
+fn replay<S: Instrument>(sink: &mut S, events: &[SimEvent]) {
     for &e in events {
         sink.on_event(e);
     }

@@ -138,7 +138,7 @@ pub fn write_jsonl(path: &std::path::Path, events: &[uvm_sim::SimEvent]) -> std:
     let file = fs::File::create(path)?;
     let mut writer = uvm_sim::JsonlWriter::new(std::io::BufWriter::new(file));
     for &e in events {
-        uvm_sim::SimObserver::on_event(&mut writer, e);
+        uvm_sim::Instrument::on_event(&mut writer, e);
     }
     let lines = writer.lines();
     writer.finish()?.flush()?;

@@ -7,8 +7,6 @@
 //! profiler knobs — is a field of [`RunSpec`].
 
 use std::any::Any;
-use std::cell::RefCell;
-use std::rc::Rc;
 
 use hpe_core::{Classification, Hpe, HpeConfig, StrategyKind};
 use uvm_policies::{
@@ -16,8 +14,8 @@ use uvm_policies::{
 };
 use uvm_sim::{
     ideal_for, trace_for, Checkpoint, EventCounters, EventLog, FallbackVictim, FaultPlan,
-    IntervalCollector, IntervalKey, MultiObserver, ProfileConfig, ProfileReport, Profiler,
-    RetryPolicy, Sanitizer, SimObserver, Simulation, TraceHistograms,
+    Instrument, IntervalCollector, IntervalKey, ProfileConfig, ProfileReport, Profiler,
+    RetryPolicy, Sanitizer, SimEvent, Simulation, TraceHistograms,
 };
 use uvm_types::{Oversubscription, SimConfig, SimError, SimStats};
 use uvm_util::{json, Json, ToJson};
@@ -330,37 +328,114 @@ pub fn drive(
     interrupt: Option<u64>,
     on_checkpoint: impl FnOnce(&Checkpoint, bool),
 ) -> Result<Driven, SimError> {
+    let Some(cadence) = spec.recovery.profile else {
+        return Ok(drive_with(cfg, spec, trace, interrupt, on_checkpoint, || ())?.0);
+    };
+    let profiler = || Profiler::new(ProfileConfig::new(cadence));
+    let (mut driven, profiler) = drive_with(cfg, spec, trace, interrupt, on_checkpoint, profiler)?;
+    let capacity = spec.rate.capacity_pages(spec.app.footprint_pages());
+    driven.result.profile = Some(profiler.finalize(driven.result.stats.cycles, capacity));
+    Ok(driven)
+}
+
+/// An instrument [`drive_with`] attaches, and how it dresses a baseline
+/// policy: as is, or in [`Traced`] so the baseline's victim selections
+/// reach the stream. HPE is never dressed; it emits its own.
+trait Attach: Instrument {
+    /// The dressed form of baseline policy `P`.
+    type Dressed<P: EvictionPolicy + 'static>: EvictionPolicy + 'static;
+    /// Dresses `policy`.
+    fn dress<P: EvictionPolicy + 'static>(policy: P) -> Self::Dressed<P>;
+}
+
+impl Attach for () {
+    type Dressed<P: EvictionPolicy + 'static> = P;
+    fn dress<P: EvictionPolicy + 'static>(policy: P) -> P {
+        policy
+    }
+}
+
+impl Attach for Profiler {
+    type Dressed<P: EvictionPolicy + 'static> = P;
+    fn dress<P: EvictionPolicy + 'static>(policy: P) -> P {
+        policy
+    }
+}
+
+impl Attach for TraceCapture {
+    type Dressed<P: EvictionPolicy + 'static> = Traced<P>;
+    fn dress<P: EvictionPolicy + 'static>(policy: P) -> Traced<P> {
+        Traced::new(policy)
+    }
+}
+
+/// [`drive`] with the instrument `instrument()` builds attached to each
+/// simulation; returns the instrument of the simulation that finished.
+fn drive_with<I: Attach>(
+    cfg: &SimConfig,
+    spec: &RunSpec,
+    trace: &Trace,
+    interrupt: Option<u64>,
+    on_checkpoint: impl FnOnce(&Checkpoint, bool),
+    instrument: impl Fn() -> I,
+) -> Result<(Driven, I), SimError> {
     let then = Drive {
         cfg,
         spec,
         trace,
         interrupt,
         on_checkpoint,
+        instrument,
     };
     spec.kind
         .build(cfg, spec.app, trace, spec.hpe.as_ref(), then)
 }
 
-struct Drive<'a, F> {
+struct Drive<'a, F, G> {
     cfg: &'a SimConfig,
     spec: &'a RunSpec<'a>,
     trace: &'a Trace,
     interrupt: Option<u64>,
     on_checkpoint: F,
+    instrument: G,
 }
 
-impl<F: FnOnce(&Checkpoint, bool)> WithPolicy for Drive<'_, F> {
-    type Output = Driven;
+impl<F, I, G> WithPolicy for Drive<'_, F, G>
+where
+    F: FnOnce(&Checkpoint, bool),
+    I: Attach,
+    G: Fn() -> I,
+{
+    type Output = (Driven, I);
 
-    fn call<P, M>(self, make: M) -> Result<Driven, SimError>
+    fn call<P, M>(self, make: M) -> Result<Self::Output, SimError>
     where
         P: EvictionPolicy + 'static,
         M: Fn() -> Result<P, SimError>,
     {
+        if self.spec.kind == PolicyKind::Hpe {
+            self.run(make)
+        } else {
+            self.run(|| Ok(I::dress(make()?)))
+        }
+    }
+}
+
+impl<F, I, G> Drive<'_, F, G>
+where
+    F: FnOnce(&Checkpoint, bool),
+    I: Instrument,
+    G: Fn() -> I,
+{
+    fn run<P: EvictionPolicy + 'static>(
+        self,
+        make: impl Fn() -> Result<P, SimError>,
+    ) -> Result<(Driven, I), SimError> {
         let spec = self.spec;
         let capacity = spec.rate.capacity_pages(spec.app.footprint_pages());
-        let build = || -> Result<Simulation<P>, SimError> {
-            let mut sim = Simulation::new(self.cfg.clone(), self.trace, make()?, capacity)?;
+        let build = || -> Result<Simulation<P, I>, SimError> {
+            let sim = Simulation::new(self.cfg.clone(), self.trace, make()?, capacity)?;
+            let mut sim = sim.instrument((self.instrument)());
             configure(&mut sim, spec.plan, spec.recovery)?;
             Ok(sim)
         };
@@ -380,24 +455,25 @@ impl<F: FnOnce(&Checkpoint, bool)> WithPolicy for Drive<'_, F> {
                 }
             }
         };
-        Ok(Driven {
+        let driven = Driven {
             result: RunResult {
                 app: spec.app.abbr(),
                 policy: spec.kind.label(),
                 rate: spec.rate,
                 stats: outcome.stats,
                 hpe: HpeReport::of(&outcome.policy),
-                profile: outcome.profile,
+                profile: None,
             },
             hir_down: outcome.hir_down,
             hir_clean_streak_faults: outcome.hir_clean_streak_faults,
             degraded: outcome.policy.is_degraded(),
-        })
+        };
+        Ok((driven, outcome.instrument))
     }
 }
 
-fn configure<P: EvictionPolicy>(
-    sim: &mut Simulation<P>,
+fn configure<P: EvictionPolicy, I: Instrument>(
+    sim: &mut Simulation<P, I>,
     plan: Option<&FaultPlan>,
     recovery: RecoveryOptions,
 ) -> Result<(), SimError> {
@@ -410,9 +486,6 @@ fn configure<P: EvictionPolicy>(
     sim.set_fallback_victim(recovery.fallback);
     if let Some(cadence) = recovery.sanitize {
         sim.set_sanitizer(Sanitizer::new(cadence));
-    }
-    if let Some(cadence) = recovery.profile {
-        sim.set_profiler(Profiler::new(ProfileConfig::new(cadence)));
     }
     Ok(())
 }
@@ -439,6 +512,17 @@ pub struct TraceCapture {
 }
 
 impl TraceCapture {
+    /// Empty sinks, the fault-keyed series on `cfg`'s interval clock.
+    pub fn new(cfg: &SimConfig) -> Self {
+        TraceCapture {
+            counters: EventCounters::default(),
+            by_fault: IntervalCollector::new(IntervalKey::Faults(u64::from(cfg.interval_len))),
+            by_cycle: IntervalCollector::new(IntervalKey::Cycles(TRACE_CYCLE_WINDOW)),
+            histograms: TraceHistograms::new(),
+            log: EventLog::new(),
+        }
+    }
+
     /// The capture as one JSON document (counters + both interval series
     /// + histograms; the raw log is exported separately as JSONL).
     pub fn summary_json(&self) -> Json {
@@ -448,6 +532,16 @@ impl TraceCapture {
             "intervals_by_cycle": self.by_cycle.to_json(),
             "histograms": self.histograms.to_json(),
         })
+    }
+}
+
+impl Instrument for TraceCapture {
+    fn on_event(&mut self, event: SimEvent) {
+        self.counters.on_event(event);
+        self.by_fault.on_event(event);
+        self.by_cycle.on_event(event);
+        self.histograms.on_event(event);
+        self.log.on_event(event);
     }
 }
 
@@ -470,94 +564,10 @@ pub fn run_policy_traced(
     kind: PolicyKind,
 ) -> Result<(RunResult, TraceCapture), SimError> {
     let trace = trace_for(cfg, app);
-
-    let counters = Rc::new(RefCell::new(EventCounters::default()));
-    let by_fault = Rc::new(RefCell::new(IntervalCollector::new(IntervalKey::Faults(
-        u64::from(cfg.interval_len),
-    ))));
-    let by_cycle = Rc::new(RefCell::new(IntervalCollector::new(IntervalKey::Cycles(
-        TRACE_CYCLE_WINDOW,
-    ))));
-    let histograms = Rc::new(RefCell::new(TraceHistograms::new()));
-    let log = Rc::new(RefCell::new(EventLog::new()));
-    let mut multi = MultiObserver::new();
-    multi.push(counters.clone());
-    multi.push(by_fault.clone());
-    multi.push(by_cycle.clone());
-    multi.push(histograms.clone());
-    multi.push(log.clone());
-    let observer: Rc<RefCell<dyn SimObserver>> = Rc::new(RefCell::new(multi));
-
-    let then = Observed {
-        cfg,
-        trace: &trace,
-        capacity: rate.capacity_pages(app.footprint_pages()),
-        observer: &observer,
-        native: kind == PolicyKind::Hpe,
-    };
-    let (stats, hpe) = kind.build(cfg, app, &trace, None, then)?;
-
-    // The simulation was consumed above, releasing its observer handle;
-    // dropping ours releases the MultiObserver's clones of each sink.
-    drop(observer);
-    fn take<T>(rc: Rc<RefCell<T>>) -> T {
-        match Rc::try_unwrap(rc) {
-            Ok(cell) => cell.into_inner(),
-            Err(_) => panic!("sink uniquely owned after the run"),
-        }
-    }
-    let capture = TraceCapture {
-        counters: take(counters),
-        by_fault: take(by_fault),
-        by_cycle: take(by_cycle),
-        histograms: take(histograms),
-        log: take(log),
-    };
-    let result = RunResult {
-        app: app.abbr(),
-        policy: kind.label(),
-        rate,
-        stats,
-        hpe,
-        profile: None,
-    };
-    Ok((result, capture))
-}
-
-/// [`run_policy_traced`]'s continuation: one run with `observer`
-/// attached, the policy wrapped in [`Traced`] unless it emits `native`
-/// decision events.
-struct Observed<'a> {
-    cfg: &'a SimConfig,
-    trace: &'a Trace,
-    capacity: u64,
-    observer: &'a Rc<RefCell<dyn SimObserver>>,
-    native: bool,
-}
-
-impl Observed<'_> {
-    fn run<P: EvictionPolicy>(&self, policy: P) -> Result<uvm_sim::SimOutcome<P>, SimError> {
-        let mut sim = Simulation::new(self.cfg.clone(), self.trace, policy, self.capacity)?;
-        sim.set_observer(self.observer.clone());
-        sim.run()
-    }
-}
-
-impl WithPolicy for Observed<'_> {
-    type Output = (SimStats, Option<HpeReport>);
-
-    fn call<P, M>(self, make: M) -> Result<Self::Output, SimError>
-    where
-        P: EvictionPolicy + 'static,
-        M: Fn() -> Result<P, SimError>,
-    {
-        if self.native {
-            let outcome = self.run(make()?)?;
-            Ok((outcome.stats, HpeReport::of(&outcome.policy)))
-        } else {
-            Ok((self.run(Traced::new(make()?))?.stats, None))
-        }
-    }
+    let spec = RunSpec::new(app, rate, kind);
+    let capture = || TraceCapture::new(cfg);
+    let (driven, capture) = drive_with(cfg, &spec, &trace, None, |_, _| {}, capture)?;
+    Ok((driven.result, capture))
 }
 
 /// The strategy the paper manually assigns per application for the

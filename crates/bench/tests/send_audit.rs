@@ -1,13 +1,13 @@
 //! Compile-time `Send` audit for every type that crosses a campaign
 //! worker-thread boundary.
 //!
-//! The parallel engine works because the `Simulation` itself — which is
-//! *not* `Send` (its observer slot is an `Rc<RefCell<..>>`) — never
-//! crosses a thread: workers construct it internally from plain-data
-//! inputs and send plain-data outputs back. This file pins that
-//! property: if a `Rc`, `RefCell` or raw pointer ever leaks into one of
-//! these types, the campaign engine stops compiling here first, with a
-//! readable error, instead of deep inside `thread::scope`.
+//! Workers construct each `Simulation` internally from plain-data
+//! inputs and send plain-data outputs back; the simulation itself never
+//! crosses a thread, though it is `Send` (its instrument is held by
+//! value). This file pins those properties: if a `Rc`, `RefCell` or raw
+//! pointer ever leaks into one of these types, the campaign engine stops
+//! compiling here first, with a readable error, instead of deep inside
+//! `thread::scope`.
 
 use hpe_bench::{
     CampaignReport, CampaignRun, CampaignSnapshot, CampaignSpec, PlanSpec, PolicyKind, PoolOptions,
@@ -18,7 +18,7 @@ use uvm_policies::{
     ArcPolicy, Bip, Car, Clock, ClockPro, Dip, EvictionPolicy, Ideal, Lfu, Lru, RandomPolicy, Rrip,
     SetLru, Traced, WsClock,
 };
-use uvm_sim::FaultPlan;
+use uvm_sim::{FaultPlan, Simulation};
 use uvm_types::{Oversubscription, SimConfig, SimStats};
 use uvm_workloads::App;
 
@@ -53,6 +53,14 @@ fn campaign_outputs_are_send() {
     assert_send::<CampaignRun>();
     assert_send::<CampaignReport>();
     assert_send::<CampaignSnapshot>();
+}
+
+/// A simulation carries its instrument by value, so with a `Send`
+/// policy it is `Send` as a whole.
+#[test]
+fn simulations_are_send() {
+    assert_send::<Simulation<Lru>>();
+    assert_send::<Simulation<Hpe>>();
 }
 
 /// Every concrete eviction policy is `Send`: none of them may ever grow

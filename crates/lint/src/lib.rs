@@ -18,7 +18,7 @@
 //! |---|---|---|
 //! | `determinism` | `wall-clock`, `hash-iteration`, `randomness` | `crates/{sim,core,policies,workloads}/src` |
 //! | `hermeticity` | `external-import` | every `.rs` file |
-//! | `error-discipline` | `unwrap`, `profile-guard` | `crates/{sim,core,policies}/src`, non-test |
+//! | `error-discipline` | `unwrap` | `crates/{sim,core,policies}/src`, non-test |
 //! | `paper-constants` | `paper-constants` | manifest files (see [`manifest::MANIFEST`]) |
 //! | `panic-reachability` | `panic-reachability` | call graph from `Simulation::run` / `Pool::run` / worker roots |
 //! | `determinism-taint` | `rng-taint` | every indexed `Rng::seed_from_u64` call |

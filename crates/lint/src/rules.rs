@@ -31,8 +31,6 @@ pub const RULE_UNWRAP: &str = "unwrap";
 /// Rule id: a literal in a config constructor drifted from the paper's
 /// constants manifest.
 pub const RULE_PAPER_CONSTANTS: &str = "paper-constants";
-/// Rule id: profiler accumulation outside the opt-in guard.
-pub const RULE_PROFILE_GUARD: &str = "profile-guard";
 /// Rule id: a panic site transitively reachable from a simulation /
 /// campaign root (call-graph rule).
 pub const RULE_PANIC_REACHABILITY: &str = "panic-reachability";
@@ -59,7 +57,6 @@ const ALLOW_CONSUMERS: &[(&str, &[RuleFamily])] = &[
         RULE_UNWRAP,
         &[RuleFamily::ErrorDiscipline, RuleFamily::PanicReachability],
     ),
-    (RULE_PROFILE_GUARD, &[RuleFamily::ErrorDiscipline]),
     (RULE_PAPER_CONSTANTS, &[]),
     (RULE_PANIC_REACHABILITY, &[RuleFamily::PanicReachability]),
     (RULE_RNG_TAINT, &[RuleFamily::DeterminismTaint]),
@@ -81,28 +78,6 @@ const ERROR_DISCIPLINE_SCOPE: &[&str] = &[
     "crates/core/src/",
     "crates/policies/src/",
 ];
-
-/// Profiler accumulation methods: mutate profiler state, so every call
-/// site outside `profile.rs` itself must sit behind the opt-in guard
-/// (`if let Some(prof) = self.profiler.as_mut()` or equivalent) — the
-/// profiler is observation-only and must cost nothing when detached.
-const PROFILE_ACCUM_TOKENS: &[&str] = &[
-    ".charge(",
-    ".open_span(",
-    ".close_span(",
-    ".begin_service(",
-    ".note_retry(",
-    ".note_coalesce(",
-    ".mark_wrong_eviction(",
-    ".warp_stalled(",
-    ".warp_resumed(",
-    ".record_samples(",
-];
-
-/// How many lines above an accumulation call the binding guard may sit
-/// (the guard block can open well before a multi-line charge
-/// computation; the search never crosses a function boundary).
-const PROFILE_GUARD_WINDOW: usize = 40;
 
 /// Import roots that keep the workspace hermetic: the language /
 /// standard-library roots plus every workspace crate.
@@ -278,12 +253,6 @@ pub fn scan_lines(
     if families.contains(&RuleFamily::ErrorDiscipline) && in_scope(rel_path, ERROR_DISCIPLINE_SCOPE)
     {
         scan_unwraps(rel_path, lines, tracker, &mut diags);
-    }
-    if families.contains(&RuleFamily::ErrorDiscipline)
-        && rel_path.starts_with("crates/sim/src/")
-        && !rel_path.ends_with("/profile.rs")
-    {
-        scan_profile_guard(rel_path, lines, tracker, &mut diags);
     }
     if families.contains(&RuleFamily::PaperConstants) {
         crate::manifest::scan(rel_path, lines, &mut diags);
@@ -522,81 +491,6 @@ fn scan_unwraps(
             }
         }
     }
-}
-
-/// Error-discipline rule: profiler accumulation behind the opt-in
-/// guard.
-///
-/// Every call to a [`PROFILE_ACCUM_TOKENS`] method in engine code must
-/// be visibly conditional on the profiler being attached: a guard token
-/// on the call line itself, or the receiver bound by a `Some(<recv>)`
-/// pattern within [`PROFILE_GUARD_WINDOW`] lines above it inside the
-/// same function. Anything else charges profiler state on untraced runs
-/// — exactly the cost the opt-in design promises away.
-fn scan_profile_guard(
-    rel_path: &str,
-    lines: &[LineInfo],
-    tracker: &mut AllowTracker,
-    diags: &mut Vec<Diagnostic>,
-) {
-    for (n, line) in lines.iter().enumerate() {
-        if line.in_test {
-            continue;
-        }
-        let code = &line.code;
-        for token in PROFILE_ACCUM_TOKENS {
-            let Some(at) = find_token(code, token) else {
-                continue;
-            };
-            if profile_call_is_guarded(lines, n, code, at) {
-                continue;
-            }
-            if !tracker.allowed(rel_path, lines, n, RULE_PROFILE_GUARD) {
-                diags.push(Diagnostic::new(
-                    rel_path,
-                    n as u64 + 1,
-                    RULE_PROFILE_GUARD,
-                    format!(
-                        "profiler accumulation `{token}..)` outside the opt-in guard; wrap it \
-                         in `if let Some(prof) = self.profiler.as_mut()` (or annotate with \
-                         `// lint:allow(profile-guard)`)"
-                    ),
-                ));
-            }
-            break;
-        }
-    }
-}
-
-/// Whether an accumulation call at offset `at` of line `n` is covered by
-/// an opt-in guard: a guard expression on the same line, or a
-/// `Some(<receiver>)` binding within the window above, without crossing
-/// a function boundary.
-fn profile_call_is_guarded(lines: &[LineInfo], n: usize, code: &str, at: usize) -> bool {
-    let same_line_guard =
-        |s: &str| s.contains("if let Some") || s.contains(".as_mut()") || s.contains("is_some");
-    if same_line_guard(code) {
-        return true;
-    }
-    let Some(recv) = receiver_before(code, at) else {
-        // No plain identifier receiver (e.g. a parenthesized
-        // expression): demand the guard on the same line.
-        return false;
-    };
-    let binding = format!("Some({recv})");
-    for i in (n.saturating_sub(PROFILE_GUARD_WINDOW)..n).rev() {
-        let above = &lines[i].code;
-        if above.contains(&binding) || same_line_guard(above) {
-            return true;
-        }
-        let trimmed = above.trim_start();
-        if trimmed.starts_with("fn ") || above.contains(" fn ") {
-            // Crossed into the enclosing function's signature (or a
-            // previous function) without meeting a guard.
-            return false;
-        }
-    }
-    false
 }
 
 /// Hermeticity rule: every `use` / `extern crate` must resolve inside
@@ -941,69 +835,6 @@ mod tests {
         assert_eq!(d.len(), 1, "{d:?}");
         assert_eq!(d[0].line, 5);
         assert!(d[0].message.contains("report"));
-    }
-
-    #[test]
-    fn profile_guard_flags_unguarded_accumulation() {
-        let text = "fn f(prof: &mut Profiler) {\n  prof.charge(A, 1);\n}\n";
-        let d = scan_at(
-            "crates/sim/src/engine.rs",
-            text,
-            RuleFamily::ErrorDiscipline,
-        );
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].rule, RULE_PROFILE_GUARD);
-        assert_eq!(d[0].line, 2);
-    }
-
-    #[test]
-    fn profile_guard_accepts_guarded_and_distant_guarded_calls() {
-        // Guard on the binding line, accumulation several lines below
-        // (multi-line charge computations), still within the window.
-        let text = "fn f(&mut self) {\n\
-                    \x20 if let Some(prof) = self.profiler.as_mut() {\n\
-                    \x20   let a = 1;\n\
-                    \x20   let b = 2;\n\
-                    \x20   let c = a + b;\n\
-                    \x20   prof.charge(A, c);\n\
-                    \x20   prof.warp_stalled(0, c);\n\
-                    \x20 }\n\
-                    }\n";
-        let d = scan_at(
-            "crates/sim/src/engine.rs",
-            text,
-            RuleFamily::ErrorDiscipline,
-        );
-        assert!(d.is_empty(), "{d:?}");
-    }
-
-    #[test]
-    fn profile_guard_stops_at_function_boundaries() {
-        // A guard in a *previous* function must not cover this one.
-        let text = "fn g(&mut self) {\n\
-                    \x20 if let Some(prof) = self.profiler.as_mut() {\n\
-                    \x20   prof.charge(A, 1);\n\
-                    \x20 }\n\
-                    }\n\
-                    fn f(prof: &mut Profiler) {\n\
-                    \x20 prof.note_retry(1, 2);\n\
-                    }\n";
-        let d = scan_at(
-            "crates/sim/src/engine.rs",
-            text,
-            RuleFamily::ErrorDiscipline,
-        );
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].line, 7);
-    }
-
-    #[test]
-    fn profile_guard_exempts_profile_rs_and_out_of_scope_files() {
-        let text = "fn f(prof: &mut Profiler) {\n  prof.charge(A, 1);\n}\n";
-        for path in ["crates/sim/src/profile.rs", "crates/bench/src/runner.rs"] {
-            let d = scan_at(path, text, RuleFamily::ErrorDiscipline);
-            assert!(d.is_empty(), "{path}: {d:?}");
-        }
     }
 
     #[test]

@@ -25,10 +25,6 @@ const FIXTURES: &[(&str, &str)] = &[
         "crates/core/src/fixture_error_discipline.rs",
     ),
     ("constants.rs", "crates/core/src/config.rs"),
-    (
-        "profile_guard.rs",
-        "crates/sim/src/fixture_profile_guard.rs",
-    ),
     ("panic_reachability.rs", "crates/bench/src/fixture_panic.rs"),
     ("rng_taint.rs", "crates/sim/src/fixture_rng_taint.rs"),
     ("stale_allow.rs", "crates/sim/src/fixture_stale_allow.rs"),
@@ -99,15 +95,6 @@ fn constants_fixture_reports_drifted_literal() {
     assert!(d[0].message.contains("interval_len"));
     assert!(d[0].message.contains("63"));
     assert!(d[0].message.contains("64"));
-}
-
-#[test]
-fn profile_guard_fixture_reports_the_unguarded_site_only() {
-    let d = lint_fixture("profile_guard.rs");
-    assert_eq!(lines_and_rules(&d), vec![(13, "profile-guard")], "{d:?}");
-    assert!(d[0].message.contains("opt-in guard"));
-    // Guarded (line 19) and annotated (line 24) sites must be exempt.
-    assert!(d.iter().all(|d| d.line != 19 && d.line != 24));
 }
 
 #[test]

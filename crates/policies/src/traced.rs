@@ -39,9 +39,12 @@ use crate::{EvictionPolicy, FaultOutcome};
 pub struct Traced<P> {
     inner: P,
     tracing: bool,
-    /// Fault number at which each resident page was inserted (tracing
+    /// `fault_count` at which each resident page was inserted (tracing
     /// only; empty otherwise).
     resident_since: HashMap<PageId, u64>,
+    /// `on_fault` calls seen while tracing: the clock victim ages are
+    /// measured on. Not the caller's `fault_num`, which prefetched pages
+    /// share with their demand fault.
     fault_count: u64,
     last_comparisons: u64,
     events: Vec<PolicyEvent>,
@@ -86,8 +89,8 @@ impl<P: EvictionPolicy> EvictionPolicy for Traced<P> {
 
     fn on_fault(&mut self, page: PageId, fault_num: u64) -> FaultOutcome {
         if self.tracing {
+            self.resident_since.insert(page, self.fault_count);
             self.fault_count += 1;
-            self.resident_since.insert(page, fault_num);
         }
         self.inner.on_fault(page, fault_num)
     }
@@ -216,6 +219,27 @@ mod tests {
         let mut again = 0;
         p.drain_events(&mut |_| again += 1);
         assert_eq!(again, 0);
+    }
+
+    #[test]
+    fn victim_age_counts_faults_not_fault_numbers() {
+        // Prefetched pages ride on their demand fault's number, so one
+        // `fault_num` arrives several times; ages count `on_fault` calls.
+        let mut p = Traced::new(Lru::new());
+        p.set_tracing(true);
+        for (page, fault_num) in [(0, 0), (1, 1), (2, 1), (3, 1), (4, 2)] {
+            p.on_fault(PageId(page), fault_num);
+        }
+        for _ in 0..3 {
+            p.select_victim();
+        }
+        let mut ages = Vec::new();
+        p.drain_events(&mut |e| {
+            if let PolicyEvent::VictimSelected { victim_age, .. } = e {
+                ages.push(victim_age);
+            }
+        });
+        assert_eq!(ages, vec![5, 4, 3]);
     }
 
     #[test]

@@ -1,10 +1,8 @@
 //! The discrete-event simulation engine.
 
-use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::rc::Rc;
 
 use uvm_policies::EvictionPolicy;
 use uvm_types::{
@@ -16,9 +14,9 @@ use uvm_util::ToJson;
 
 use crate::checkpoint::Checkpoint;
 use crate::faults::{FaultPlan, FaultState};
+use crate::instrument::{Instrument, Probe, SimEvent};
 use crate::memory::GpuMemory;
-use crate::observer::{EventLog, SimEvent, SimObserver};
-use crate::profile::{MetricsSample, ProfileReport, Profiler};
+use crate::profile::MetricsSample;
 use crate::recovery::{CircuitBreaker, FallbackVictim, LossEstimator, LruShadow, RetryPolicy};
 use crate::sanitizer::Sanitizer;
 use crate::tlb::Tlb;
@@ -85,18 +83,18 @@ struct Warp {
     issued: bool,
 }
 
-/// Result of a simulation run: the statistics plus the policy itself, so
-/// callers can inspect policy-specific state (e.g. HPE's classification or
-/// strategy timeline).
+/// Result of a simulation run: the statistics plus the policy and the
+/// instrument themselves, so callers can inspect policy-specific state
+/// (e.g. HPE's classification or strategy timeline) and what the
+/// instrument collected.
 #[derive(Debug)]
-pub struct SimOutcome<P> {
+pub struct SimOutcome<P, I = ()> {
     /// End-to-end statistics (policy counters already folded in).
     pub stats: SimStats,
     /// The policy, returned for post-run inspection.
     pub policy: P,
-    /// The finalized profile when a profiler was installed (see
-    /// [`Simulation::set_profiler`]); `None` on unprofiled runs.
-    pub profile: Option<ProfileReport>,
+    /// The instrument (see [`Simulation::instrument`]), returned by value.
+    pub instrument: I,
     /// Whether the injected HIR channel outage was still active when the
     /// run ended (cross-run recovery checks need to distinguish "degraded
     /// because the channel is down" from "stuck degraded").
@@ -108,10 +106,13 @@ pub struct SimOutcome<P> {
 
 /// A configured simulation, consumed by [`Simulation::run`].
 ///
+/// `I` is the [`Instrument`] receiving the run's event stream; the
+/// default `()` receives nothing and costs nothing.
+///
 /// See the crate-level documentation for the modelled system and
 /// `DESIGN.md` for how it maps to the paper's infrastructure.
 #[derive(Debug)]
-pub struct Simulation<P> {
+pub struct Simulation<P, I = ()> {
     cfg: SimConfig,
     policy: P,
     memory: GpuMemory,
@@ -133,7 +134,6 @@ pub struct Simulation<P> {
     memory_full_notified: bool,
     recent_evictions: VecDeque<PageId>,
     recent_counts: HashMap<PageId, u32>,
-    observer: Option<Rc<RefCell<dyn SimObserver>>>,
     stats: SimStats,
     /// Active fault-injection state, if a plan was installed.
     faults: Option<FaultState>,
@@ -165,10 +165,7 @@ pub struct Simulation<P> {
     /// Opt-in runtime invariant checker; `None` (the default) costs one
     /// branch per event and nothing else.
     sanitizer: Option<Sanitizer>,
-    /// Opt-in cycle-attribution profiler; `None` (the default) costs one
-    /// branch per event and nothing else. Observation-only: a profiled
-    /// run's `SimStats` are byte-identical to an unprofiled run's.
-    profiler: Option<Profiler>,
+    instrument: I,
 }
 
 impl<P: EvictionPolicy> Simulation<P> {
@@ -235,7 +232,6 @@ impl<P: EvictionPolicy> Simulation<P> {
             memory_full_notified: false,
             recent_evictions: VecDeque::new(),
             recent_counts: HashMap::new(),
-            observer: None,
             stats: SimStats::default(),
             faults: None,
             events_since_progress: 0,
@@ -249,7 +245,7 @@ impl<P: EvictionPolicy> Simulation<P> {
             shadow: LruShadow::default(),
             paused_at: None,
             sanitizer: None,
-            profiler: None,
+            instrument: (),
         };
         for w in 0..sim.warps.len() {
             if !sim.warps[w].ops.is_empty() {
@@ -258,6 +254,57 @@ impl<P: EvictionPolicy> Simulation<P> {
             }
         }
         Ok(sim)
+    }
+}
+
+impl<P: EvictionPolicy, I: Instrument> Simulation<P, I> {
+    /// Moves the simulation onto `instrument`, which from now on
+    /// receives the event stream (the current instrument is dropped).
+    /// An enabled instrument also turns on the policy's decision tracing
+    /// (see [`EvictionPolicy::set_tracing`]). Instruments observe only:
+    /// the run's [`SimStats`] stay byte-identical.
+    ///
+    /// Instrument state is not captured by [`Self::checkpoint`]; a run
+    /// continued with [`Self::resume`] replays from the start, so its
+    /// instrument sees the whole run again.
+    pub fn instrument<J: Instrument>(mut self, instrument: J) -> Simulation<P, J> {
+        if J::ENABLED {
+            self.policy.set_tracing(true);
+        }
+        Simulation {
+            cfg: self.cfg,
+            policy: self.policy,
+            memory: self.memory,
+            l1: self.l1,
+            l2: self.l2,
+            warps: self.warps,
+            events: self.events,
+            next_seq: self.next_seq,
+            now: self.now,
+            live_warps: self.live_warps,
+            waiters: self.waiters,
+            fault_queue: self.fault_queue,
+            in_service: self.in_service,
+            in_flight: self.in_flight,
+            footprint_pages: self.footprint_pages,
+            memory_full_notified: self.memory_full_notified,
+            recent_evictions: self.recent_evictions,
+            recent_counts: self.recent_counts,
+            stats: self.stats,
+            faults: self.faults,
+            events_since_progress: self.events_since_progress,
+            watchdog_limit: self.watchdog_limit,
+            retry: self.retry,
+            completion_attempts: self.completion_attempts,
+            loss: self.loss,
+            hir_clean_streak_faults: self.hir_clean_streak_faults,
+            breaker: self.breaker,
+            fallback: self.fallback,
+            shadow: self.shadow,
+            paused_at: self.paused_at,
+            sanitizer: self.sanitizer,
+            instrument,
+        }
     }
 
     /// Installs a fault-injection plan. Must be called before
@@ -314,27 +361,6 @@ impl<P: EvictionPolicy> Simulation<P> {
         self.sanitizer.as_ref()
     }
 
-    /// Installs the opt-in cycle-attribution profiler (see
-    /// [`Profiler`]): every simulated cycle is charged to a
-    /// component×phase account, page faults get lifecycle spans, and the
-    /// metrics registry samples engine state on the profiler's cadence.
-    /// Observation-only: a profiled run's [`SimStats`] are byte-identical
-    /// to an unprofiled run's, and the finalized [`ProfileReport`] comes
-    /// back in [`SimOutcome::profile`].
-    ///
-    /// Profiler state is not captured by [`Self::checkpoint`]: a resumed
-    /// run profiles only the cycles it executed itself.
-    pub fn set_profiler(&mut self, mut profiler: Profiler) {
-        profiler.set_capacity(self.memory.capacity());
-        self.profiler = Some(profiler);
-    }
-
-    /// The installed profiler, if any (for inspecting span counts
-    /// mid-run, between [`Self::run_until`] calls).
-    pub fn profiler(&self) -> Option<&Profiler> {
-        self.profiler.as_ref()
-    }
-
     /// Runs the simulation to completion.
     ///
     /// # Errors
@@ -347,7 +373,7 @@ impl<P: EvictionPolicy> Simulation<P> {
     /// with an empty event queue. A policy offering *no* victim while
     /// memory is full is tolerated: the engine evicts a fallback victim
     /// itself and counts it in `stats.resilience.fallback_victims`.
-    pub fn run(self) -> Result<SimOutcome<P>, SimError> {
+    pub fn run(self) -> Result<SimOutcome<P, I>, SimError> {
         self.finish()
     }
 
@@ -383,12 +409,8 @@ impl<P: EvictionPolicy> Simulation<P> {
             }
             // Metrics registry: engine state is constant between events,
             // so crossed cadence boundaries sample the pre-event state.
-            let profile_sample_due = self
-                .profiler
-                .as_ref()
-                .is_some_and(|p| p.sample_due(self.now));
-            if profile_sample_due {
-                self.record_profile_sample();
+            if I::ENABLED && self.instrument.sample_due(self.now) {
+                self.probe(Probe::Sample(self.metrics_sample()));
             }
             match ev.kind {
                 EventKind::WarpReady(w) => self.step_warp(w)?,
@@ -424,36 +446,32 @@ impl<P: EvictionPolicy> Simulation<P> {
             est.record(lost.is_some());
         }
         match lost {
-            Some(plan_delay) => match self.retry {
-                Some(rp) => {
-                    self.completion_attempts += 1;
-                    if self.completion_attempts >= rp.max_attempts() {
-                        return Err(SimError::RetriesExhausted {
-                            page,
-                            cycle: self.now,
-                            attempts: self.completion_attempts,
-                        });
-                    }
-                    let delay = match (rp, &self.loss) {
-                        (RetryPolicy::Adaptive(a), Some(est)) => {
-                            a.delay_for(self.completion_attempts, est.lost(), est.observed())
+            Some(plan_delay) => {
+                let delay = match self.retry {
+                    Some(rp) => {
+                        self.completion_attempts += 1;
+                        if self.completion_attempts >= rp.max_attempts() {
+                            return Err(SimError::RetriesExhausted {
+                                page,
+                                cycle: self.now,
+                                attempts: self.completion_attempts,
+                            });
                         }
-                        _ => rp.delay_for(self.completion_attempts),
-                    };
-                    self.stats.resilience.retry_attempts += 1;
-                    self.stats.resilience.retry_backoff_cycles += delay;
-                    if let Some(prof) = self.profiler.as_mut() {
-                        prof.note_retry(page, delay);
+                        let delay = match (rp, &self.loss) {
+                            (RetryPolicy::Adaptive(a), Some(est)) => {
+                                a.delay_for(self.completion_attempts, est.lost(), est.observed())
+                            }
+                            _ => rp.delay_for(self.completion_attempts),
+                        };
+                        self.stats.resilience.retry_attempts += 1;
+                        self.stats.resilience.retry_backoff_cycles += delay;
+                        delay
                     }
-                    self.schedule(self.now + delay, EventKind::DriverDone(page));
-                }
-                None => {
-                    if let Some(prof) = self.profiler.as_mut() {
-                        prof.note_retry(page, plan_delay);
-                    }
-                    self.schedule(self.now + plan_delay, EventKind::DriverDone(page));
-                }
-            },
+                    None => plan_delay,
+                };
+                self.probe(Probe::Retry { page, delay });
+                self.schedule(self.now + delay, EventKind::DriverDone(page));
+            }
             None => {
                 self.completion_attempts = 0;
                 self.finish_fault(page)?;
@@ -467,7 +485,7 @@ impl<P: EvictionPolicy> Simulation<P> {
     /// # Errors
     ///
     /// Same failure modes as [`Self::run`].
-    pub fn finish(mut self) -> Result<SimOutcome<P>, SimError> {
+    pub fn finish(mut self) -> Result<SimOutcome<P, I>, SimError> {
         self.run_until(u64::MAX)?;
         if self.live_warps > 0 {
             return Err(SimError::Deadlock {
@@ -484,26 +502,19 @@ impl<P: EvictionPolicy> Simulation<P> {
             self.sanitize_check()?;
         }
         self.stats.policy = self.policy.stats();
-        // Finalize the profile last: `stats.cycles` is now the run's
-        // total, which seeds the driver-idle residual (conservation).
-        let profile = self
-            .profiler
-            .take()
-            .map(|prof| prof.finalize(self.stats.cycles));
         Ok(SimOutcome {
             stats: self.stats,
             policy: self.policy,
-            profile,
+            instrument: self.instrument,
             hir_down: self.faults.as_ref().is_some_and(|fs| fs.hir_down),
             hir_clean_streak_faults: self.hir_clean_streak_faults,
         })
     }
 
-    /// Feeds the metrics registry one snapshot of engine state for every
-    /// cadence boundary at or before `now`. Read-only on engine state.
-    fn record_profile_sample(&mut self) {
-        let snapshot = MetricsSample {
-            cycle: 0, // stamped per boundary by the profiler
+    /// One snapshot of engine state for the metrics registry.
+    fn metrics_sample(&self) -> MetricsSample {
+        MetricsSample {
+            cycle: 0, // stamped per boundary by the consumer
             resident_pages: self.memory.len(),
             fault_backlog: self.fault_queue.len() as u64 + u64::from(self.in_service.is_some()),
             in_flight: self.in_flight.len() as u64,
@@ -512,9 +523,6 @@ impl<P: EvictionPolicy> Simulation<P> {
             degraded: self.policy.is_degraded(),
             faults_serviced: self.stats.driver.faults_serviced,
             evictions: self.stats.driver.evictions,
-        };
-        if let Some(prof) = self.profiler.as_mut() {
-            prof.record_samples(self.now, snapshot);
         }
     }
 
@@ -575,38 +583,32 @@ impl<P: EvictionPolicy> Simulation<P> {
         Ok(())
     }
 
-    /// Installs an observer receiving paging events in simulated-time
-    /// order, and enables the policy's decision-event tracing (disabled
-    /// runs pay nothing; see [`EvictionPolicy::set_tracing`]).
-    pub fn set_observer(&mut self, observer: Rc<RefCell<dyn SimObserver>>) {
-        self.observer = Some(observer);
-        self.policy.set_tracing(true);
-    }
-
-    /// Attaches a fresh [`EventLog`] observer and returns a handle to it.
-    pub fn attach_event_log(&mut self) -> Rc<RefCell<EventLog>> {
-        let log = Rc::new(RefCell::new(EventLog::new()));
-        self.set_observer(log.clone());
-        log
-    }
-
-    fn emit(&self, event: SimEvent) {
-        if let Some(obs) = &self.observer {
-            obs.borrow_mut().on_event(event);
+    fn emit(&mut self, event: SimEvent) {
+        if I::ENABLED {
+            self.instrument.on_event(event);
         }
     }
 
+    fn probe(&mut self, probe: Probe) {
+        if I::ENABLED {
+            self.instrument.on_probe(self.now, probe);
+        }
+    }
+
+    fn charge(&mut self, account: CycleAccount, cycles: u64) {
+        self.probe(Probe::Charge { account, cycles });
+    }
+
     /// Forwards the policy's buffered decision events, stamped with the
-    /// current cycle, to the observer. Called after every policy
+    /// current cycle, into the stream. Called after every policy
     /// interaction that can produce events.
     fn drain_policy_events(&mut self) {
-        let Some(obs) = self.observer.clone() else {
+        if !I::ENABLED {
             return;
-        };
-        let now = self.now;
-        self.policy.drain_events(&mut |e| {
-            obs.borrow_mut().on_event(SimEvent::from_policy(e, now));
-        });
+        }
+        let (now, instrument) = (self.now, &mut self.instrument);
+        self.policy
+            .drain_events(&mut |e| instrument.on_event(SimEvent::from_policy(e, now)));
     }
 
     fn schedule(&mut self, time: u64, kind: EventKind) {
@@ -624,10 +626,10 @@ impl<P: EvictionPolicy> Simulation<P> {
         if first_issue {
             self.warps[w].issued = true;
             self.policy.on_access(op.page);
-        } else if let Some(prof) = self.profiler.as_mut() {
+        } else {
             // Replay after a fault: the warp's stall ends at this step
             // (and may immediately re-begin if the page was re-evicted).
-            prof.warp_resumed(w, self.now);
+            self.probe(Probe::WarpResumed { warp: w });
         }
 
         // Address translation.
@@ -654,12 +656,13 @@ impl<P: EvictionPolicy> Simulation<P> {
                 latency += u64::from(self.cfg.page_walk_cycles);
                 walked = true;
                 self.stats.walks += 1;
+                let hit = self.memory.is_resident(op.page);
                 self.emit(SimEvent::PageWalk {
                     time: self.now,
                     page: op.page,
-                    hit: self.memory.is_resident(op.page),
+                    hit,
                 });
-                if self.memory.is_resident(op.page) {
+                if hit {
                     self.stats.walk_hits += 1;
                     self.policy.on_walk_hit(op.page);
                     self.l2.fill(op.page);
@@ -674,16 +677,14 @@ impl<P: EvictionPolicy> Simulation<P> {
         // SM-side overlay accounting: translation latency split into TLB
         // lookups and the page walk. Charged for faulting accesses too —
         // the walk is what discovered the fault.
-        if let Some(prof) = self.profiler.as_mut() {
-            let walk = if walked {
-                u64::from(self.cfg.page_walk_cycles)
-            } else {
-                0
-            };
-            prof.charge(CycleAccount::SmTlb, latency - walk);
-            if walked {
-                prof.charge(CycleAccount::PageWalk, walk);
-            }
+        let walk = if walked {
+            u64::from(self.cfg.page_walk_cycles)
+        } else {
+            0
+        };
+        self.charge(CycleAccount::SmTlb, latency - walk);
+        if walked {
+            self.charge(CycleAccount::PageWalk, walk);
         }
 
         if !translated {
@@ -701,10 +702,8 @@ impl<P: EvictionPolicy> Simulation<P> {
         self.warps[w].cursor += 1;
         self.stats.mem_accesses += 1;
         self.stats.instructions += 1 + u64::from(op.compute);
-        if let Some(prof) = self.profiler.as_mut() {
-            prof.charge(CycleAccount::SmMem, u64::from(self.cfg.mem_access_cycles));
-            prof.charge(CycleAccount::SmCompute, u64::from(op.compute));
-        }
+        self.charge(CycleAccount::SmMem, u64::from(self.cfg.mem_access_cycles));
+        self.charge(CycleAccount::SmCompute, u64::from(op.compute));
         let done_at =
             self.now + latency + u64::from(self.cfg.mem_access_cycles) + u64::from(op.compute);
         if self.warps[w].cursor < self.warps[w].ops.len() {
@@ -719,33 +718,24 @@ impl<P: EvictionPolicy> Simulation<P> {
     }
 
     fn raise_fault(&mut self, page: PageId, warp: usize) -> Result<(), SimError> {
+        self.probe(Probe::WarpStalled { warp });
         match self.waiters.entry(page) {
             Entry::Occupied(mut e) => {
                 // Fault already pending: coalesce.
                 e.get_mut().push(warp);
-                if let Some(prof) = self.profiler.as_mut() {
-                    prof.note_coalesce(page);
-                    prof.warp_stalled(warp, self.now);
-                }
+                self.probe(Probe::Coalesce { page });
             }
             Entry::Vacant(e) => {
                 e.insert(vec![warp]);
-                if let Some(prof) = self.profiler.as_mut() {
-                    prof.open_span(page, self.now);
-                    prof.warp_stalled(warp, self.now);
-                }
                 self.emit(SimEvent::FaultRaised {
                     time: self.now,
                     page,
                 });
                 if self.recent_counts.contains_key(&page) {
                     self.stats.driver.wrong_evictions += 1;
-                    if let Some(prof) = self.profiler.as_mut() {
-                        prof.mark_wrong_eviction(page);
-                    }
-                    if self.observer.is_some() {
+                    if I::ENABLED {
                         // 1 = the most recent eviction. The linear scan
-                        // only runs with an observer attached.
+                        // only runs on an instrumented run.
                         let distance = self
                             .recent_evictions
                             .iter()
@@ -799,9 +789,10 @@ impl<P: EvictionPolicy> Simulation<P> {
         }
         let demand_count = self.in_flight.len() as u64;
         // Every demand page in this batch leaves the queue stage now.
-        if let Some(prof) = self.profiler.as_mut() {
-            for &demand in &self.in_flight {
-                prof.begin_service(demand, self.now);
+        if I::ENABLED {
+            for &page in &self.in_flight {
+                self.instrument
+                    .on_probe(self.now, Probe::ServiceStart { page });
             }
         }
 
@@ -978,15 +969,15 @@ impl<P: EvictionPolicy> Simulation<P> {
         // of the (possibly congested) transfer — so the timeline
         // accounts conserve total cycles. Host-side eviction-decision
         // work overlaps the window (Section V-C) and goes to overlay.
-        if let Some(prof) = self.profiler.as_mut() {
+        if I::ENABLED {
             let flush = self
                 .cfg
                 .pcie_transfer_cycles(outcome.transfer_bytes + outcome.wasted_transfer_bytes)
                 .min(transfer);
-            prof.charge(CycleAccount::FaultService, service);
-            prof.charge(CycleAccount::HirFlush, flush);
-            prof.charge(CycleAccount::PcieTransfer, transfer - flush);
-            prof.charge(CycleAccount::EvictionDecision, outcome.driver_busy_cycles);
+            self.charge(CycleAccount::FaultService, service);
+            self.charge(CycleAccount::HirFlush, flush);
+            self.charge(CycleAccount::PcieTransfer, transfer - flush);
+            self.charge(CycleAccount::EvictionDecision, outcome.driver_busy_cycles);
         }
         self.stats.driver.busy_cycles += duration + outcome.driver_busy_cycles;
         self.stats.driver.hit_transfer_cycles +=
@@ -1008,9 +999,6 @@ impl<P: EvictionPolicy> Simulation<P> {
             }
             if self.fallback == FallbackVictim::LruShadow {
                 self.shadow.touch(p);
-            }
-            if let Some(prof) = self.profiler.as_mut() {
-                prof.close_span(p, self.now);
             }
             self.emit(SimEvent::FaultServiced {
                 time: self.now,
@@ -1166,7 +1154,7 @@ impl<P: EvictionPolicy> Simulation<P> {
 mod tests {
     use super::*;
     use crate::recovery::Backoff;
-    use crate::{ideal_for, trace_for, ProfileConfig};
+    use crate::{ideal_for, trace_for, EventLog, ProfileConfig, Profiler};
     use uvm_policies::{Lru, RandomPolicy};
     use uvm_types::Oversubscription;
     use uvm_workloads::registry;
@@ -1337,14 +1325,13 @@ mod tests {
     }
 
     #[test]
-    fn event_log_observer_records_timeline() {
+    fn event_log_instrument_records_timeline() {
         let global: Vec<u64> = (0..12u64).cycle().take(36).collect();
         let cfg = tiny_cfg(2, 1);
         let trace = Trace::from_global(&global, 12, 0, 2, 3);
-        let mut sim = Simulation::new(cfg, &trace, Lru::new(), 8).unwrap();
-        let log = sim.attach_event_log();
-        let stats = sim.run().unwrap().stats;
-        let log = log.borrow();
+        let sim = Simulation::new(cfg, &trace, Lru::new(), 8).unwrap();
+        let outcome = sim.instrument(EventLog::new()).run().unwrap();
+        let (stats, log) = (outcome.stats, outcome.instrument);
         assert_eq!(log.fault_count() as u64, stats.faults());
         assert_eq!(log.eviction_count() as u64, stats.evictions());
         // Events are in nondecreasing time order.
@@ -1363,16 +1350,15 @@ mod tests {
     }
 
     #[test]
-    fn observer_sees_policy_decision_events() {
+    fn instrument_sees_policy_decision_events() {
         use uvm_policies::Traced;
 
         let global: Vec<u64> = (0..24u64).cycle().take(96).collect();
         let cfg = tiny_cfg(2, 1);
         let trace = Trace::from_global(&global, 24, 0, 2, 3);
-        let mut sim = Simulation::new(cfg, &trace, Traced::new(Lru::new()), 12).unwrap();
-        let log = sim.attach_event_log();
-        let stats = sim.run().unwrap().stats;
-        let log = log.borrow();
+        let sim = Simulation::new(cfg, &trace, Traced::new(Lru::new()), 12).unwrap();
+        let outcome = sim.instrument(EventLog::new()).run().unwrap();
+        let (stats, log) = (outcome.stats, outcome.instrument);
         // Every eviction is preceded by the policy's VictimSelected for
         // the same page.
         let mut pending_victim = None;
@@ -1415,18 +1401,14 @@ mod tests {
     }
 
     #[test]
-    fn attaching_observer_does_not_change_stats() {
+    fn attaching_instrument_does_not_change_stats() {
         let global: Vec<u64> = (0..30u64).cycle().take(120).collect();
-        let run = |observe: bool| {
-            let cfg = tiny_cfg(2, 1);
-            let trace = Trace::from_global(&global, 30, 0, 2, 3);
-            let mut sim = Simulation::new(cfg, &trace, Lru::new(), 20).unwrap();
-            if observe {
-                let _ = sim.attach_event_log();
-            }
-            sim.run().unwrap().stats
-        };
-        assert_eq!(run(false), run(true));
+        let cfg = tiny_cfg(2, 1);
+        let trace = Trace::from_global(&global, 30, 0, 2, 3);
+        let sim = || Simulation::new(cfg.clone(), &trace, Lru::new(), 20).unwrap();
+        let plain = sim().run().unwrap().stats;
+        let logged = sim().instrument(EventLog::new()).run().unwrap().stats;
+        assert_eq!(plain, logged);
     }
 
     #[test]
@@ -1664,7 +1646,7 @@ mod tests {
         let adaptive = run(RetryPolicy::adaptive());
         assert!(fixed.resilience.completions_lost > 0);
         assert!(adaptive.resilience.completions_lost > 0);
-        // Observed loss raises the adaptive base, so the mean backoff per
+        // The observed loss raises the adaptive base, so the mean backoff per
         // retry must exceed the fixed schedule's (both start at the same
         // base and cap).
         let mean = |s: &SimStats| s.resilience.retry_backoff_cycles / s.resilience.retry_attempts;
@@ -1861,10 +1843,12 @@ mod tests {
         let global: Vec<u64> = (0..40u64).cycle().take(160).collect();
         let cfg = tiny_cfg(2, 1);
         let trace = Trace::from_global(&global, 40, 2, 2, 4);
-        let mut sim = Simulation::new(cfg, &trace, Lru::new(), 30).unwrap();
-        sim.set_profiler(Profiler::new(ProfileConfig::new(50_000)));
-        let outcome = sim.run().unwrap();
-        let profile = outcome.profile.expect("profiler attached");
+        let sim = Simulation::new(cfg, &trace, Lru::new(), 30).unwrap();
+        let outcome = sim
+            .instrument(Profiler::new(ProfileConfig::new(50_000)))
+            .run()
+            .unwrap();
+        let profile = outcome.instrument.finalize(outcome.stats.cycles, 30);
         assert_eq!(profile.total_cycles, outcome.stats.cycles);
         assert_eq!(
             profile.timeline_sum(),
@@ -1907,11 +1891,11 @@ mod tests {
             .unwrap()
             .run()
             .unwrap();
-        assert!(plain.profile.is_none(), "no profiler unless attached");
-        let mut sim = Simulation::new(cfg, &trace, Lru::new(), 30).unwrap();
-        sim.set_profiler(Profiler::new(ProfileConfig::new(1)));
-        let profiled = sim.run().unwrap();
-        assert!(profiled.profile.is_some());
+        let profiled = Simulation::new(cfg, &trace, Lru::new(), 30)
+            .unwrap()
+            .instrument(Profiler::new(ProfileConfig::new(1)))
+            .run()
+            .unwrap();
         assert_eq!(
             profiled.stats.to_json().to_string(),
             plain.stats.to_json().to_string(),

@@ -20,11 +20,14 @@
 //!   (residency conservation, HIR/chain layout, recovery state machines)
 //!   at a configurable cadence, reporting violations as typed
 //!   [`uvm_types::SimError::InvariantViolated`] instead of panicking,
-//! * an opt-in observation-only [`Profiler`] attributing every simulated
-//!   cycle to a component x phase account, threading a span through each
-//!   fault's lifecycle, and sampling a metrics time series on a cycle
-//!   cadence (see [`ProfileReport`]); with the profiler attached the
-//!   engine's [`uvm_types::SimStats`] stay byte-identical.
+//! * one observation-only [`Instrument`] hook: the engine is generic over
+//!   it, feeding it one ordered stream of [`SimEvent`]s and profiler
+//!   [`Probe`]s; `()` (the default) compiles the stream away. The
+//!   [`Profiler`], attributing every simulated cycle to a component x
+//!   phase account, threading a span through each fault's lifecycle and
+//!   sampling a metrics time series (see [`ProfileReport`]), is one such
+//!   instrument; with any instrument attached the engine's
+//!   [`uvm_types::SimStats`] stay byte-identical.
 //!
 //! # Examples
 //!
@@ -52,8 +55,8 @@ mod checkpoint;
 mod engine;
 mod explore;
 mod faults;
+mod instrument;
 mod memory;
-mod observer;
 mod profile;
 mod recovery;
 mod sanitizer;
@@ -67,8 +70,8 @@ pub use explore::{
     shrink_plan, Counterexample, ExploreCase, ExploreReport, ExploreSpec, ReproCase, ALL_INVARIANTS,
 };
 pub use faults::{FaultFamily, FaultPlan, FaultWindow};
+pub use instrument::{EventLog, Instrument, Probe, SimEvent};
 pub use memory::GpuMemory;
-pub use observer::{EventLog, SimEvent, SimObserver};
 pub use profile::{
     MetricsSample, MetricsSeries, ProfileConfig, ProfileReport, Profiler, SpanRecord, SpanSummary,
     DEFAULT_PROFILE_CADENCE,
@@ -83,7 +86,7 @@ pub use tenant::{
 pub use tlb::Tlb;
 pub use trace::{
     parse_jsonl, EventCounters, IntervalCollector, IntervalKey, IntervalRow, JsonlWriter,
-    MultiObserver, TraceHistograms,
+    TraceHistograms,
 };
 
 use uvm_policies::{EvictionPolicy, Ideal, NextUseOracle};

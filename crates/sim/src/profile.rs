@@ -31,22 +31,26 @@
 //!    the degraded-mode flag into a [`MetricsSeries`], exportable as
 //!    JSONL or CSV.
 //!
-//! The profiler is installed with [`crate::Simulation::set_profiler`]
-//! and costs one `Option` branch per event when absent. Every
-//! accumulation site in the engine sits behind that opt-in guard —
-//! enforced statically by `hpe-lint`'s `profile-guard` rule.
+//! The [`Profiler`] is an [`Instrument`]: it is attached with
+//! [`crate::Simulation::instrument`], built from the same event stream
+//! every other sink reads, and handed back in
+//! [`crate::SimOutcome::instrument`] for [`Profiler::finalize`]. An
+//! unprofiled run's instrument is `()`, so it never reaches profiler
+//! state at all.
 
 use std::collections::HashMap;
 
 use uvm_types::{CycleAccount, PageId, SpanStage};
 use uvm_util::{json, Histogram, Json, ToJson};
 
+use crate::instrument::{Instrument, Probe, SimEvent};
+
 /// Default metrics-series cadence, in cycles between samples (matches
 /// the bench runner's cycle-window width: ≈ 9 fault services on the
 /// Table I timing).
 pub const DEFAULT_PROFILE_CADENCE: u64 = 1 << 18;
 
-/// Configuration for [`crate::Simulation::set_profiler`].
+/// Configuration for a [`Profiler`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProfileConfig {
     /// Cycles between metrics-series samples (0 is clamped to 1).
@@ -245,15 +249,14 @@ impl ToJson for MetricsSeries {
 
 /// The live profiler attached to a running [`crate::Simulation`].
 ///
-/// Engine hooks charge accounts and advance spans; [`Profiler::finalize`]
-/// turns the accumulated state into a [`ProfileReport`]. All hooks are
-/// observation-only: nothing here is readable by the engine or policy.
+/// The instrument stream charges accounts and advances spans;
+/// [`Profiler::finalize`] turns the accumulated state into a
+/// [`ProfileReport`].
 #[derive(Debug)]
 pub struct Profiler {
     accounts: [u64; CycleAccount::ALL.len()],
     series_cadence: u64,
     next_sample: u64,
-    capacity_pages: u64,
     samples: Vec<MetricsSample>,
     spans: Vec<SpanRecord>,
     /// Span currently open (raised or in service) per page. Never
@@ -273,23 +276,12 @@ impl Profiler {
             accounts: [0; CycleAccount::ALL.len()],
             series_cadence: cadence,
             next_sample: 0,
-            capacity_pages: 0,
             samples: Vec::new(),
             spans: Vec::new(),
             open_by_page: HashMap::new(),
             last_span_by_page: HashMap::new(),
             stall_since: HashMap::new(),
         }
-    }
-
-    /// Cycles between metrics samples.
-    pub fn series_cadence(&self) -> u64 {
-        self.series_cadence
-    }
-
-    /// Spans opened so far.
-    pub fn spans_opened(&self) -> u64 {
-        self.spans.len() as u64
     }
 
     fn index(account: CycleAccount) -> usize {
@@ -299,116 +291,20 @@ impl Profiler {
             .unwrap_or(0)
     }
 
-    /// Charges `cycles` to `account`.
-    pub(crate) fn charge(&mut self, account: CycleAccount, cycles: u64) {
+    fn charge(&mut self, account: CycleAccount, cycles: u64) {
         self.accounts[Self::index(account)] += cycles;
     }
 
-    /// Records the memory capacity for occupancy context (idempotent).
-    pub(crate) fn set_capacity(&mut self, capacity_pages: u64) {
-        self.capacity_pages = capacity_pages;
-    }
-
-    /// Opens a span for a newly raised fault on `page`.
-    pub(crate) fn open_span(&mut self, page: PageId, now: u64) {
-        let id = self.spans.len() as u64;
-        self.spans.push(SpanRecord {
-            id,
-            page,
-            raised_at: now,
-            service_start: None,
-            done_at: None,
-            coalesced_warps: 0,
-            retries: 0,
-            retry_cycles: 0,
-            refault_of: None,
-            caused_refaults: 0,
-        });
-        self.open_by_page.insert(page, id);
-    }
-
-    /// Marks the open span on `page` as a wrong-eviction re-fault
-    /// (the engine's re-fault window classified it), attributing it back
-    /// to the span that originally migrated the page.
-    pub(crate) fn mark_wrong_eviction(&mut self, page: PageId) {
-        let Some(&id) = self.open_by_page.get(&page) else {
-            return;
-        };
-        if let Some(&orig) = self.last_span_by_page.get(&page) {
-            self.spans[id as usize].refault_of = Some(orig);
-            self.spans[orig as usize].caused_refaults += 1;
-        }
-    }
-
-    /// Counts one more warp coalescing onto the pending fault on `page`.
-    pub(crate) fn note_coalesce(&mut self, page: PageId) {
-        if let Some(&id) = self.open_by_page.get(&page) {
-            self.spans[id as usize].coalesced_warps += 1;
-        }
-    }
-
-    /// Marks the open span on `page` as entering service at `now`.
-    pub(crate) fn begin_service(&mut self, page: PageId, now: u64) {
-        if let Some(&id) = self.open_by_page.get(&page) {
-            let span = &mut self.spans[id as usize];
-            if span.service_start.is_none() {
-                span.service_start = Some(now);
-            }
-        }
-    }
-
-    /// Attributes one completion-loss retry of `delay` cycles to the
-    /// in-service span on `page`, and charges the retry-backoff account.
-    pub(crate) fn note_retry(&mut self, page: PageId, delay: u64) {
-        self.charge(CycleAccount::RetryBackoff, delay);
-        if let Some(&id) = self.open_by_page.get(&page) {
-            let span = &mut self.spans[id as usize];
-            span.retries += 1;
-            span.retry_cycles += delay;
-        }
-    }
-
-    /// Closes the span on `page` (its page landed at `now`).
-    pub(crate) fn close_span(&mut self, page: PageId, now: u64) {
-        if let Some(id) = self.open_by_page.remove(&page) {
-            self.spans[id as usize].done_at = Some(now);
-            self.last_span_by_page.insert(page, id);
-        }
-    }
-
-    /// Records that warp `w` stalled on a fault at `now`.
-    pub(crate) fn warp_stalled(&mut self, w: usize, now: u64) {
-        self.stall_since.entry(w).or_insert(now);
-    }
-
-    /// Charges warp `w`'s finished stall (replay at `now`) to `sm_stall`.
-    pub(crate) fn warp_resumed(&mut self, w: usize, now: u64) {
-        if let Some(since) = self.stall_since.remove(&w) {
-            self.charge(CycleAccount::SmStall, now.saturating_sub(since));
-        }
-    }
-
-    /// Whether the metrics series owes one or more samples at `now`.
-    pub(crate) fn sample_due(&self, now: u64) -> bool {
-        now >= self.next_sample
-    }
-
-    /// Records `snapshot` for every cadence boundary at or before `now`
-    /// (engine state is constant between events, so crossed boundaries
-    /// all see the same values, stamped at their own cycle).
-    pub(crate) fn record_samples(&mut self, now: u64, snapshot: MetricsSample) {
-        while self.next_sample <= now {
-            let mut s = snapshot;
-            s.cycle = self.next_sample;
-            self.samples.push(s);
-            self.next_sample += self.series_cadence;
-        }
+    fn open_span(&mut self, page: PageId) -> Option<&mut SpanRecord> {
+        let &id = self.open_by_page.get(&page)?;
+        Some(&mut self.spans[id as usize])
     }
 
     /// Finalizes the run into a [`ProfileReport`], deriving the
     /// `driver_idle` residual so the timeline accounts sum exactly to
-    /// `total_cycles`.
-    pub fn finalize(mut self, total_cycles: u64) -> ProfileReport {
+    /// `total_cycles`. `capacity_pages` is the run's GPU memory capacity, recorded
+    /// with the series for occupancy ratios.
+    pub fn finalize(mut self, total_cycles: u64, capacity_pages: u64) -> ProfileReport {
         let busy: u64 = CycleAccount::ALL
             .iter()
             .filter(|a| a.is_timeline() && **a != CycleAccount::DriverIdle)
@@ -460,11 +356,101 @@ impl Profiler {
             stage_histograms: vec![queue, service, total, retry],
             series: MetricsSeries {
                 cadence: self.series_cadence,
-                capacity_pages: self.capacity_pages,
+                capacity_pages,
                 samples: self.samples,
             },
             records: self.spans,
         }
+    }
+}
+
+impl Instrument for Profiler {
+    /// Spans open at `FaultRaised`, close at `FaultServiced`, and a
+    /// `WrongEviction` links the open span back to the span that
+    /// originally migrated the page.
+    fn on_event(&mut self, event: SimEvent) {
+        match event {
+            SimEvent::FaultRaised { time, page } => {
+                let id = self.spans.len() as u64;
+                self.spans.push(SpanRecord {
+                    id,
+                    page,
+                    raised_at: time,
+                    service_start: None,
+                    done_at: None,
+                    coalesced_warps: 0,
+                    retries: 0,
+                    retry_cycles: 0,
+                    refault_of: None,
+                    caused_refaults: 0,
+                });
+                self.open_by_page.insert(page, id);
+            }
+            SimEvent::FaultServiced { time, page } => {
+                if let Some(id) = self.open_by_page.remove(&page) {
+                    self.spans[id as usize].done_at = Some(time);
+                    self.last_span_by_page.insert(page, id);
+                }
+            }
+            SimEvent::WrongEviction { page, .. } => {
+                let (Some(&id), Some(&orig)) = (
+                    self.open_by_page.get(&page),
+                    self.last_span_by_page.get(&page),
+                ) else {
+                    return;
+                };
+                self.spans[id as usize].refault_of = Some(orig);
+                self.spans[orig as usize].caused_refaults += 1;
+            }
+            _ => {}
+        }
+    }
+
+    fn on_probe(&mut self, time: u64, probe: Probe) {
+        match probe {
+            Probe::Charge { account, cycles } => self.charge(account, cycles),
+            Probe::Coalesce { page } => {
+                if let Some(span) = self.open_span(page) {
+                    span.coalesced_warps += 1;
+                }
+            }
+            Probe::WarpStalled { warp } => {
+                self.stall_since.entry(warp).or_insert(time);
+            }
+            Probe::WarpResumed { warp } => {
+                if let Some(since) = self.stall_since.remove(&warp) {
+                    self.charge(CycleAccount::SmStall, time.saturating_sub(since));
+                }
+            }
+            Probe::ServiceStart { page } => {
+                if let Some(span) = self.open_span(page) {
+                    span.service_start.get_or_insert(time);
+                }
+            }
+            Probe::Retry { page, delay } => {
+                self.charge(CycleAccount::RetryBackoff, delay);
+                if let Some(span) = self.open_span(page) {
+                    span.retries += 1;
+                    span.retry_cycles += delay;
+                }
+            }
+            // Engine state is constant between events, so every crossed
+            // cadence boundary sees the same values, stamped at its own
+            // cycle.
+            Probe::Sample(sample) => {
+                while self.next_sample <= time {
+                    self.samples.push(MetricsSample {
+                        cycle: self.next_sample,
+                        ..sample
+                    });
+                    self.next_sample += self.series_cadence;
+                }
+            }
+        }
+    }
+
+    fn sample_due(&self, now: u64) -> bool {
+        now >= self.next_sample
     }
 }
 
@@ -679,14 +665,32 @@ impl ToJson for ProfileReport {
 mod tests {
     use super::*;
 
+    fn charge(p: &mut Profiler, account: CycleAccount, cycles: u64) {
+        p.on_probe(0, Probe::Charge { account, cycles });
+    }
+
+    fn sample(resident_pages: u64, degraded: bool) -> MetricsSample {
+        MetricsSample {
+            cycle: 0,
+            resident_pages,
+            fault_backlog: 0,
+            in_flight: 0,
+            live_warps: 2,
+            hir_fill: 0,
+            degraded,
+            faults_serviced: 0,
+            evictions: 0,
+        }
+    }
+
     #[test]
     fn idle_residual_makes_timeline_conserve() {
         let mut p = Profiler::new(ProfileConfig::default());
-        p.charge(CycleAccount::FaultService, 700);
-        p.charge(CycleAccount::PcieTransfer, 200);
-        p.charge(CycleAccount::HirFlush, 50);
-        p.charge(CycleAccount::SmCompute, 999_999); // overlay: not in the sum
-        let report = p.finalize(10_000);
+        charge(&mut p, CycleAccount::FaultService, 700);
+        charge(&mut p, CycleAccount::PcieTransfer, 200);
+        charge(&mut p, CycleAccount::HirFlush, 50);
+        charge(&mut p, CycleAccount::SmCompute, 999_999); // overlay: not in the sum
+        let report = p.finalize(10_000, 64);
         assert_eq!(report.timeline_sum(), 10_000);
         assert_eq!(report.driver_idle(), 10_000 - 950);
         assert_eq!(report.account(CycleAccount::SmCompute), 999_999);
@@ -694,18 +698,25 @@ mod tests {
 
     #[test]
     fn span_lifecycle_records_stages_and_attribution() {
+        let page = PageId(7);
         let mut p = Profiler::new(ProfileConfig::default());
-        p.open_span(PageId(7), 100);
-        p.note_coalesce(PageId(7));
-        p.begin_service(PageId(7), 150);
-        p.note_retry(PageId(7), 40);
-        p.close_span(PageId(7), 400);
+        p.on_event(SimEvent::FaultRaised { time: 100, page });
+        p.on_probe(100, Probe::WarpStalled { warp: 0 });
+        p.on_probe(120, Probe::Coalesce { page });
+        p.on_probe(150, Probe::ServiceStart { page });
+        p.on_probe(360, Probe::Retry { page, delay: 40 });
+        p.on_event(SimEvent::FaultServiced { time: 400, page });
+        p.on_probe(400, Probe::WarpResumed { warp: 0 });
         // The page is evicted and re-faults: the new span points back.
-        p.open_span(PageId(7), 900);
-        p.mark_wrong_eviction(PageId(7));
-        p.begin_service(PageId(7), 900);
-        p.close_span(PageId(7), 1000);
-        let report = p.finalize(2_000);
+        p.on_event(SimEvent::FaultRaised { time: 900, page });
+        p.on_event(SimEvent::WrongEviction {
+            time: 900,
+            page,
+            refault_distance: 1,
+        });
+        p.on_probe(900, Probe::ServiceStart { page });
+        p.on_event(SimEvent::FaultServiced { time: 1000, page });
+        let report = p.finalize(2_000, 64);
         assert_eq!(report.spans.opened, 2);
         assert_eq!(report.spans.completed, 2);
         assert_eq!(report.spans.coalesced_warps, 1);
@@ -717,6 +728,7 @@ mod tests {
         assert_eq!(report.records[0].service_cycles(), Some(250));
         assert_eq!(report.records[0].retry_cycles, 40);
         assert_eq!(report.account(CycleAccount::RetryBackoff), 40);
+        assert_eq!(report.account(CycleAccount::SmStall), 300);
         assert_eq!(report.stage_histogram(SpanStage::Total).count(), 2);
     }
 
@@ -725,22 +737,11 @@ mod tests {
         let mut p = Profiler::new(ProfileConfig {
             series_cadence: 100,
         });
-        let snap = MetricsSample {
-            cycle: 0,
-            resident_pages: 5,
-            fault_backlog: 2,
-            in_flight: 1,
-            live_warps: 3,
-            hir_fill: 4,
-            degraded: false,
-            faults_serviced: 9,
-            evictions: 1,
-        };
         assert!(p.sample_due(0));
-        p.record_samples(250, snap);
+        p.on_probe(250, Probe::Sample(sample(5, false)));
         assert!(!p.sample_due(299));
         assert!(p.sample_due(300));
-        let report = p.finalize(1_000);
+        let report = p.finalize(1_000, 64);
         let cycles: Vec<u64> = report.series.samples.iter().map(|s| s.cycle).collect();
         assert_eq!(cycles, vec![0, 100, 200]);
         assert_eq!(report.series.samples[2].resident_pages, 5);
@@ -749,22 +750,9 @@ mod tests {
     #[test]
     fn exports_are_parallel_jsonl_and_csv() {
         let mut p = Profiler::new(ProfileConfig { series_cadence: 10 });
-        p.set_capacity(64);
-        p.record_samples(
-            0,
-            MetricsSample {
-                cycle: 0,
-                resident_pages: 1,
-                fault_backlog: 0,
-                in_flight: 0,
-                live_warps: 2,
-                hir_fill: 0,
-                degraded: true,
-                faults_serviced: 0,
-                evictions: 0,
-            },
-        );
-        let report = p.finalize(100);
+        p.on_probe(0, Probe::Sample(sample(1, true)));
+        let report = p.finalize(100, 64);
+        assert_eq!(report.series.capacity_pages, 64);
         let jsonl = report.series.to_jsonl();
         assert_eq!(jsonl.lines().count(), 1);
         let line = Json::parse(jsonl.lines().next().unwrap()).unwrap();
@@ -778,8 +766,8 @@ mod tests {
     #[test]
     fn folded_stacks_name_component_then_account() {
         let mut p = Profiler::new(ProfileConfig::default());
-        p.charge(CycleAccount::HirFlush, 42);
-        let report = p.finalize(100);
+        charge(&mut p, CycleAccount::HirFlush, 42);
+        let report = p.finalize(100, 64);
         let folded = report.folded();
         assert!(folded.contains("pcie;hir_flush 42"));
         assert!(folded.contains("driver;driver_idle 58"));
@@ -790,7 +778,7 @@ mod tests {
     #[test]
     fn report_json_carries_conservation_fields() {
         let p = Profiler::new(ProfileConfig::default());
-        let report = p.finalize(500);
+        let report = p.finalize(500, 64);
         let v = report.to_json();
         assert_eq!(v.get("total_cycles").and_then(Json::as_u64), Some(500));
         assert_eq!(v.get("timeline_sum").and_then(Json::as_u64), Some(500));

@@ -1,8 +1,7 @@
-//! Trace sinks: composable observers over the simulation event stream.
+//! Trace sinks: composable instruments over the simulation event stream.
 //!
-//! Everything here implements [`SimObserver`] and can be attached to a
-//! [`Simulation`](crate::Simulation) directly or fanned out through a
-//! [`MultiObserver`]:
+//! Everything here implements [`Instrument`] and can be attached to a
+//! [`Simulation`](crate::Simulation) directly or fanned out in a tuple:
 //!
 //! * [`EventCounters`] — counters only, one `u64` increment per event;
 //!   the cheapest way to answer "how many of each kind".
@@ -17,69 +16,13 @@
 //! All sinks serialize through [`uvm_util::json`], so their output is
 //! deterministic for a deterministic simulation.
 
-use std::cell::RefCell;
 use std::collections::HashMap;
 use std::io;
-use std::rc::Rc;
 
 use uvm_types::PageId;
 use uvm_util::{json, Histogram, Json, JsonError, ToJson};
 
-use crate::observer::{SimEvent, SimObserver};
-
-/// Fans every event out to multiple observers, in attachment order.
-///
-/// # Examples
-///
-/// ```
-/// use std::cell::RefCell;
-/// use std::rc::Rc;
-/// use uvm_sim::{EventCounters, EventLog, MultiObserver, SimEvent, SimObserver};
-/// use uvm_types::PageId;
-///
-/// let log = Rc::new(RefCell::new(EventLog::new()));
-/// let counters = Rc::new(RefCell::new(EventCounters::default()));
-/// let mut multi = MultiObserver::new();
-/// multi.push(log.clone());
-/// multi.push(counters.clone());
-/// multi.on_event(SimEvent::FaultRaised { time: 1, page: PageId(7) });
-/// assert_eq!(log.borrow().fault_count(), 1);
-/// assert_eq!(counters.borrow().faults_raised, 1);
-/// ```
-#[derive(Debug, Default)]
-pub struct MultiObserver {
-    sinks: Vec<Rc<RefCell<dyn SimObserver>>>,
-}
-
-impl MultiObserver {
-    /// Creates an empty fan-out.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a sink; it receives every subsequent event.
-    pub fn push(&mut self, sink: Rc<RefCell<dyn SimObserver>>) {
-        self.sinks.push(sink);
-    }
-
-    /// Number of attached sinks.
-    pub fn len(&self) -> usize {
-        self.sinks.len()
-    }
-
-    /// Whether no sink is attached.
-    pub fn is_empty(&self) -> bool {
-        self.sinks.is_empty()
-    }
-}
-
-impl SimObserver for MultiObserver {
-    fn on_event(&mut self, event: SimEvent) {
-        for sink in &self.sinks {
-            sink.borrow_mut().on_event(event);
-        }
-    }
-}
+use crate::instrument::{Instrument, SimEvent};
 
 /// A counters-only sink: one integer increment per event, no allocation.
 ///
@@ -148,7 +91,7 @@ impl EventCounters {
     }
 }
 
-impl SimObserver for EventCounters {
+impl Instrument for EventCounters {
     fn on_event(&mut self, event: SimEvent) {
         match event {
             SimEvent::FaultRaised { .. } => self.faults_raised += 1,
@@ -235,7 +178,7 @@ pub struct IntervalRow {
 /// # Examples
 ///
 /// ```
-/// use uvm_sim::{IntervalCollector, IntervalKey, SimEvent, SimObserver};
+/// use uvm_sim::{Instrument, IntervalCollector, IntervalKey, SimEvent};
 /// use uvm_types::PageId;
 ///
 /// let mut iv = IntervalCollector::new(IntervalKey::Cycles(100));
@@ -288,7 +231,7 @@ impl IntervalCollector {
     }
 }
 
-impl SimObserver for IntervalCollector {
+impl Instrument for IntervalCollector {
     fn on_event(&mut self, event: SimEvent) {
         let time = event.time();
         match event {
@@ -414,7 +357,7 @@ impl Default for TraceHistograms {
     }
 }
 
-impl SimObserver for TraceHistograms {
+impl Instrument for TraceHistograms {
     fn on_event(&mut self, event: SimEvent) {
         match event {
             SimEvent::FaultRaised { time, .. } => {
@@ -463,7 +406,7 @@ impl ToJson for TraceHistograms {
 ///
 /// Output is deterministic: a deterministic simulation produces
 /// byte-identical files across runs. Write errors are held and reported
-/// through [`JsonlWriter::take_error`] (the observer callback cannot
+/// through [`JsonlWriter::take_error`] (the instrument callback cannot
 /// fail); once an error occurs, further events are dropped.
 pub struct JsonlWriter<W: io::Write> {
     out: W,
@@ -514,7 +457,7 @@ impl<W: io::Write> std::fmt::Debug for JsonlWriter<W> {
     }
 }
 
-impl<W: io::Write> SimObserver for JsonlWriter<W> {
+impl<W: io::Write> Instrument for JsonlWriter<W> {
     fn on_event(&mut self, event: SimEvent) {
         if self.error.is_some() {
             return;
@@ -632,22 +575,6 @@ mod tests {
         assert_eq!(c.total(), 11);
         let back = EventCounters::from_json(&c.to_json()).unwrap();
         assert_eq!(back, c);
-    }
-
-    #[test]
-    fn multi_observer_fans_out_in_order() {
-        let a = Rc::new(RefCell::new(EventCounters::default()));
-        let b = Rc::new(RefCell::new(crate::EventLog::new()));
-        let mut multi = MultiObserver::new();
-        assert!(multi.is_empty());
-        multi.push(a.clone());
-        multi.push(b.clone());
-        assert_eq!(multi.len(), 2);
-        for e in sample_events() {
-            multi.on_event(e);
-        }
-        assert_eq!(a.borrow().total(), 11);
-        assert_eq!(b.borrow().events().len(), 11);
     }
 
     #[test]

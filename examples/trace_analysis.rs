@@ -13,7 +13,7 @@
 
 use hpe::core::{Hpe, HpeConfig};
 use hpe::sim::{
-    trace_for, EventCounters, IntervalCollector, IntervalKey, SimObserver, Simulation,
+    trace_for, EventCounters, EventLog, Instrument, IntervalCollector, IntervalKey, Simulation,
     TraceHistograms,
 };
 use hpe::types::{Oversubscription, SimConfig};
@@ -34,12 +34,12 @@ fn main() {
     let trace = trace_for(&cfg, app);
     let capacity = Oversubscription::Rate75.capacity_pages(app.footprint_pages());
     let policy = Hpe::new(HpeConfig::from_sim(&cfg)).expect("valid HPE");
-    let mut sim = Simulation::new(cfg, &trace, Box::new(policy), capacity).expect("valid sim");
-    let log = sim.attach_event_log();
-    let outcome = sim.run().expect("run completes");
-    let log = std::rc::Rc::try_unwrap(log)
-        .expect("sole owner after run")
-        .into_inner();
+    let sim = Simulation::new(cfg, &trace, Box::new(policy), capacity).expect("valid sim");
+    let outcome = sim
+        .instrument(EventLog::new())
+        .run()
+        .expect("run completes");
+    let log = &outcome.instrument;
     println!(
         "{}: {} events over {} cycles ({} faults, {} evictions)",
         app.abbr(),
@@ -49,8 +49,8 @@ fn main() {
         outcome.stats.evictions(),
     );
 
-    // Replay the stream through the analysis sinks. Any observer works on
-    // a recorded stream, not just on a live simulation.
+    // Replay the stream through the analysis sinks. Any instrument works
+    // on a recorded stream, not just on a live simulation.
     let mut counters = EventCounters::default();
     let mut by_fault = IntervalCollector::new(IntervalKey::Faults(512));
     let mut hists = TraceHistograms::new();

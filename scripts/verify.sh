@@ -87,6 +87,15 @@ echo "==> profiler smoke (one traced+profiled run, conservation checked)"
 # to the run's total cycles. See DESIGN.md §12.
 cargo run -q --release --offline -p hpe-bench --bin hpe-trace -- profile STN > /dev/null
 
+echo "==> benchmark/ build and smoke (it compiles against the engine's API)"
+# benchmark/ is a workspace of its own, so the build and tests above
+# never compile it. Same target directory as benchmark/run.sh; --smoke
+# runs one traced pass of every workload and exits nonzero on a
+# correctness failure.
+CARGO_TARGET_DIR=target/benchmark-build \
+    cargo build -q --release --offline --manifest-path benchmark/Cargo.toml
+target/benchmark-build/release/hpe-benchmark --smoke > /dev/null
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy -q --offline --workspace --all-targets -- -D warnings
 

@@ -1,10 +1,12 @@
 //! Integration tests for the extension features: the workload builder,
-//! simulation observers, prefetching, and fault batching — exercised
+//! simulation instruments, prefetching, and fault batching — exercised
 //! through the full public API.
 
+use std::collections::HashMap;
+
 use hpe::core::{Hpe, HpeConfig};
-use hpe::policies::Lru;
-use hpe::sim::{SimEvent, Simulation};
+use hpe::policies::{Lru, Traced};
+use hpe::sim::{EventLog, SimEvent, Simulation};
 use hpe::types::{Oversubscription, SimConfig};
 use hpe::workloads::{registry, WorkloadBuilder};
 
@@ -52,16 +54,18 @@ fn observer_timeline_matches_statistics_for_hpe() {
     let app = registry::by_abbr("STN").unwrap();
     let trace = hpe::sim::trace_for(&cfg, app);
     let capacity = Oversubscription::Rate75.capacity_pages(app.footprint_pages());
-    let mut sim = Simulation::new(
+    let sim = Simulation::new(
         cfg.clone(),
         &trace,
         Hpe::new(HpeConfig::from_sim(&cfg)).unwrap(),
         capacity,
     )
     .unwrap();
-    let log = sim.attach_event_log();
-    let outcome = sim.run().expect("run completes");
-    let log = log.borrow();
+    let outcome = sim
+        .instrument(EventLog::new())
+        .run()
+        .expect("run completes");
+    let log = &outcome.instrument;
     assert_eq!(log.fault_count() as u64, outcome.stats.faults());
     assert_eq!(log.eviction_count() as u64, outcome.stats.evictions());
     // MemoryFull is recorded once, before the first eviction.
@@ -106,6 +110,37 @@ fn prefetch_and_batching_compose() {
     assert!(inserted >= app.footprint_pages());
     assert_eq!(inserted - stats.evictions(), capacity);
     assert!(stats.driver.prefetched_pages > 0);
+}
+
+#[test]
+fn traced_victim_ages_follow_service_order_under_prefetch() {
+    // Prefetched pages share their demand fault's number; victim ages
+    // must still count pages made resident since the victim landed.
+    let mut cfg = SimConfig::scaled_default();
+    cfg.prefetch_pages = 4;
+    let app = registry::by_abbr("STN").unwrap();
+    let trace = hpe::sim::trace_for(&cfg, app);
+    let capacity = Oversubscription::Rate75.capacity_pages(app.footprint_pages());
+    let sim = Simulation::new(cfg, &trace, Traced::new(Lru::new()), capacity).unwrap();
+    let log = sim.instrument(EventLog::new()).run().unwrap().instrument;
+    let (mut landed, mut landed_at) = (0u64, HashMap::new());
+    let mut victims = 0;
+    for e in log.events() {
+        match *e {
+            SimEvent::FaultServiced { page, .. } => {
+                landed_at.insert(page, landed);
+                landed += 1;
+            }
+            SimEvent::VictimSelected {
+                page, victim_age, ..
+            } => {
+                victims += 1;
+                assert_eq!(victim_age, landed - landed_at[&page], "victim {page}");
+            }
+            _ => {}
+        }
+    }
+    assert!(victims > 0 && log.serviced_count() as u64 > log.fault_count() as u64);
 }
 
 #[test]

@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 
 use hpe::core::{Hpe, HpeConfig};
 use hpe::policies::{ClockPro, ClockProConfig, EvictionPolicy, Lru, Rrip, RripConfig};
-use hpe::sim::{trace_for, FaultPlan, SimEvent, Simulation};
+use hpe::sim::{trace_for, EventLog, FaultPlan, SimEvent, Simulation};
 use hpe::types::{Oversubscription, SimConfig};
 use hpe::workloads::registry;
 
@@ -52,10 +52,11 @@ fn run_digest(
     if let Some(p) = plan {
         sim.set_fault_plan(p.clone()).expect("valid plan");
     }
-    let log = sim.attach_event_log();
-    sim.run().expect("run completes");
-    let log = std::rc::Rc::try_unwrap(log).expect("sole owner after run");
-    digest(log.into_inner().events())
+    let log = sim
+        .instrument(EventLog::new())
+        .run()
+        .expect("run completes");
+    digest(log.instrument.events())
 }
 
 fn golden_with_plan(
@@ -152,10 +153,11 @@ fn degraded_run_emits_degraded_strategy_switches() {
     .expect("valid sim");
     sim.set_fault_plan(FaultPlan::signal_chaos(2019))
         .expect("valid plan");
-    let log = sim.attach_event_log();
-    sim.run().expect("run completes");
-    let log = std::rc::Rc::try_unwrap(log).expect("sole owner after run");
-    let events = log.into_inner();
+    let events = sim
+        .instrument(EventLog::new())
+        .run()
+        .expect("run completes")
+        .instrument;
     let mut into_degraded = 0u32;
     let mut out_of_degraded = 0u32;
     for e in events.events() {
