@@ -9,17 +9,15 @@
 //! hpe-lab profile <APP>                     # access-pattern profile
 //! hpe-lab campaign [APP ...] [--workers N] [--chaos] [--snapshot FILE]
 //!                  [--resume] [--progress FILE]   # parallel grid sweep
-//! hpe-lab bench-snapshot [--workers N]      # record the next BENCH_*.json
-//! hpe-lab bench-check [--workers N]         # regression gate vs the last one
+//! hpe-lab bench-snapshot [--workers N] [--dir DIR]  # record the next BENCH_*.json
 //! hpe-lab fairness [--workers N] [--seed N] # per-tenant vs shared HIR:
 //!                                           # fairness-vs-throughput grid
 //! ```
 //!
 //! Run via `cargo run --release -p hpe-bench --bin hpe-lab -- <args>`.
 //!
-//! Exit codes: 0 success, 1 a run failed or the bench gate found a
-//! regression, 2 usage error — the same convention as `hpe-chaos` and
-//! `hpe-lint`.
+//! Exit codes: 0 success, 1 a run failed, 2 usage error — the same
+//! convention as `hpe-chaos` and `hpe-lint`.
 
 use std::fs;
 use std::path::PathBuf;
@@ -428,37 +426,40 @@ fn cmd_campaign(opts: &CampaignOpts) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Flags shared by `bench-snapshot` / `bench-check` / `fairness`.
-struct BenchOpts {
-    workers: usize,
-    dir: PathBuf,
-    seed: u64,
+/// Pairs up `--flag value` arguments, rejecting any flag not in `known`:
+/// each command names only the flags it reads.
+fn parse_flags<'a>(args: &'a [String], known: &[&str]) -> Result<Vec<(&'a str, &'a str)>, String> {
+    let mut pairs = Vec::new();
+    let mut it = args.iter();
+    while let Some(flag) = it.next() {
+        if !known.contains(&flag.as_str()) {
+            return Err(format!("unknown option {flag:?}"));
+        }
+        let value = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
+        pairs.push((flag.as_str(), value.as_str()));
+    }
+    Ok(pairs)
 }
 
-fn parse_bench_opts(args: &[String]) -> Result<BenchOpts, String> {
-    let mut opts = BenchOpts {
+fn parse_num<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+    value.parse().map_err(|_| format!("bad {flag} {value:?}"))
+}
+
+/// Flags of the `bench-snapshot` subcommand.
+struct SnapshotOpts {
+    workers: usize,
+    dir: PathBuf,
+}
+
+fn parse_snapshot_opts(args: &[String]) -> Result<SnapshotOpts, String> {
+    let mut opts = SnapshotOpts {
         workers: 1,
         dir: perf::bench_dir(),
-        seed: 2019,
     };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--workers" => {
-                let v = value("--workers")?;
-                opts.workers = v.parse().map_err(|_| format!("bad --workers {v:?}"))?;
-            }
-            "--dir" => opts.dir = PathBuf::from(value("--dir")?),
-            "--seed" => {
-                let v = value("--seed")?;
-                opts.seed = v.parse().map_err(|_| format!("bad --seed {v:?}"))?;
-            }
-            other => return Err(format!("unknown option {other:?}")),
+    for (flag, value) in parse_flags(args, &["--workers", "--dir"])? {
+        match flag {
+            "--workers" => opts.workers = parse_num(flag, value)?,
+            _ => opts.dir = PathBuf::from(value),
         }
     }
     Ok(opts)
@@ -473,18 +474,10 @@ fn print_snapshot(snap: &perf::BenchSnapshot) {
         t.row(vec![p.policy.clone(), f3(p.slowdown_75), f3(p.slowdown_50)]);
     }
     t.print();
-    let mut w = Table::new("wall-clocks", &["routine", "median"]);
-    for wc in &snap.wall_clocks {
-        w.row(vec![
-            wc.name.clone(),
-            format!("{:.3} ms", wc.median_ns / 1e6),
-        ]);
-    }
-    w.print();
 }
 
 /// `bench-snapshot`: collect and record the next `BENCH_NNNN.json`.
-fn cmd_bench_snapshot(opts: &BenchOpts) -> Result<(), CliError> {
+fn cmd_bench_snapshot(opts: &SnapshotOpts) -> Result<(), CliError> {
     fs::create_dir_all(&opts.dir).map_err(|e| CliError::Run(e.to_string()))?;
     let id = perf::next_id(&opts.dir);
     eprintln!("[collecting {} over the clean full grid ...]", id);
@@ -497,67 +490,24 @@ fn cmd_bench_snapshot(opts: &BenchOpts) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `bench-check`: the regression gate — collect fresh numbers and compare
-/// them against the highest-numbered snapshot under tolerance.
-fn cmd_bench_check(opts: &BenchOpts) -> Result<(), CliError> {
-    let Some(baseline_path) = perf::latest(&opts.dir) else {
-        return Err(CliError::Usage(format!(
-            "no BENCH_*.json under {} — record one with `hpe-lab bench-snapshot`",
-            opts.dir.display()
-        )));
+/// Flags of the `fairness` subcommand.
+struct FairnessOpts {
+    workers: usize,
+    seed: u64,
+}
+
+fn parse_fairness_opts(args: &[String]) -> Result<FairnessOpts, String> {
+    let mut opts = FairnessOpts {
+        workers: 1,
+        seed: 2019,
     };
-    let baseline = perf::BenchSnapshot::load(&baseline_path).map_err(CliError::Run)?;
-    eprintln!(
-        "[bench gate: current run vs {} ({})]",
-        baseline.id,
-        baseline_path.display()
-    );
-    let current = perf::collect("BENCH_current", opts.workers).map_err(CliError::Run)?;
-    let rows = perf::compare(&current, &baseline);
-    let mut t = Table::new(
-        format!("bench gate vs {}", baseline.id),
-        &["metric", "baseline", "current", "ratio", "verdict"],
-    );
-    for r in &rows {
-        let fmt = |v: f64| {
-            if r.metric.starts_with("wall/") {
-                format!("{:.3} ms", v / 1e6)
-            } else {
-                f3(v)
-            }
-        };
-        t.row(vec![
-            r.metric.clone(),
-            fmt(r.baseline),
-            fmt(r.current),
-            f2(r.ratio()),
-            r.verdict.label().to_string(),
-        ]);
-    }
-    t.print();
-    match perf::worst(&rows) {
-        perf::Verdict::Pass => {
-            println!("bench gate: pass ({} metrics)", rows.len());
-            Ok(())
+    for (flag, value) in parse_flags(args, &["--workers", "--seed"])? {
+        match flag {
+            "--workers" => opts.workers = parse_num(flag, value)?,
+            _ => opts.seed = parse_num(flag, value)?,
         }
-        perf::Verdict::Warn => {
-            println!(
-                "bench gate: pass with warnings ({} warn of {} metrics)",
-                rows.iter()
-                    .filter(|r| r.verdict == perf::Verdict::Warn)
-                    .count(),
-                rows.len()
-            );
-            Ok(())
-        }
-        perf::Verdict::Fail => Err(CliError::Run(format!(
-            "bench gate: REGRESSION — {} metric(s) over the fail tolerance vs {}",
-            rows.iter()
-                .filter(|r| r.verdict == perf::Verdict::Fail)
-                .count(),
-            baseline.id
-        ))),
     }
+    Ok(opts)
 }
 
 /// The fairness grid's app mixes: a heterogeneous trio, a homogeneous
@@ -578,7 +528,7 @@ const FAIRNESS_QUOTAS: [u64; 2] = [50, 75];
 /// per-tenant slowdown against aggregate throughput over several app
 /// mixes and quota rates (the data behind the EXPERIMENTS.md fairness
 /// table).
-fn cmd_fairness(opts: &BenchOpts) -> Result<(), CliError> {
+fn cmd_fairness(opts: &FairnessOpts) -> Result<(), CliError> {
     let mixes: Vec<Vec<&str>> = FAIRNESS_MIXES.iter().map(|m| m.to_vec()).collect();
     eprintln!(
         "[fairness grid: {} mixes x {} quotas x 2 HIR modes, seed {}, {} worker(s)]",
@@ -641,16 +591,16 @@ fn cmd_fairness(opts: &BenchOpts) -> Result<(), CliError> {
 }
 
 /// How a command failed, mapped onto the process exit code (1 run
-/// failure / regression, 2 usage).
+/// failure, 2 usage).
 enum CliError {
     Usage(String),
     Run(String),
 }
 
 fn usage() -> String {
-    "usage: hpe-lab <list|run|compare|sweep|profile|campaign|bench-snapshot|bench-check|fairness> \
+    "usage: hpe-lab <list|run|compare|sweep|profile|campaign|bench-snapshot|fairness> \
      [APP ...] [options]\n\
-     exit codes: 0 ok, 1 run failure or regression, 2 usage error"
+     exit codes: 0 ok, 1 run failure, 2 usage error"
         .to_string()
 }
 
@@ -685,13 +635,10 @@ fn main() {
             "campaign" => parse_campaign_opts(rest)
                 .map_err(CliError::Usage)
                 .and_then(|opts| cmd_campaign(&opts)),
-            "bench-snapshot" => parse_bench_opts(rest)
+            "bench-snapshot" => parse_snapshot_opts(rest)
                 .map_err(CliError::Usage)
                 .and_then(|opts| cmd_bench_snapshot(&opts)),
-            "bench-check" => parse_bench_opts(rest)
-                .map_err(CliError::Usage)
-                .and_then(|opts| cmd_bench_check(&opts)),
-            "fairness" => parse_bench_opts(rest)
+            "fairness" => parse_fairness_opts(rest)
                 .map_err(CliError::Usage)
                 .and_then(|opts| cmd_fairness(&opts)),
             other => Err(CliError::Usage(format!("unknown command {other:?}"))),

@@ -8,8 +8,8 @@
 //!
 //! ```sh
 //! hpe-lint check                               # all rule families, repo root
-//! hpe-lint check --rules error-discipline      # one family (CI unwrap gate)
-//! hpe-lint check --rules determinism,hermeticity --json
+//! hpe-lint check --rules error-discipline      # one family
+//! hpe-lint check --rules determinism,stale-allow --json
 //! hpe-lint check path/to/checkout              # explicit root
 //! hpe-lint rules                               # list families and rules
 //! hpe-lint graph                               # call-graph summary from the roots
@@ -24,9 +24,8 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use uvm_lint::callgraph::CallGraph;
-use uvm_lint::{check_workspace, load_workspace_index, report_json, Diagnostic, RuleFamily};
-use uvm_sim::ExploreSpec;
-use uvm_util::{FromJson, Json};
+use uvm_lint::{check_workspace, load_workspace_index, report_json, RuleFamily};
+use uvm_util::Json;
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -36,10 +35,9 @@ fn usage() -> ExitCode {
          \x20 check [--rules FAMILY[,FAMILY..]] [--json] [ROOT]\n\
          \x20       lint the workspace at ROOT (default: the enclosing\n\
          \x20       checkout) with the selected rule families\n\
-         \x20       (default: all of determinism, hermeticity,\n\
-         \x20       error-discipline, paper-constants,\n\
-         \x20       panic-reachability, determinism-taint, stale-allow,\n\
-         \x20       explore-specs)\n\
+         \x20       (default: all of determinism, error-discipline,\n\
+         \x20       paper-constants, panic-reachability,\n\
+         \x20       determinism-taint, stale-allow)\n\
          \x20 graph [SYMBOL] [--json] [ROOT]\n\
          \x20       call-graph view: without SYMBOL the roots, every\n\
          \x20       reachable panic site (annotated or not) with its\n\
@@ -66,88 +64,20 @@ fn default_root() -> PathBuf {
     PathBuf::from(".")
 }
 
-/// The selected rule families: the source-tree families `uvm-lint`
-/// knows, plus the binary-level `explore-specs` pseudo-family (it needs
-/// the simulator's `ExploreSpec` parser, which `uvm-lint` cannot depend
-/// on).
-struct Selection {
-    families: Vec<RuleFamily>,
-    explore_specs: bool,
-}
-
-impl Selection {
-    fn all() -> Self {
-        Selection {
-            families: RuleFamily::ALL.to_vec(),
-            explore_specs: true,
-        }
-    }
-
-    fn labels(&self) -> Vec<&str> {
-        let mut labels: Vec<&str> = self.families.iter().map(|f| f.label()).collect();
-        if self.explore_specs {
-            labels.push("explore-specs");
-        }
-        labels
-    }
-}
-
-fn parse_families(text: &str) -> Result<Selection, String> {
-    let mut sel = Selection {
-        families: Vec::new(),
-        explore_specs: false,
-    };
+fn parse_families(text: &str) -> Result<Vec<RuleFamily>, String> {
+    let mut families = Vec::new();
     for part in text.split(',') {
         let part = part.trim();
-        if part == "explore-specs" {
-            sel.explore_specs = true;
-            continue;
-        }
         let fam = RuleFamily::parse(part).ok_or_else(|| format!("unknown rule family `{part}`"))?;
-        if !sel.families.contains(&fam) {
-            sel.families.push(fam);
+        if !families.contains(&fam) {
+            families.push(fam);
         }
     }
-    if sel.families.is_empty() && !sel.explore_specs {
-        return Err("empty --rules list".to_string());
-    }
-    Ok(sel)
-}
-
-/// `explore-specs` rule: every JSON fixture under `fixtures/explore/`
-/// must parse as an [`ExploreSpec`] and pass its validation — a broken
-/// fixture would otherwise only surface when someone runs it.
-fn check_explore_specs(root: &Path) -> Result<Vec<Diagnostic>, String> {
-    let dir = root.join("fixtures/explore");
-    if !dir.is_dir() {
-        return Ok(Vec::new());
-    }
-    let mut paths: Vec<PathBuf> = std::fs::read_dir(&dir)
-        .map_err(|e| format!("cannot read {}: {e}", dir.display()))?
-        .filter_map(|entry| entry.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|ext| ext == "json"))
-        .collect();
-    paths.sort();
-    let mut diags = Vec::new();
-    for path in paths {
-        let rel = format!(
-            "fixtures/explore/{}",
-            path.file_name().unwrap_or_default().to_string_lossy()
-        );
-        let problem = std::fs::read_to_string(&path)
-            .map_err(|e| e.to_string())
-            .and_then(|text| Json::parse(&text).map_err(|e| e.to_string()))
-            .and_then(|json| ExploreSpec::from_json(&json).map_err(|e| e.to_string()))
-            .and_then(|spec| spec.validate().map_err(|e| e.to_string()));
-        if let Err(msg) = problem {
-            diags.push(Diagnostic::new(rel, 1, "explore-spec", msg));
-        }
-    }
-    Ok(diags)
+    Ok(families)
 }
 
 fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
-    let mut sel = Selection::all();
+    let mut families = RuleFamily::ALL.to_vec();
     let mut json_out = false;
     let mut root: Option<PathBuf> = None;
     let mut it = args.iter();
@@ -155,7 +85,7 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
         match arg.as_str() {
             "--rules" => {
                 let spec = it.next().ok_or("--rules needs a value")?;
-                sel = parse_families(spec)?;
+                families = parse_families(spec)?;
             }
             "--json" => json_out = true,
             flag if flag.starts_with("--") => {
@@ -172,14 +102,7 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
     if !root.join("Cargo.toml").is_file() {
         return Err(format!("{} is not a workspace root", root.display()));
     }
-    let mut diags = if sel.explore_specs {
-        check_explore_specs(&root)?
-    } else {
-        Vec::new()
-    };
-    if !sel.families.is_empty() {
-        diags.extend(check_workspace(&root, &sel.families).map_err(|e| e.to_string())?);
-    }
+    let diags = check_workspace(&root, &families).map_err(|e| e.to_string())?;
     if json_out {
         println!("{}", report_json(&diags).pretty());
     } else {
@@ -189,7 +112,11 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
         eprintln!(
             "hpe-lint: {} violation(s) [{}] under {}",
             diags.len(),
-            sel.labels().join(","),
+            families
+                .iter()
+                .map(|f| f.label())
+                .collect::<Vec<_>>()
+                .join(","),
             root.display()
         );
     }
@@ -432,12 +359,6 @@ const EXPLANATIONS: &[(&str, &str)] = &[
          with `// lint:allow(hash-iteration)` and say why.",
     ),
     (
-        "external-import",
-        "The workspace is hermetic: no external crates. An import of one\n\
-         would quietly pull untracked behaviour into the reproduction.\n\
-         Fix: implement the needed slice in `crates/util`.",
-    ),
-    (
         "unwrap",
         "`.unwrap()`, `.expect(`, and `panic!` in non-test simulator\n\
          code turn recoverable conditions into aborts. Scope:\n\
@@ -482,12 +403,6 @@ const EXPLANATIONS: &[(&str, &str)] = &[
          when every family that could consume the id is selected. Fix:\n\
          delete the annotation.",
     ),
-    (
-        "explore-spec",
-        "Every JSON fixture under fixtures/explore/ must parse as an\n\
-         `ExploreSpec` and pass validation, so a broken fixture fails in\n\
-         CI rather than at campaign launch.",
-    ),
 ];
 
 fn cmd_explain(args: &[String]) -> Result<ExitCode, String> {
@@ -513,7 +428,6 @@ fn cmd_rules() -> ExitCode {
     println!(
         "determinism        wall-clock, hash-iteration, randomness\n\
          \x20                  (crates/{{sim,core,policies,workloads}}/src)\n\
-         hermeticity        external-import (every .rs file)\n\
          error-discipline   unwrap (.unwrap()/.expect(/panic! outside tests;\n\
          \x20                  crates/{{sim,core,policies}}/src)\n\
          paper-constants    paper-constants (config constructors vs the\n\
@@ -526,8 +440,6 @@ fn cmd_rules() -> ExitCode {
          \x20                  its seed from a parameter or config field)\n\
          stale-allow        stale-allow (lint:allow annotations that no\n\
          \x20                  longer suppress anything)\n\
-         explore-specs      explore-spec (fixtures/explore/*.json must\n\
-         \x20                  parse as ExploreSpec and validate)\n\
          \n\
          suppress a single line with: // lint:allow(rule-id)\n\
          `hpe-lint explain RULE-ID` has the full story for each rule"

@@ -75,7 +75,7 @@ impl std::error::Error for ExploreError {}
 
 /// One case's invariant evaluation.
 #[derive(Debug, Clone)]
-struct Verdict {
+struct Evaluation {
     /// Simulation runs this evaluation cost (1–3).
     runs: u64,
     /// Selected invariants actually evaluated.
@@ -238,7 +238,7 @@ impl Ctx<'_> {
     /// a mid-run invariant report, else as `completes` — even when those
     /// invariants are deselected, because nothing else is evaluable
     /// without a finished run.
-    fn verdict(&self, plan: &FaultPlan) -> Verdict {
+    fn verdict(&self, plan: &FaultPlan) -> Evaluation {
         let sanitize = self.want("sanitizer").then_some(self.sanitize_cadence);
         let mut runs = 1u64;
         let mut checks = 0u64;
@@ -303,7 +303,7 @@ impl Ctx<'_> {
                 _ => None,
             };
             if let Some(error) = violation {
-                return Verdict {
+                return Evaluation {
                     runs,
                     checks,
                     violation: Some((inv.clone(), error)),
@@ -311,13 +311,13 @@ impl Ctx<'_> {
             }
         }
         if let Some(broke) = broke {
-            return Verdict {
+            return Evaluation {
                 runs,
                 checks,
                 violation: Some(broke),
             };
         }
-        Verdict {
+        Evaluation {
             runs,
             checks,
             violation: None,

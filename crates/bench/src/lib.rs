@@ -27,7 +27,7 @@ pub use campaign::{
     PoolOptions, DEFAULT_SNAPSHOT_EVERY,
 };
 pub use explore::{replay_repro, repro_for, run_explore, ExploreError, RECOVERY_STREAK_FAULTS};
-pub use perf::{BenchSnapshot, PolicyPerf, Tolerance, Verdict, WallClock, BENCH_SCHEMA_VERSION};
+pub use perf::{BenchSnapshot, PolicyPerf, BENCH_SCHEMA_VERSION};
 pub use report::{f2, f3, geomean, mean, save_json, traces_dir, write_jsonl, Table};
 pub use runner::{
     drive, manual_strategy_for, rrip_config_for, run, run_policy, run_policy_traced, Driven,

@@ -1,34 +1,26 @@
-//! The pinned perf trajectory: `BENCH_*.json` snapshots and the
-//! tolerance-based regression gate.
+//! The pinned perf trajectory: `BENCH_*.json` snapshots.
 //!
-//! Each snapshot records two kinds of numbers:
-//!
-//! * **Simulation metrics** — per-policy geomean slowdowns versus the
-//!   offline Ideal (Belady-MIN) policy at both studied oversubscription
-//!   rates, over the full 23-app grid. These are *deterministic*: any
-//!   drift between snapshots means simulator or policy behavior changed,
-//!   so the gate's tolerance is tight ([`SIM_TOLERANCE`]).
-//! * **Wall-clocks** — median ns per run of pinned hot-path routines,
-//!   measured with [`uvm_util::bench::Criterion::measure`]. These are
-//!   noisy on shared CI hardware, so the tolerance is loose
-//!   ([`WALL_TOLERANCE`]) and the gate is env-gated in `verify.sh`
-//!   (`CHECK_BENCH=1`), like `CHECK_FIGURES`.
+//! Each snapshot records per-policy geomean slowdowns versus the offline
+//! Ideal (Belady-MIN) policy at both studied oversubscription rates,
+//! over the full 23-app grid. These are *deterministic*: any drift
+//! between snapshots means simulator or policy behavior changed. The
+//! `benchmark/` package's smoke (`hpe-benchmark --smoke`, run by
+//! `scripts/verify.sh`) fails when the latest snapshot's slowdowns drift
+//! by more than [`SIM_TOLERANCE`]; host time is gated there too, by
+//! `hpe-benchmark compare` and its measured noise bands.
 //!
 //! Snapshots live in-repo under `benchmarks/BENCH_NNNN.json`, one per
-//! PR (`hpe-lab bench-snapshot`); the gate (`hpe-lab bench-check`)
-//! compares a fresh collection against the highest-numbered snapshot and
-//! exits 0 (pass, warnings allowed), 1 (regression) or 2 (usage/IO) —
-//! the same convention as `hpe-chaos` and `hpe-lint`.
+//! PR (`hpe-lab bench-snapshot`). Snapshots up to BENCH_0005 also carry
+//! a `wall_clocks` array from an earlier schema; parsing ignores it.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use uvm_types::Oversubscription;
 use uvm_util::{FromJson, Json};
 use uvm_workloads::registry;
 
 use crate::report::geomean;
-use crate::runner::{run_policy, PolicyKind};
+use crate::runner::PolicyKind;
 use crate::{bench_config, campaign};
 
 /// Version tag of the `BENCH_*.json` schema.
@@ -38,18 +30,16 @@ pub const BENCH_SCHEMA_VERSION: u64 = 1;
 /// snapshots are comparable by construction.
 pub const BENCH_SEED: u64 = 2019;
 
-/// Gate tolerance for the deterministic simulation metrics: fractional
-/// increase over baseline at which the verdict turns Warn / Fail.
-pub const SIM_TOLERANCE: Tolerance = Tolerance {
-    warn: 0.005,
-    fail: 0.02,
-};
+/// How far the deterministic simulation metrics may drift from the
+/// latest snapshot before the benchmark smoke fails.
+pub const SIM_TOLERANCE: Tolerance = Tolerance { warn: 0.005 };
 
-/// Gate tolerance for wall-clock metrics (noisy on shared hardware).
-pub const WALL_TOLERANCE: Tolerance = Tolerance {
-    warn: 0.50,
-    fail: 3.0,
-};
+/// A drift threshold on a snapshot metric.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Tolerance {
+    /// Largest allowed fractional change from the snapshot value.
+    pub warn: f64,
+}
 
 /// One policy's geomean slowdowns versus Ideal.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -69,20 +59,6 @@ uvm_util::impl_json_struct!(PolicyPerf {
     slowdown_50 = 0.0,
 });
 
-/// One pinned hot-path wall-clock measurement.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct WallClock {
-    /// Routine name ("run/STN/HPE/75%", …).
-    pub name: String,
-    /// Median nanoseconds per run.
-    pub median_ns: f64,
-}
-
-uvm_util::impl_json_struct!(WallClock {
-    name = String::new(),
-    median_ns = 0.0,
-});
-
 /// One point of the perf trajectory: the `BENCH_NNNN.json` document.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct BenchSnapshot {
@@ -96,8 +72,6 @@ pub struct BenchSnapshot {
     pub apps: Vec<String>,
     /// Per-policy geomean slowdowns versus Ideal.
     pub policies: Vec<PolicyPerf>,
-    /// Pinned hot-path wall-clocks.
-    pub wall_clocks: Vec<WallClock>,
 }
 
 uvm_util::impl_json_struct!(BenchSnapshot {
@@ -106,7 +80,6 @@ uvm_util::impl_json_struct!(BenchSnapshot {
     seed = 0,
     apps = Vec::new(),
     policies = Vec::new(),
-    wall_clocks = Vec::new(),
 });
 
 impl BenchSnapshot {
@@ -140,14 +113,6 @@ impl BenchSnapshot {
                         p.policy
                     ));
                 }
-            }
-        }
-        for w in &self.wall_clocks {
-            if !w.median_ns.is_finite() || w.median_ns <= 0.0 {
-                return Err(format!(
-                    "wall-clock {} is {} ns (must be finite and positive)",
-                    w.name, w.median_ns
-                ));
             }
         }
         Ok(())
@@ -224,9 +189,8 @@ fn measured_policies() -> Vec<PolicyKind> {
         .collect()
 }
 
-/// Collects a fresh snapshot: the clean full-grid campaign for the
-/// simulation metrics (run on `workers` threads), plus the pinned
-/// wall-clock measurements.
+/// Collects a fresh snapshot from the clean full-grid campaign, run on
+/// `workers` threads.
 ///
 /// # Errors
 ///
@@ -277,167 +241,13 @@ pub fn collect(id: &str, workers: usize) -> Result<BenchSnapshot, String> {
         });
     }
 
-    let mut crit = uvm_util::bench::Criterion::default();
-    let mut wall_clocks = Vec::new();
-    for (name, app, kind) in [
-        ("run/STN/HPE/75%", "STN", PolicyKind::Hpe),
-        ("run/STN/LRU/75%", "STN", PolicyKind::Lru),
-        ("run/SGM/HPE/75%", "SGM", PolicyKind::Hpe),
-    ] {
-        // lint:allow(panic-reachability) — a broken pin must abort the sweep
-        let app = registry::by_abbr(app).expect("pinned app is registered");
-        let m = crit.measure(|| {
-            // lint:allow(panic-reachability) — a broken pin must abort the sweep
-            run_policy(&cfg, app, Oversubscription::Rate75, kind).expect("pinned run completes")
-        });
-        wall_clocks.push(WallClock {
-            name: name.to_string(),
-            median_ns: m.median_ns(),
-        });
-    }
-
     Ok(BenchSnapshot {
         schema: BENCH_SCHEMA_VERSION,
         id: id.to_string(),
         seed: BENCH_SEED,
         apps,
         policies,
-        wall_clocks,
     })
-}
-
-// ---------------------------------------------------------------------------
-// Tolerance gate
-// ---------------------------------------------------------------------------
-
-/// Fractional-increase thresholds of the regression gate.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Tolerance {
-    /// Increase over baseline above which the verdict is Warn.
-    pub warn: f64,
-    /// Increase over baseline above which the verdict is Fail.
-    pub fail: f64,
-}
-
-/// Outcome of one metric comparison (ordered: Pass < Warn < Fail).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Verdict {
-    /// Within the warn tolerance (improvements always pass).
-    Pass,
-    /// Between the warn and fail tolerances.
-    Warn,
-    /// Above the fail tolerance, or the metric disappeared.
-    Fail,
-}
-
-impl Verdict {
-    /// Display label.
-    pub fn label(self) -> &'static str {
-        match self {
-            Verdict::Pass => "pass",
-            Verdict::Warn => "WARN",
-            Verdict::Fail => "FAIL",
-        }
-    }
-}
-
-/// Classifies `current` against `baseline` under `tol`.
-///
-/// The ratio `current / baseline` passes up to `1 + warn`, warns up to
-/// `1 + fail`, and fails above. A non-positive or non-finite baseline or
-/// current value fails outright (validation should have caught it).
-pub fn verdict(current: f64, baseline: f64, tol: Tolerance) -> Verdict {
-    if !baseline.is_finite() || baseline <= 0.0 || !current.is_finite() || current <= 0.0 {
-        return Verdict::Fail;
-    }
-    let ratio = current / baseline;
-    if ratio <= 1.0 + tol.warn {
-        Verdict::Pass
-    } else if ratio <= 1.0 + tol.fail {
-        Verdict::Warn
-    } else {
-        Verdict::Fail
-    }
-}
-
-/// One row of a snapshot comparison.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CompareRow {
-    /// Metric name ("slowdown75/LRU", "wall/run/STN/HPE/75%", …).
-    pub metric: String,
-    /// Baseline value.
-    pub baseline: f64,
-    /// Current value.
-    pub current: f64,
-    /// The verdict under the metric's tolerance.
-    pub verdict: Verdict,
-}
-
-impl CompareRow {
-    /// `current / baseline` (inf when the baseline is 0).
-    pub fn ratio(&self) -> f64 {
-        self.current / self.baseline
-    }
-}
-
-/// Compares a fresh collection against a baseline snapshot, metric by
-/// metric. A metric present in the baseline but missing from `current`
-/// fails (a silently dropped measurement must not pass the gate);
-/// metrics new in `current` are ignored so the schema can grow.
-pub fn compare(current: &BenchSnapshot, baseline: &BenchSnapshot) -> Vec<CompareRow> {
-    let mut rows = Vec::new();
-    for base in &baseline.policies {
-        let cur = current.policies.iter().find(|p| p.policy == base.policy);
-        for (tag, get) in [
-            (
-                "slowdown75",
-                &(|p: &PolicyPerf| p.slowdown_75) as &dyn Fn(&PolicyPerf) -> f64,
-            ),
-            ("slowdown50", &|p: &PolicyPerf| p.slowdown_50),
-        ] {
-            let metric = format!("{tag}/{}", base.policy);
-            match cur {
-                Some(cur) => rows.push(CompareRow {
-                    metric,
-                    baseline: get(base),
-                    current: get(cur),
-                    verdict: verdict(get(cur), get(base), SIM_TOLERANCE),
-                }),
-                None => rows.push(CompareRow {
-                    metric,
-                    baseline: get(base),
-                    current: f64::NAN,
-                    verdict: Verdict::Fail,
-                }),
-            }
-        }
-    }
-    for base in &baseline.wall_clocks {
-        let metric = format!("wall/{}", base.name);
-        match current.wall_clocks.iter().find(|w| w.name == base.name) {
-            Some(cur) => rows.push(CompareRow {
-                metric,
-                baseline: base.median_ns,
-                current: cur.median_ns,
-                verdict: verdict(cur.median_ns, base.median_ns, WALL_TOLERANCE),
-            }),
-            None => rows.push(CompareRow {
-                metric,
-                baseline: base.median_ns,
-                current: f64::NAN,
-                verdict: Verdict::Fail,
-            }),
-        }
-    }
-    rows
-}
-
-/// The worst verdict of a comparison (Pass for an empty one).
-pub fn worst(rows: &[CompareRow]) -> Verdict {
-    rows.iter()
-        .map(|r| r.verdict)
-        .max()
-        .unwrap_or(Verdict::Pass)
 }
 
 #[cfg(test)]

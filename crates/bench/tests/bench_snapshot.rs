@@ -1,11 +1,8 @@
-//! `BENCH_*.json` schema suite: round-trip fidelity, the tolerance
-//! boundary math of the regression gate, and malformed-snapshot
-//! rejection.
+//! `BENCH_*.json` schema suite: round-trip fidelity, malformed-snapshot
+//! rejection, and the committed trajectory.
 
-use hpe_bench::perf::{
-    compare, next_id, verdict, worst, CompareRow, Verdict, SIM_TOLERANCE, WALL_TOLERANCE,
-};
-use hpe_bench::{BenchSnapshot, PolicyPerf, Tolerance, WallClock, BENCH_SCHEMA_VERSION};
+use hpe_bench::perf::{latest, next_id};
+use hpe_bench::{BenchSnapshot, PolicyPerf, BENCH_SCHEMA_VERSION};
 use uvm_util::ToJson;
 
 /// A small but fully populated snapshot.
@@ -27,10 +24,6 @@ fn sample(id: &str) -> BenchSnapshot {
                 slowdown_50: 1.286,
             },
         ],
-        wall_clocks: vec![WallClock {
-            name: "run/STN/HPE/75%".to_string(),
-            median_ns: 6.3e6,
-        }],
     }
 }
 
@@ -58,109 +51,6 @@ fn parse_fills_defaults_for_optional_fields_but_validation_still_gates() {
     // validate: default schema 0 and empty metric sets are rejected.
     let err = BenchSnapshot::parse("{}").expect_err("defaults must not validate");
     assert!(err.contains("schema"), "unexpected error: {err}");
-}
-
-// ---------------------------------------------------------------------------
-// Tolerance math
-// ---------------------------------------------------------------------------
-
-#[test]
-fn verdict_boundaries_are_inclusive_at_warn_and_fail() {
-    let tol = Tolerance {
-        warn: 0.01,
-        fail: 0.10,
-    };
-    let eps = 1e-9;
-    // Improvements and flat results pass.
-    assert_eq!(verdict(0.5, 1.0, tol), Verdict::Pass);
-    assert_eq!(verdict(1.0, 1.0, tol), Verdict::Pass);
-    // Exactly 1 + warn still passes; just above warns.
-    assert_eq!(verdict(1.0 + tol.warn, 1.0, tol), Verdict::Pass);
-    assert_eq!(verdict(1.0 + tol.warn + eps, 1.0, tol), Verdict::Warn);
-    // Exactly 1 + fail still warns; just above fails.
-    assert_eq!(verdict(1.0 + tol.fail, 1.0, tol), Verdict::Warn);
-    assert_eq!(verdict(1.0 + tol.fail + eps, 1.0, tol), Verdict::Fail);
-}
-
-#[test]
-fn verdict_fails_closed_on_degenerate_numbers() {
-    let tol = SIM_TOLERANCE;
-    assert_eq!(verdict(f64::NAN, 1.0, tol), Verdict::Fail);
-    assert_eq!(verdict(1.0, f64::NAN, tol), Verdict::Fail);
-    assert_eq!(verdict(f64::INFINITY, 1.0, tol), Verdict::Fail);
-    assert_eq!(verdict(1.0, 0.0, tol), Verdict::Fail);
-    assert_eq!(verdict(-1.0, 1.0, tol), Verdict::Fail);
-}
-
-#[test]
-fn worst_orders_pass_warn_fail() {
-    let row = |v: Verdict| CompareRow {
-        metric: "m".to_string(),
-        baseline: 1.0,
-        current: 1.0,
-        verdict: v,
-    };
-    assert_eq!(worst(&[]), Verdict::Pass);
-    assert_eq!(worst(&[row(Verdict::Pass)]), Verdict::Pass);
-    assert_eq!(
-        worst(&[row(Verdict::Pass), row(Verdict::Warn)]),
-        Verdict::Warn
-    );
-    assert_eq!(
-        worst(&[row(Verdict::Warn), row(Verdict::Fail), row(Verdict::Pass)]),
-        Verdict::Fail
-    );
-}
-
-#[test]
-fn compare_applies_the_right_tolerance_per_metric_family() {
-    let baseline = sample("BENCH_0001");
-    let mut current = sample("BENCH_0002");
-    // +1% on a slowdown: over SIM warn (0.5%), under SIM fail (2%).
-    current.policies[0].slowdown_75 *= 1.01;
-    // +100% on the wall-clock: over WALL warn (50%), under WALL fail (300%).
-    current.wall_clocks[0].median_ns *= 2.0;
-    let rows = compare(&current, &baseline);
-    assert_eq!(
-        rows.len(),
-        2 * baseline.policies.len() + baseline.wall_clocks.len()
-    );
-    let by_name = |m: &str| {
-        rows.iter()
-            .find(|r| r.metric == m)
-            .unwrap_or_else(|| panic!("missing row {m}"))
-    };
-    assert_eq!(by_name("slowdown75/LRU").verdict, Verdict::Warn);
-    assert_eq!(by_name("slowdown50/LRU").verdict, Verdict::Pass);
-    assert_eq!(by_name("slowdown75/HPE").verdict, Verdict::Pass);
-    assert_eq!(by_name("wall/run/STN/HPE/75%").verdict, Verdict::Warn);
-    assert_eq!(worst(&rows), Verdict::Warn);
-    // Sanity: the same +100% under the SIM tolerance would fail.
-    assert_eq!(verdict(2.0, 1.0, SIM_TOLERANCE), Verdict::Fail);
-    assert_eq!(verdict(2.0, 1.0, WALL_TOLERANCE), Verdict::Warn);
-}
-
-#[test]
-fn compare_fails_metrics_missing_from_current_and_ignores_new_ones() {
-    let baseline = sample("BENCH_0001");
-    let mut current = sample("BENCH_0002");
-    // Drop LRU from the current collection and add a policy the
-    // baseline never measured.
-    current.policies.retain(|p| p.policy != "LRU");
-    current.policies.push(PolicyPerf {
-        policy: "CLOCK".to_string(),
-        slowdown_75: 1.5,
-        slowdown_50: 1.4,
-    });
-    let rows = compare(&current, &baseline);
-    // Baseline metrics only: 2 per baseline policy + baseline walls.
-    assert_eq!(rows.len(), 2 * baseline.policies.len() + 1);
-    assert!(rows
-        .iter()
-        .filter(|r| r.metric.ends_with("/LRU"))
-        .all(|r| r.verdict == Verdict::Fail && r.current.is_nan()));
-    assert!(!rows.iter().any(|r| r.metric.ends_with("/CLOCK")));
-    assert_eq!(worst(&rows), Verdict::Fail);
 }
 
 // ---------------------------------------------------------------------------
@@ -196,12 +86,6 @@ fn malformed_snapshots_are_rejected_with_readable_errors() {
         let mut snap = sample("BENCH_0001");
         snap.policies[0].slowdown_50 = bad;
         assert!(snap.validate().is_err(), "slowdown {bad} must be rejected");
-        let mut snap = sample("BENCH_0001");
-        snap.wall_clocks[0].median_ns = bad;
-        assert!(
-            snap.validate().is_err(),
-            "wall-clock {bad} must be rejected"
-        );
     }
 
     // A field with the wrong JSON type fails at the FromJson layer.
@@ -214,18 +98,37 @@ fn malformed_snapshots_are_rejected_with_readable_errors() {
 // ---------------------------------------------------------------------------
 
 #[test]
-fn the_repo_records_a_valid_first_snapshot() {
-    // Satellite acceptance: BENCH_0001.json exists in-repo and validates.
+fn every_committed_snapshot_loads_and_validates() {
+    // BENCH_0001..0005 also carry the retired `wall_clocks` array; the
+    // parser must skip it, not reject the file.
     let dir = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../benchmarks");
-    let first = dir.join("BENCH_0001.json");
-    assert!(
-        first.exists(),
-        "benchmarks/BENCH_0001.json missing — record it with `hpe-lab bench-snapshot`"
-    );
-    let snap = BenchSnapshot::load(&first).expect("in-repo snapshot validates");
-    assert_eq!(snap.id, "BENCH_0001");
-    assert_eq!(snap.schema, BENCH_SCHEMA_VERSION);
-    assert_eq!(snap.apps.len(), 23, "snapshot covers the full app grid");
-    assert!(snap.policies.iter().any(|p| p.policy == "HPE"));
+    let mut paths: Vec<_> = std::fs::read_dir(&dir)
+        .expect("benchmarks/ is readable")
+        .map(|entry| entry.unwrap().path())
+        .filter(|p| {
+            let name = p.file_name().unwrap().to_string_lossy();
+            name.starts_with("BENCH_") && name.ends_with(".json")
+        })
+        .collect();
+    paths.sort();
+    assert!(!paths.is_empty(), "no benchmarks/BENCH_*.json committed");
+    for path in &paths {
+        let snap = BenchSnapshot::load(path).unwrap_or_else(|e| panic!("{e}"));
+        let stem = path.file_stem().unwrap().to_string_lossy();
+        assert_eq!(
+            snap.id,
+            stem,
+            "{}: id does not match the file name",
+            path.display()
+        );
+        assert_eq!(
+            snap.apps.len(),
+            23,
+            "{}: not the full app grid",
+            path.display()
+        );
+        assert!(snap.policies.iter().any(|p| p.policy == "HPE"));
+    }
+    assert_eq!(latest(&dir).as_ref(), paths.last());
     assert!(next_id(&dir).starts_with("BENCH_"));
 }

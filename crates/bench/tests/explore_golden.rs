@@ -7,21 +7,46 @@
 //! the *same counterexample bytes* on every rerun and for every worker
 //! count — that determinism is what makes a shrunk repro trustworthy.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use hpe_bench::{bench_config, replay_repro, repro_for, run_explore};
 use uvm_sim::{ExploreSpec, FaultFamily};
 use uvm_util::{FromJson, Json, ToJson};
 
+fn fixture_dir() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../fixtures/explore")
+}
+
+/// Parses `fixtures/explore/<name>` strictly and validates it, panicking
+/// with the file name on the first problem.
 fn load_spec(name: &str) -> ExploreSpec {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../../fixtures/explore")
-        .join(name);
+    let path = fixture_dir().join(name);
     let text = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
-    let spec = ExploreSpec::from_json(&Json::parse(&text).unwrap()).unwrap();
-    spec.validate().unwrap();
+    let json = Json::parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+    let spec = ExploreSpec::from_json(&json).unwrap_or_else(|e| panic!("{name}: {e}"));
+    spec.validate().unwrap_or_else(|e| panic!("{name}: {e}"));
     spec
+}
+
+/// Every JSON spec under `fixtures/explore/` parses as an `ExploreSpec`
+/// and validates, so a broken fixture fails here rather than when
+/// someone runs it.
+#[test]
+fn every_explore_fixture_parses_and_validates() {
+    let mut names: Vec<String> = std::fs::read_dir(fixture_dir())
+        .expect("fixtures/explore is readable")
+        .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|name| name.ends_with(".json"))
+        .collect();
+    names.sort();
+    assert!(
+        names.len() >= 2,
+        "expected the committed specs, found {names:?}"
+    );
+    for name in &names {
+        load_spec(name);
+    }
 }
 
 #[test]

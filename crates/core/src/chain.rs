@@ -381,11 +381,6 @@ impl PageSetChain {
     pub fn entry(&self, key: SetKey) -> Option<&SetEntry> {
         self.entries.get(&key)
     }
-
-    /// Iterates all live entries in unspecified order (diagnostics).
-    pub fn iter_entries(&self) -> impl Iterator<Item = &SetEntry> {
-        self.entries.values() // lint:allow(hash-iteration) — order documented as unspecified
-    }
 }
 
 #[cfg(test)]

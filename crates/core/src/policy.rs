@@ -68,7 +68,6 @@ pub struct Hpe {
     faults_in_interval: u32,
     classification: Option<Classification>,
     old_sets_at_full: Option<usize>,
-    counters_at_full: Option<Vec<u32>>,
     selections: u64,
     mruc_searches: u64,
     mruc_comparisons: u64,
@@ -130,7 +129,6 @@ impl Hpe {
             faults_in_interval: 0,
             classification: None,
             old_sets_at_full: None,
-            counters_at_full: None,
             selections: 0,
             mruc_searches: 0,
             mruc_comparisons: 0,
@@ -171,12 +169,6 @@ impl Hpe {
     /// regular-application jump rule).
     pub fn old_sets_at_full(&self) -> Option<usize> {
         self.old_sets_at_full
-    }
-
-    /// The per-set counter values snapshotted at first memory-full
-    /// (diagnostics: the raw data behind Fig. 9's ratios).
-    pub fn counters_at_full(&self) -> Option<&[u32]> {
-        self.counters_at_full.as_deref()
     }
 
     /// The active eviction strategy.
@@ -329,7 +321,6 @@ impl Hpe {
                 .set_category(classification.category, old_sets, fault_num);
             self.classification = Some(classification);
             self.old_sets_at_full = Some(old_sets);
-            self.counters_at_full = Some(self.chain.iter_entries().map(|e| e.counter).collect());
             self.classification_pending = false;
         }
         self.degraded = false;
@@ -472,7 +463,6 @@ impl EvictionPolicy for Hpe {
         let stats = self.chain.counter_stats();
         let old_sets = self.chain.old_len();
         self.old_sets_at_full = Some(old_sets);
-        self.counters_at_full = Some(self.chain.iter_entries().map(|e| e.counter).collect());
         if stats.regular + stats.irregular == 0 {
             // No counter samples: ratio₁ is 0/0 and Table III's categories
             // are undefined. Fall back to LRU until samples accumulate.

@@ -2,8 +2,8 @@
 //!
 //! The reproduction's value rests on properties no compiler checks:
 //! bit-exact determinism (golden traces, checkpoint byte-identity),
-//! hermeticity (no external crates), error discipline (typed `SimError`
-//! instead of panics), and fidelity to the paper's constants. This crate
+//! error discipline (typed `SimError` instead of panics), and fidelity
+//! to the paper's constants. This crate
 //! enforces them as machine-checkable rules over the source tree, built
 //! on a hand-rolled Rust lexer (no `syn`, no `regex` — the workspace is
 //! its own toolchain). One lex pass ([`lexer`]) produces both a blanked
@@ -17,7 +17,6 @@
 //! | Family | Rules | Scope |
 //! |---|---|---|
 //! | `determinism` | `wall-clock`, `hash-iteration`, `randomness` | `crates/{sim,core,policies,workloads}/src` |
-//! | `hermeticity` | `external-import` | every `.rs` file |
 //! | `error-discipline` | `unwrap` | `crates/{sim,core,policies}/src`, non-test |
 //! | `paper-constants` | `paper-constants` | manifest files (see [`manifest::MANIFEST`]) |
 //! | `panic-reachability` | `panic-reachability` | call graph from `Simulation::run` / `Pool::run` / worker roots |
@@ -70,8 +69,6 @@ pub enum RuleFamily {
     /// Bans wall-clock reads, hash-order iteration, and non-seeded
     /// randomness in the deterministic crates.
     Determinism,
-    /// Bans imports of crates outside the workspace.
-    Hermeticity,
     /// Bans `.unwrap()` / `.expect(` / `panic!` in non-test library code
     /// without an inline allow annotation.
     ErrorDiscipline,
@@ -93,7 +90,6 @@ impl RuleFamily {
     /// Every family, in reporting order.
     pub const ALL: &'static [RuleFamily] = &[
         RuleFamily::Determinism,
-        RuleFamily::Hermeticity,
         RuleFamily::ErrorDiscipline,
         RuleFamily::PaperConstants,
         RuleFamily::PanicReachability,
@@ -101,13 +97,12 @@ impl RuleFamily {
         RuleFamily::StaleAllow,
     ];
 
-    /// The CLI label (`determinism`, `hermeticity`, `error-discipline`,
-    /// `paper-constants`, `panic-reachability`,
-    /// `determinism-taint`, `stale-allow`).
+    /// The CLI label (`determinism`, `error-discipline`,
+    /// `paper-constants`, `panic-reachability`, `determinism-taint`,
+    /// `stale-allow`).
     pub fn label(self) -> &'static str {
         match self {
             RuleFamily::Determinism => "determinism",
-            RuleFamily::Hermeticity => "hermeticity",
             RuleFamily::ErrorDiscipline => "error-discipline",
             RuleFamily::PaperConstants => "paper-constants",
             RuleFamily::PanicReachability => "panic-reachability",

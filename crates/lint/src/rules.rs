@@ -24,8 +24,6 @@ pub const RULE_WALL_CLOCK: &str = "wall-clock";
 pub const RULE_HASH_ITERATION: &str = "hash-iteration";
 /// Rule id: randomness not drawn from `uvm_util::rng`.
 pub const RULE_RANDOMNESS: &str = "randomness";
-/// Rule id: import of a crate outside the workspace.
-pub const RULE_EXTERNAL_IMPORT: &str = "external-import";
 /// Rule id: `.unwrap()` / `.expect(` / `panic!` in non-test library code.
 pub const RULE_UNWRAP: &str = "unwrap";
 /// Rule id: a literal in a config constructor drifted from the paper's
@@ -45,14 +43,12 @@ pub const RULE_STALE_ALLOW: &str = "stale-allow";
 /// `stale-allow` rule only judges an unused allow when *every* family
 /// listed here ran in the same invocation (so a partial `--rules` run
 /// cannot misread a cross-family allow as stale). Ids mapped to an
-/// empty list are owned by rules that never consume allows (or live
-/// outside this library, like the binary-level `explore-specs` rule)
-/// and are never judged; unknown ids are always stale.
+/// empty list are owned by rules that never consume allows and are
+/// never judged; unknown ids are always stale.
 const ALLOW_CONSUMERS: &[(&str, &[RuleFamily])] = &[
     (RULE_WALL_CLOCK, &[RuleFamily::Determinism]),
     (RULE_HASH_ITERATION, &[RuleFamily::Determinism]),
     (RULE_RANDOMNESS, &[RuleFamily::Determinism]),
-    (RULE_EXTERNAL_IMPORT, &[RuleFamily::Hermeticity]),
     (
         RULE_UNWRAP,
         &[RuleFamily::ErrorDiscipline, RuleFamily::PanicReachability],
@@ -61,7 +57,6 @@ const ALLOW_CONSUMERS: &[(&str, &[RuleFamily])] = &[
     (RULE_PANIC_REACHABILITY, &[RuleFamily::PanicReachability]),
     (RULE_RNG_TAINT, &[RuleFamily::DeterminismTaint]),
     (RULE_STALE_ALLOW, &[RuleFamily::StaleAllow]),
-    ("explore-specs", &[]),
 ];
 
 /// Crate-path prefixes whose code must be bit-exact deterministic.
@@ -77,26 +72,6 @@ const ERROR_DISCIPLINE_SCOPE: &[&str] = &[
     "crates/sim/src/",
     "crates/core/src/",
     "crates/policies/src/",
-];
-
-/// Import roots that keep the workspace hermetic: the language /
-/// standard-library roots plus every workspace crate.
-const ALLOWED_IMPORT_ROOTS: &[&str] = &[
-    "std",
-    "core",
-    "alloc",
-    "crate",
-    "self",
-    "super",
-    "uvm_util",
-    "uvm_types",
-    "uvm_workloads",
-    "uvm_policies",
-    "uvm_sim",
-    "uvm_lint",
-    "hpe_core",
-    "hpe_bench",
-    "hpe",
 ];
 
 /// APIs that read the wall clock or a date — nondeterministic across
@@ -246,9 +221,6 @@ pub fn scan_lines(
             &mut diags,
         );
         scan_hash_iteration(rel_path, lines, tracker, &mut diags);
-    }
-    if families.contains(&RuleFamily::Hermeticity) {
-        scan_imports(rel_path, lines, tracker, &mut diags);
     }
     if families.contains(&RuleFamily::ErrorDiscipline) && in_scope(rel_path, ERROR_DISCIPLINE_SCOPE)
     {
@@ -491,79 +463,6 @@ fn scan_unwraps(
             }
         }
     }
-}
-
-/// Hermeticity rule: every `use` / `extern crate` must resolve inside
-/// the workspace or the standard library. Paths rooted at a module the
-/// file itself declares (`mod engine;` → `pub use engine::Sim;`) are
-/// local, not external.
-fn scan_imports(
-    rel_path: &str,
-    lines: &[LineInfo],
-    tracker: &mut AllowTracker,
-    diags: &mut Vec<Diagnostic>,
-) {
-    let local_mods = collect_local_mods(lines);
-    for (n, line) in lines.iter().enumerate() {
-        let trimmed = line.code.trim_start();
-        let path = if let Some(rest) = trimmed.strip_prefix("extern crate ") {
-            rest
-        } else if let Some(rest) = trimmed
-            .strip_prefix("pub use ")
-            .or_else(|| trimmed.strip_prefix("pub(crate) use "))
-            .or_else(|| trimmed.strip_prefix("pub(super) use "))
-            .or_else(|| trimmed.strip_prefix("use "))
-        {
-            rest
-        } else {
-            continue;
-        };
-        let path = path.trim_start_matches("::");
-        let root: String = path.chars().take_while(|&c| is_ident_char(c)).collect();
-        if root.is_empty() {
-            continue;
-        }
-        if !ALLOWED_IMPORT_ROOTS.contains(&root.as_str())
-            && !local_mods.contains(&root)
-            && !tracker.allowed(rel_path, lines, n, RULE_EXTERNAL_IMPORT)
-        {
-            diags.push(Diagnostic::new(
-                rel_path,
-                n as u64 + 1,
-                RULE_EXTERNAL_IMPORT,
-                format!("import of external crate `{root}`; the workspace is hermetic"),
-            ));
-        }
-    }
-}
-
-/// Module names the file declares itself (`mod x;`, `pub mod x;`,
-/// `mod x {`) — valid un-prefixed import roots within the file.
-fn collect_local_mods(lines: &[LineInfo]) -> Vec<String> {
-    let mut mods = Vec::new();
-    for line in lines {
-        let trimmed = line.code.trim_start();
-        let rest = if let Some(rest) = trimmed.strip_prefix("mod ") {
-            rest
-        } else if let Some(after_pub) = trimmed.strip_prefix("pub") {
-            // `pub mod x;`, `pub(crate) mod x;`, ...
-            let after_vis = after_pub
-                .strip_prefix("(crate)")
-                .or_else(|| after_pub.strip_prefix("(super)"))
-                .unwrap_or(after_pub);
-            match after_vis.trim_start().strip_prefix("mod ") {
-                Some(rest) => rest,
-                None => continue,
-            }
-        } else {
-            continue;
-        };
-        let name: String = rest.chars().take_while(|&c| is_ident_char(c)).collect();
-        if !name.is_empty() {
-            mods.push(name);
-        }
-    }
-    mods
 }
 
 /// Determinism rule: iteration over hash containers.
@@ -812,29 +711,11 @@ mod tests {
     }
 
     #[test]
-    fn external_imports_flagged_workspace_allowed() {
-        let text = "use serde::Serialize;\nuse std::fmt;\nuse uvm_util::ToJson;\nuse crate::x;\n";
-        let d = scan_at("crates/types/src/a.rs", text, RuleFamily::Hermeticity);
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].line, 1);
-        assert!(d[0].message.contains("serde"));
-    }
-
-    #[test]
     fn standalone_allow_line_covers_the_next_code_line() {
         let text = "fn f() {\n  // lint:allow(unwrap) — guarded by the caller\n  x.unwrap();\n  y.unwrap();\n}\n";
         let d = scan_at("crates/sim/src/a.rs", text, RuleFamily::ErrorDiscipline);
         assert_eq!(d.len(), 1, "{d:?}");
         assert_eq!(d[0].line, 4);
-    }
-
-    #[test]
-    fn local_module_reexports_are_allowed() {
-        let text = "pub mod engine;\nmod detail;\npub use engine::Sim;\nuse detail::helper;\nuse report::Row;\n";
-        let d = scan_at("crates/sim/src/lib.rs", text, RuleFamily::Hermeticity);
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].line, 5);
-        assert!(d[0].message.contains("report"));
     }
 
     #[test]

@@ -19,7 +19,6 @@ use uvm_lint::{check_source, check_workspace, report_json, Diagnostic, RuleFamil
 /// Each fixture with the workspace path it impersonates.
 const FIXTURES: &[(&str, &str)] = &[
     ("determinism.rs", "crates/sim/src/fixture_determinism.rs"),
-    ("hermeticity.rs", "crates/util/src/fixture_hermeticity.rs"),
     (
         "error_discipline.rs",
         "crates/core/src/fixture_error_discipline.rs",
@@ -67,13 +66,6 @@ fn determinism_fixture_reports_every_rule_with_location() {
     assert!(d
         .iter()
         .all(|d| d.file == "crates/sim/src/fixture_determinism.rs"));
-}
-
-#[test]
-fn hermeticity_fixture_reports_external_import() {
-    let d = lint_fixture("hermeticity.rs");
-    assert_eq!(lines_and_rules(&d), vec![(3, "external-import")], "{d:?}");
-    assert!(d[0].message.contains("serde"));
 }
 
 #[test]

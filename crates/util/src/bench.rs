@@ -62,60 +62,6 @@ impl Criterion {
         b.report(name);
         self
     }
-
-    /// Times `routine` with the same warmup/calibration as
-    /// [`Criterion::bench_function`] but returns the samples instead of
-    /// printing them.
-    pub fn measure<R>(&mut self, routine: impl FnMut() -> R) -> Measurement {
-        let mut b = Bencher {
-            target: self.target,
-            fast: self.fast,
-            samples_ns: Vec::new(),
-        };
-        b.iter(routine);
-        Measurement::from_samples(b.samples_ns)
-    }
-}
-
-/// A completed set of timing samples (nanoseconds per iteration),
-/// sorted ascending. Returned by [`Criterion::measure`] so callers —
-/// the bench-snapshot perf trajectory, notably — can record wall-clocks
-/// programmatically instead of scraping stdout.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Measurement {
-    samples_ns: Vec<f64>,
-}
-
-impl Measurement {
-    /// Wraps raw per-iteration samples (sorted internally).
-    pub fn from_samples(mut samples_ns: Vec<f64>) -> Self {
-        samples_ns.sort_by(|a, b| a.total_cmp(b));
-        Measurement { samples_ns }
-    }
-
-    /// Median nanoseconds per iteration (0 for an empty measurement).
-    pub fn median_ns(&self) -> f64 {
-        if self.samples_ns.is_empty() {
-            0.0
-        } else {
-            self.samples_ns[self.samples_ns.len() / 2]
-        }
-    }
-
-    /// Fastest sample (0 for an empty measurement).
-    pub fn min_ns(&self) -> f64 {
-        self.samples_ns.first().copied().unwrap_or(0.0)
-    }
-
-    /// Slowest sample (0 for an empty measurement).
-    pub fn max_ns(&self) -> f64 {
-        self.samples_ns.last().copied().unwrap_or(0.0)
-    }
-
-    /// All samples, ascending.
-    pub fn samples(&self) -> &[f64] {
-        &self.samples_ns
-    }
 }
 
 /// Times one benchmark routine.
@@ -295,32 +241,6 @@ mod tests {
         });
         assert_eq!(setups, runs);
         assert!(runs > 0);
-    }
-
-    #[test]
-    fn measure_returns_sorted_samples() {
-        let mut c = fast_criterion();
-        let mut count = 0u64;
-        let m = c.measure(|| {
-            count += 1;
-            black_box(count)
-        });
-        assert!(count > 0);
-        assert!(!m.samples().is_empty());
-        assert!(m.min_ns() <= m.median_ns() && m.median_ns() <= m.max_ns());
-        assert!(m.samples().windows(2).all(|w| w[0] <= w[1]));
-    }
-
-    #[test]
-    fn measurement_handles_edge_cases() {
-        let empty = Measurement::from_samples(Vec::new());
-        assert_eq!(empty.median_ns(), 0.0);
-        assert_eq!(empty.min_ns(), 0.0);
-        assert_eq!(empty.max_ns(), 0.0);
-        let m = Measurement::from_samples(vec![3.0, 1.0, 2.0]);
-        assert_eq!(m.median_ns(), 2.0);
-        assert_eq!(m.min_ns(), 1.0);
-        assert_eq!(m.max_ns(), 3.0);
     }
 
     #[test]

@@ -1,11 +1,14 @@
 #!/usr/bin/env sh
-# Full repo verification: formatting, hermetic offline build, and the
+# Full repo verification: formatting, hermetic offline build, the
 # complete workspace test suite (tier-1 is the build + root-package
-# tests; this script is a superset).
+# tests; this script is a superset), smokes, the full lint, the
+# benchmark/ smoke (which also pins the simulation metrics against the
+# latest benchmarks/BENCH_*.json) and clippy. Each check runs once.
 #
 # The workspace has zero external dependencies — `--offline` must
-# succeed with an empty registry cache. If it ever starts failing with
-# a missing-crate error, a dependency leaked in; see DESIGN.md §7.
+# succeed with an empty registry cache, and the lockfile test
+# (tests/lockfile.rs) fails if Cargo.lock gains a registry source; see
+# DESIGN.md §7.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -41,18 +44,14 @@ cargo run -q --release --offline -p hpe-bench --bin hpe-chaos -- resume > /dev/n
 cargo run -q --release --offline -p hpe-bench --bin hpe-chaos -- resume --plan victim-drop \
     --fallback lru-shadow --retry > /dev/null
 
-echo "==> hpe-lint: error-discipline gate (replaces the old awk unwrap counter)"
-# Every .unwrap()/.expect(/panic! in non-test sim/core/policies code must
-# either propagate SimError instead, or carry an inline justification as
-# `// lint:allow(unwrap)` at the call site. No central baseline number:
-# the allowlist lives next to the code it excuses. See DESIGN.md §10.
-cargo run -q --release --offline -p hpe-bench --bin hpe-lint -- check --rules error-discipline
-
 echo "==> hpe-lint: full static analysis (all families incl. call-graph rules)"
 # Exit codes: 0 clean, 1 violations (file:line listed above the summary),
-# 2 internal error — same convention as hpe-chaos. The sweep includes
-# the symbol-aware v2 families (panic-reachability, determinism-taint,
-# stale-allow) and must stay interactive: budget 5 s wall clock.
+# 2 internal error — same convention as hpe-chaos. The sweep covers every
+# family, error-discipline (each .unwrap()/.expect(/panic! in non-test
+# sim/core/policies code propagates SimError or carries an inline
+# `// lint:allow(unwrap)`) and the symbol-aware ones (panic-reachability,
+# determinism-taint, stale-allow), and must stay interactive: budget 5 s
+# wall clock. See DESIGN.md §10.
 lint_start=$(date +%s)
 cargo run -q --release --offline -p hpe-bench --bin hpe-lint -- check
 lint_elapsed=$(( $(date +%s) - lint_start ))
@@ -102,16 +101,6 @@ cargo clippy -q --offline --workspace --all-targets -- -D warnings
 if [ "${CHECK_FIGURES:-0}" = "1" ]; then
     echo "==> figure shape check (CHECK_FIGURES=1)"
     sh scripts/check_figures.sh
-fi
-
-if [ "${CHECK_BENCH:-0}" = "1" ]; then
-    echo "==> bench regression gate (CHECK_BENCH=1)"
-    # Collects a fresh perf snapshot and compares it against the
-    # highest-numbered benchmarks/BENCH_*.json under tolerance: the
-    # simulation metrics are deterministic (tight tolerance), the
-    # wall-clocks are noisy (loose tolerance, hence the env gate).
-    # Exit codes: 0 pass/warn, 1 regression, 2 usage.
-    cargo run -q --release --offline -p hpe-bench --bin hpe-lab -- bench-check --workers 8
 fi
 
 if [ "${CHECK_EXPLORE:-0}" = "1" ]; then
