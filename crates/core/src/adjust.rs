@@ -16,49 +16,11 @@
 //!   explored first (without this, the longer-time comparison could never
 //!   leave the initial strategy, contradicting the BFS trace in Fig. 13).
 
-use std::collections::{HashMap, VecDeque};
-
+use uvm_policies::EvictionWindow;
 use uvm_types::PageId;
 
 use crate::classify::Category;
 use crate::config::{HpeConfig, StrategyKind};
-
-/// A fixed-depth FIFO of evicted pages with O(1) membership tests.
-#[derive(Debug, Default)]
-struct EvictionFifo {
-    order: VecDeque<PageId>,
-    counts: HashMap<PageId, u32>,
-    depth: usize,
-}
-
-impl EvictionFifo {
-    fn new(depth: usize) -> Self {
-        EvictionFifo {
-            order: VecDeque::with_capacity(depth),
-            counts: HashMap::new(),
-            depth,
-        }
-    }
-
-    fn push(&mut self, page: PageId) {
-        self.order.push_back(page);
-        *self.counts.entry(page).or_insert(0) += 1;
-        if self.order.len() > self.depth {
-            if let Some(old) = self.order.pop_front() {
-                if let Some(c) = self.counts.get_mut(&old) {
-                    *c -= 1;
-                    if *c == 0 {
-                        self.counts.remove(&old);
-                    }
-                }
-            }
-        }
-    }
-
-    fn contains(&self, page: PageId) -> bool {
-        self.counts.contains_key(&page)
-    }
-}
 
 /// The dynamic-adjustment state machine.
 #[derive(Debug)]
@@ -75,8 +37,8 @@ pub struct Adjuster {
     strategy: StrategyKind,
     jump: u32,
     small_footprint: bool,
-    fifo_lru: EvictionFifo,
-    fifo_mruc: EvictionFifo,
+    fifo_lru: EvictionWindow,
+    fifo_mruc: EvictionWindow,
     wrong_count: u32,
     intervals_lru: u64,
     intervals_mruc: u64,
@@ -99,8 +61,8 @@ impl Adjuster {
             strategy: initial,
             jump: 0,
             small_footprint: false,
-            fifo_lru: EvictionFifo::new(cfg.fifo_depth as usize),
-            fifo_mruc: EvictionFifo::new(cfg.fifo_depth as usize),
+            fifo_lru: EvictionWindow::new(cfg.fifo_depth as usize),
+            fifo_mruc: EvictionWindow::new(cfg.fifo_depth as usize),
             wrong_count: 0,
             intervals_lru: 0,
             intervals_mruc: 0,

@@ -19,10 +19,8 @@
 //! touched. The division result is remembered in a history buffer so
 //! re-migrated pages route to the right half (Fig. 6).
 
-use std::collections::HashMap;
-
 use uvm_policies::chain::RecencyChain;
-use uvm_types::{PageId, PageSetId};
+use uvm_types::{PageId, PageIndex, PageMap, PageSetId};
 
 use crate::config::{HpeConfig, StrategyKind};
 
@@ -34,6 +32,20 @@ pub struct SetKey {
     pub set: PageSetId,
     /// `true` for the secondary half of a divided set.
     pub secondary: bool,
+}
+
+/// Both halves of a set get adjacent slots: `set * 2 + secondary`.
+impl PageIndex for SetKey {
+    fn index(self) -> usize {
+        self.set.index() * 2 + usize::from(self.secondary)
+    }
+
+    fn from_index(index: usize) -> Self {
+        SetKey {
+            set: PageSetId::from_index(index / 2),
+            secondary: index % 2 == 1,
+        }
+    }
 }
 
 /// One chain entry (Fig. 5: tag, saturating counter, bit vector, flag).
@@ -105,12 +117,12 @@ pub struct PageSetChain {
     set_size: u32,
     counter_max: u32,
     division_enabled: bool,
-    entries: HashMap<SetKey, SetEntry>,
+    entries: PageMap<SetKey, SetEntry>,
     old: RecencyChain<SetKey>,
     middle: RecencyChain<SetKey>,
     new: RecencyChain<SetKey>,
     /// History buffer: primary bit masks from first divisions.
-    divisions: HashMap<PageSetId, u64>,
+    divisions: PageMap<PageSetId, u64>,
     divided_count: u64,
 }
 
@@ -122,11 +134,11 @@ impl PageSetChain {
             set_size: cfg.page_set_size,
             counter_max: cfg.counter_max,
             division_enabled: cfg.enable_division,
-            entries: HashMap::new(),
+            entries: PageMap::new(),
             old: RecencyChain::new(),
             middle: RecencyChain::new(),
             new: RecencyChain::new(),
-            divisions: HashMap::new(),
+            divisions: PageMap::new(),
             divided_count: 0,
         }
     }
@@ -144,7 +156,7 @@ impl PageSetChain {
     pub fn route(&self, page: PageId) -> (SetKey, u32) {
         let set = page.page_set(self.set_shift);
         let offset = page.set_offset(self.set_shift);
-        let secondary = match self.divisions.get(&set) {
+        let secondary = match self.divisions.get(set) {
             Some(primary_bits) => primary_bits & (1u64 << offset) == 0,
             None => false,
         };
@@ -158,7 +170,7 @@ impl PageSetChain {
         let (key, offset) = self.route(page);
         let mask = 1u64 << offset;
         let counter_max = self.counter_max;
-        let entry = self.entries.entry(key).or_insert_with(|| SetEntry {
+        let entry = self.entries.get_or_insert_with(key, || SetEntry {
             key,
             counter: 0,
             bits: 0,
@@ -184,10 +196,10 @@ impl PageSetChain {
         // result is kept; secondaries never divide again.
         if self.division_enabled && !key.secondary {
             let full = self.full_mask();
-            let entry = self.entries.get_mut(&key).expect("just inserted"); // lint:allow(unwrap) — inserted two lines up
+            let entry = self.entries.get_mut(key).expect("just inserted"); // lint:allow(unwrap) — inserted two lines up
             if entry.counter >= counter_max
                 && !entry.divided
-                && !self.divisions.contains_key(&key.set)
+                && !self.divisions.contains_key(key.set)
                 && entry.bits != full
                 && entry.bits != 0
             {
@@ -237,7 +249,7 @@ impl PageSetChain {
                 Partition::New => &self.new,
             };
             let entries = &self.entries;
-            let live = |k: &SetKey| entries.get(k).map(|e| e.resident != 0).unwrap_or(false);
+            let live = |k: &SetKey| entries.get(*k).is_some_and(|e| e.resident != 0);
             match strategy {
                 StrategyKind::Lru => {
                     let mut found = None;
@@ -270,11 +282,14 @@ impl PageSetChain {
                         .chain(chain.iter_rev().take(skip))
                     {
                         comparisons += 1;
-                        if !live(k) {
+                        let Some(c) = entries
+                            .get(*k)
+                            .filter(|e| e.resident != 0)
+                            .map(|e| e.counter)
+                        else {
                             zombies.push(*k);
                             continue;
-                        }
-                        let c = self.entries[k].counter;
+                        };
                         if c == self.set_size {
                             exact = Some(*k);
                             break;
@@ -296,7 +311,7 @@ impl PageSetChain {
             self.remove_key(z);
         }
         let key = chosen?;
-        let entry = self.entries.get_mut(&key).expect("chosen entry exists"); // lint:allow(unwrap) — key came from the live scan above
+        let entry = self.entries.get_mut(key).expect("chosen entry exists"); // lint:allow(unwrap) — key came from the live scan above
         let offset = entry
             .first_resident_offset()
             .expect("chosen entry has a resident page"); // lint:allow(unwrap) — zombies were pruned above
@@ -313,7 +328,7 @@ impl PageSetChain {
     }
 
     fn remove_key(&mut self, key: SetKey) {
-        self.entries.remove(&key);
+        self.entries.remove(key);
         if !self.old.remove(&key) && !self.middle.remove(&key) {
             self.new.remove(&key);
         }
@@ -323,7 +338,6 @@ impl PageSetChain {
     pub fn counter_stats(&self) -> CounterStats {
         let s = self.set_size;
         let mut st = CounterStats::default();
-        // lint:allow(hash-iteration) — commutative accumulation
         for e in self.entries.values() {
             if e.counter == 0 {
                 continue;
@@ -374,12 +388,12 @@ impl PageSetChain {
 
     /// The recorded primary bit mask for `set`, if it was divided.
     pub fn division_of(&self, set: PageSetId) -> Option<u64> {
-        self.divisions.get(&set).copied()
+        self.divisions.get(set).copied()
     }
 
     /// Looks up an entry (diagnostics/tests).
     pub fn entry(&self, key: SetKey) -> Option<&SetEntry> {
-        self.entries.get(&key)
+        self.entries.get(key)
     }
 }
 

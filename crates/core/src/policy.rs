@@ -1,10 +1,12 @@
 //! The HPE eviction policy (Section IV), implementing
 //! [`uvm_policies::EvictionPolicy`].
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use uvm_policies::{EvictionPolicy, FaultOutcome};
-use uvm_types::{ConfigError, PageId, PolicyEvent, PolicyStats, SignalDisruption, StrategyTag};
+use uvm_types::{
+    ConfigError, PageId, PageMap, PolicyEvent, PolicyStats, SignalDisruption, StrategyTag,
+};
 
 use crate::adjust::Adjuster;
 use crate::chain::PageSetChain;
@@ -80,7 +82,7 @@ pub struct Hpe {
     trace_events: Vec<PolicyEvent>,
     /// Fault count at which each resident page was inserted (tracing
     /// only; empty otherwise).
-    resident_since: HashMap<PageId, u64>,
+    resident_since: PageMap<PageId, u64>,
     /// HIR conflict evictions already attributed to a flush event.
     conflicts_reported: u64,
     /// The GPU→driver HIR channel is currently down (injected outage).
@@ -137,7 +139,7 @@ impl Hpe {
             hir_entries_transferred: 0,
             tracing: false,
             trace_events: Vec::new(),
-            resident_since: HashMap::new(),
+            resident_since: PageMap::new(),
             conflicts_reported: 0,
             hir_channel_down: false,
             missed_flushes: 0,
@@ -487,7 +489,7 @@ impl EvictionPolicy for Hpe {
             if self.tracing {
                 let victim_age = self
                     .resident_since
-                    .remove(&sel.page)
+                    .remove(sel.page)
                     .map_or(0, |at| self.fault_count.saturating_sub(at));
                 self.trace_events.push(PolicyEvent::VictimSelected {
                     page: sel.page,
@@ -513,7 +515,7 @@ impl EvictionPolicy for Hpe {
         if self.tracing {
             let victim_age = self
                 .resident_since
-                .remove(&sel.page)
+                .remove(sel.page)
                 .map_or(0, |at| self.fault_count.saturating_sub(at));
             self.trace_events.push(PolicyEvent::VictimSelected {
                 page: sel.page,
@@ -544,7 +546,7 @@ impl EvictionPolicy for Hpe {
                 // bookkeeping knows the page (the chain is consulted on the
                 // next selection and tolerates stale entries).
                 if self.tracing {
-                    self.resident_since.remove(&page);
+                    self.resident_since.remove(page);
                 }
             }
             SignalDisruption::HirCircuitOpen => {
@@ -790,11 +792,11 @@ mod tests {
         // HPE must fault substantially less than the all-miss 400.
         struct Driver {
             h: Hpe,
-            resident: std::collections::HashSet<PageId>,
+            resident: uvm_types::PageSet<PageId>,
         }
         let mut d = Driver {
             h: hpe_with(|c| c.use_hir = false),
-            resident: std::collections::HashSet::new(),
+            resident: uvm_types::PageSet::new(),
         };
         let capacity = 96; // 6 sets
         let pages = 128u64; // 8 sets
@@ -803,7 +805,7 @@ mod tests {
         for _ in 0..6 {
             for p in 0..pages {
                 let page = PageId(p);
-                if d.resident.contains(&page) {
+                if d.resident.contains(page) {
                     d.h.on_walk_hit(page);
                     continue;
                 }
@@ -813,7 +815,7 @@ mod tests {
                         notified = true;
                     }
                     let v = d.h.select_victim().unwrap();
-                    assert!(d.resident.remove(&v));
+                    assert!(d.resident.remove(v));
                 }
                 d.h.on_fault(page, faults);
                 d.resident.insert(page);

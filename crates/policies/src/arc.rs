@@ -13,8 +13,7 @@
 //! [`EvictionPolicy::select_victim`], and the capacity `c` is learned at
 //! the first memory-full notification.
 
-use std::collections::HashMap;
-use uvm_types::{PageId, PolicyStats};
+use uvm_types::{PageId, PageMap, PolicyStats};
 
 use crate::chain::RecencyChain;
 use crate::{EvictionPolicy, FaultOutcome};
@@ -49,7 +48,7 @@ pub struct ArcPolicy {
     t2: RecencyChain<PageId>,
     b1: RecencyChain<PageId>,
     b2: RecencyChain<PageId>,
-    which: HashMap<PageId, List>,
+    which: PageMap<PageId, List>,
     /// Target size of T1; adapted on ghost hits.
     p: usize,
     /// Learned capacity (resident pages at first memory-full).
@@ -100,7 +99,7 @@ impl ArcPolicy {
             List::T2 => &mut self.t2,
         };
         if let Some(page) = chain.pop_lru() {
-            self.which.remove(&page);
+            self.which.remove(page);
         }
     }
 
@@ -123,7 +122,7 @@ impl EvictionPolicy for ArcPolicy {
     }
 
     fn on_walk_hit(&mut self, page: PageId) {
-        match self.which.get(&page) {
+        match self.which.get(page) {
             Some(List::T1) | Some(List::T2) => self.move_to(page, List::T2),
             _ => {}
         }
@@ -139,7 +138,7 @@ impl EvictionPolicy for ArcPolicy {
 
     fn on_fault(&mut self, page: PageId, _fault_num: u64) -> FaultOutcome {
         self.last_fault_from_b2 = false;
-        match self.which.get(&page).copied() {
+        match self.which.get(page).copied() {
             Some(List::B1) => {
                 // Case II: ghost hit in B1 -> grow the recency target.
                 let delta = (self.b2.len() / self.b1.len().max(1)).max(1);

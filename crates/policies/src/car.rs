@@ -3,8 +3,7 @@
 //! reference bits instead of strict LRU movement: hits only set a bit,
 //! and the replacement "hands" promote or rotate pages when they sweep.
 
-use std::collections::HashMap;
-use uvm_types::{PageId, PolicyStats};
+use uvm_types::{PageId, PageMap, PolicyStats};
 
 use crate::chain::RecencyChain;
 use crate::{EvictionPolicy, FaultOutcome};
@@ -39,8 +38,8 @@ pub struct Car {
     t2: RecencyChain<PageId>,
     b1: RecencyChain<PageId>,
     b2: RecencyChain<PageId>,
-    place: HashMap<PageId, Where>,
-    referenced: HashMap<PageId, bool>,
+    place: PageMap<PageId, Where>,
+    referenced: PageMap<PageId, bool>,
     p: usize,
     c: Option<usize>,
     stats: PolicyStats,
@@ -80,7 +79,7 @@ impl Car {
     }
 
     fn forget(&mut self, page: PageId) {
-        if let Some(from) = self.place.remove(&page) {
+        if let Some(from) = self.place.remove(page) {
             match from {
                 Where::T1 => self.t1.remove(&page),
                 Where::T2 => self.t2.remove(&page),
@@ -88,7 +87,7 @@ impl Car {
                 Where::B2 => self.b2.remove(&page),
             };
         }
-        self.referenced.remove(&page);
+        self.referenced.remove(page);
     }
 
     fn trim_ghosts(&mut self) {
@@ -113,7 +112,7 @@ impl EvictionPolicy for Car {
     }
 
     fn on_walk_hit(&mut self, page: PageId) {
-        if matches!(self.place.get(&page), Some(Where::T1) | Some(Where::T2)) {
+        if matches!(self.place.get(page), Some(Where::T1) | Some(Where::T2)) {
             self.referenced.insert(page, true);
         }
     }
@@ -127,7 +126,7 @@ impl EvictionPolicy for Car {
     }
 
     fn on_fault(&mut self, page: PageId, _fault_num: u64) -> FaultOutcome {
-        match self.place.get(&page).copied() {
+        match self.place.get(page).copied() {
             Some(Where::B1) => {
                 let delta = (self.b2.len() / self.b1.len().max(1)).max(1);
                 self.p = (self.p + delta).min(self.c.unwrap_or(usize::MAX));
@@ -166,25 +165,25 @@ impl EvictionPolicy for Car {
             let t1_first = self.t1.len() >= self.p.max(1) || self.t2.is_empty();
             if t1_first && !self.t1.is_empty() {
                 let head = *self.t1.lru().expect("nonempty"); // lint:allow(unwrap) — guarded by !is_empty above
-                if self.referenced.get(&head).copied().unwrap_or(false) {
+                if self.referenced.get(head).copied().unwrap_or(false) {
                     // Promote to the tail of T2 with the bit cleared.
                     self.referenced.insert(head, false);
                     self.relocate(head, Where::T2);
                 } else {
                     self.relocate(head, Where::B1);
-                    self.referenced.remove(&head);
+                    self.referenced.remove(head);
                     self.trim_ghosts();
                     return Some(head);
                 }
             } else {
                 let head = *self.t2.lru()?;
-                if self.referenced.get(&head).copied().unwrap_or(false) {
+                if self.referenced.get(head).copied().unwrap_or(false) {
                     // Rotate: clear the bit, move to the tail.
                     self.referenced.insert(head, false);
                     self.t2.touch(&head);
                 } else {
                     self.relocate(head, Where::B2);
-                    self.referenced.remove(&head);
+                    self.referenced.remove(head);
                     self.trim_ghosts();
                     return Some(head);
                 }

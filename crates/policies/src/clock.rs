@@ -2,8 +2,7 @@
 //! LRU approximation (Section VI-B). Inherits LRU's weakness on thrashing
 //! patterns, which this implementation lets you measure directly.
 
-use std::collections::HashMap;
-use uvm_types::{PageId, PolicyStats};
+use uvm_types::{PageId, PageMap, PolicyStats};
 
 use crate::{EvictionPolicy, FaultOutcome};
 
@@ -38,7 +37,7 @@ struct Node {
 pub struct Clock {
     nodes: Vec<Node>,
     free: Vec<usize>,
-    map: HashMap<PageId, usize>,
+    map: PageMap<PageId, usize>,
     hand: usize,
     stats: PolicyStats,
 }
@@ -49,7 +48,7 @@ impl Clock {
         Clock {
             nodes: Vec::new(),
             free: Vec::new(),
-            map: HashMap::new(),
+            map: PageMap::new(),
             hand: NIL,
             stats: PolicyStats::default(),
         }
@@ -112,13 +111,13 @@ impl EvictionPolicy for Clock {
     }
 
     fn on_walk_hit(&mut self, page: PageId) {
-        if let Some(&idx) = self.map.get(&page) {
+        if let Some(&idx) = self.map.get(page) {
             self.nodes[idx].referenced = true;
         }
     }
 
     fn on_fault(&mut self, page: PageId, _fault_num: u64) -> FaultOutcome {
-        if !self.map.contains_key(&page) {
+        if !self.map.contains_key(page) {
             self.insert_behind_hand(page);
         }
         FaultOutcome::default()
@@ -136,7 +135,7 @@ impl EvictionPolicy for Clock {
                 self.hand = self.nodes[idx].next;
             } else {
                 let victim = self.nodes[idx].page;
-                self.map.remove(&victim);
+                self.map.remove(victim);
                 self.unlink(idx);
                 return Some(victim);
             }

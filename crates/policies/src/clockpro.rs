@@ -19,8 +19,7 @@
 //! inserted directly as *hot* (its reuse distance is proven shorter than a
 //! hot page's).
 
-use std::collections::HashMap;
-use uvm_types::{PageId, PolicyStats};
+use uvm_types::{PageId, PageMap, PolicyStats};
 
 use crate::{EvictionPolicy, FaultOutcome};
 
@@ -80,7 +79,7 @@ pub struct ClockPro {
     cfg: ClockProConfig,
     nodes: Vec<Node>,
     free: Vec<usize>,
-    map: HashMap<PageId, usize>,
+    map: PageMap<PageId, usize>,
     hand_hot: usize,
     hand_cold: usize,
     hand_test: usize,
@@ -97,7 +96,7 @@ impl ClockPro {
             cfg,
             nodes: Vec::new(),
             free: Vec::new(),
-            map: HashMap::new(),
+            map: PageMap::new(),
             hand_hot: NIL,
             hand_cold: NIL,
             hand_test: NIL,
@@ -193,7 +192,7 @@ impl ClockPro {
     }
 
     fn release(&mut self, idx: usize) {
-        self.map.remove(&self.nodes[idx].page);
+        self.map.remove(self.nodes[idx].page);
         self.unlink(idx);
         self.free.push(idx);
     }
@@ -286,7 +285,7 @@ impl EvictionPolicy for ClockPro {
     }
 
     fn on_walk_hit(&mut self, page: PageId) {
-        if let Some(&idx) = self.map.get(&page) {
+        if let Some(&idx) = self.map.get(page) {
             if self.nodes[idx].status != Status::NonResident {
                 self.nodes[idx].referenced = true;
             }
@@ -294,7 +293,7 @@ impl EvictionPolicy for ClockPro {
     }
 
     fn on_fault(&mut self, page: PageId, _fault_num: u64) -> FaultOutcome {
-        if let Some(&idx) = self.map.get(&page) {
+        if let Some(&idx) = self.map.get(page) {
             match self.nodes[idx].status {
                 Status::NonResident => {
                     // Re-accessed within its test period: reuse distance is

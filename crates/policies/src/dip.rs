@@ -11,7 +11,7 @@ use uvm_types::{PageId, PolicyStats};
 use uvm_util::Rng;
 
 use crate::chain::RecencyChain;
-use crate::{EvictionPolicy, FaultOutcome};
+use crate::{EvictionPolicy, EvictionWindow, FaultOutcome};
 
 /// Bimodal insertion: incoming pages go to the LRU position except with
 /// probability `1/32`, which goes to MRU.
@@ -119,8 +119,7 @@ pub struct Dip {
     sample_faults: [u64; 2],
     /// Misses observed during each sample phase are just the faults; we
     /// count wrong-ish evictions via refaults on recently evicted pages.
-    recent: std::collections::VecDeque<PageId>,
-    recent_set: std::collections::HashMap<PageId, u32>,
+    recent: EvictionWindow,
     refaults: [u64; 2],
     follow_epochs: u32,
     stats: PolicyStats,
@@ -140,8 +139,7 @@ impl Dip {
             phase: 0,
             winner_is_bip: false,
             sample_faults: [0; 2],
-            recent: std::collections::VecDeque::new(),
-            recent_set: std::collections::HashMap::new(),
+            recent: EvictionWindow::new(128),
             refaults: [0; 2],
             follow_epochs: 0,
             stats: PolicyStats::default(),
@@ -153,20 +151,6 @@ impl Dip {
             0 => false,
             1 => true,
             _ => self.winner_is_bip,
-        }
-    }
-
-    fn remember(&mut self, page: PageId) {
-        self.recent.push_back(page);
-        *self.recent_set.entry(page).or_insert(0) += 1;
-        if self.recent.len() > 128 {
-            let old = self.recent.pop_front().expect("nonempty"); // lint:allow(unwrap) — len > 128 checked above
-            if let Some(c) = self.recent_set.get_mut(&old) {
-                *c -= 1;
-                if *c == 0 {
-                    self.recent_set.remove(&old);
-                }
-            }
         }
     }
 
@@ -211,7 +195,7 @@ impl EvictionPolicy for Dip {
     fn on_fault(&mut self, page: PageId, _fault_num: u64) -> FaultOutcome {
         if self.phase < 2 {
             self.sample_faults[self.phase as usize] += 1;
-            if self.recent_set.contains_key(&page) {
+            if self.recent.contains(page) {
                 self.refaults[self.phase as usize] += 1;
             }
         }
@@ -230,7 +214,7 @@ impl EvictionPolicy for Dip {
     fn select_victim(&mut self) -> Option<PageId> {
         self.stats.selections += 1;
         let victim = self.chain.pop_lru()?;
-        self.remember(victim);
+        self.recent.push(victim);
         Some(victim)
     }
 

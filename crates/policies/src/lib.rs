@@ -62,6 +62,7 @@ mod random;
 mod rrip;
 mod setlru;
 mod traced;
+mod window;
 mod wsclock;
 
 pub use arc::ArcPolicy;
@@ -76,6 +77,7 @@ pub use random::RandomPolicy;
 pub use rrip::{Rrip, RripConfig, RripInsertion};
 pub use setlru::SetLru;
 pub use traced::Traced;
+pub use window::EvictionWindow;
 pub use wsclock::{WsClock, WsClockConfig};
 
 use uvm_types::{PageId, PolicyEvent, PolicyStats, SignalDisruption};

@@ -1,7 +1,6 @@
 //! Uniform-random eviction (Zheng et al. found it competitive with LRU).
 
-use std::collections::HashMap;
-use uvm_types::{PageId, PolicyStats};
+use uvm_types::{PageId, PageMap, PolicyStats};
 use uvm_util::Rng;
 
 use crate::{EvictionPolicy, FaultOutcome};
@@ -24,7 +23,7 @@ use crate::{EvictionPolicy, FaultOutcome};
 #[derive(Debug)]
 pub struct RandomPolicy {
     pages: Vec<PageId>,
-    index: HashMap<PageId, usize>,
+    index: PageMap<PageId, usize>,
     rng: Rng,
     stats: PolicyStats,
 }
@@ -39,7 +38,7 @@ impl RandomPolicy {
     pub fn seeded(seed: u64) -> Self {
         RandomPolicy {
             pages: Vec::new(),
-            index: HashMap::new(),
+            index: PageMap::new(),
             rng: Rng::seed_from_u64(seed),
             stats: PolicyStats::default(),
         }
@@ -63,7 +62,7 @@ impl EvictionPolicy for RandomPolicy {
     }
 
     fn on_fault(&mut self, page: PageId, _fault_num: u64) -> FaultOutcome {
-        if !self.index.contains_key(&page) {
+        if !self.index.contains_key(page) {
             self.index.insert(page, self.pages.len());
             self.pages.push(page);
         }
@@ -77,7 +76,7 @@ impl EvictionPolicy for RandomPolicy {
         }
         let i = self.rng.gen_range(0..self.pages.len());
         let victim = self.pages.swap_remove(i);
-        self.index.remove(&victim);
+        self.index.remove(victim);
         if let Some(&moved) = self.pages.get(i) {
             self.index.insert(moved, i);
         }

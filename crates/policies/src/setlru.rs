@@ -5,8 +5,7 @@
 //! classification, and no adjustment. Comparing SetLru to both LRU and
 //! HPE separates "set granularity" from "the rest of HPE".
 
-use std::collections::HashMap;
-use uvm_types::{PageId, PageSetId, PolicyStats};
+use uvm_types::{PageId, PageMap, PageSetId, PolicyStats};
 
 use crate::chain::RecencyChain;
 use crate::{EvictionPolicy, FaultOutcome};
@@ -30,7 +29,7 @@ use crate::{EvictionPolicy, FaultOutcome};
 pub struct SetLru {
     set_shift: u32,
     chain: RecencyChain<PageSetId>,
-    resident: HashMap<PageSetId, u64>,
+    resident: PageMap<PageSetId, u64>,
     stats: PolicyStats,
 }
 
@@ -45,7 +44,7 @@ impl SetLru {
         SetLru {
             set_shift,
             chain: RecencyChain::new(),
-            resident: HashMap::new(),
+            resident: PageMap::new(),
             stats: PolicyStats::default(),
         }
     }
@@ -58,7 +57,7 @@ impl SetLru {
     /// Number of resident pages tracked.
     pub fn resident_len(&self) -> usize {
         self.resident
-            .values() // lint:allow(hash-iteration) — commutative popcount sum
+            .values()
             .map(|m| m.count_ones() as usize)
             .sum()
     }
@@ -77,7 +76,7 @@ impl EvictionPolicy for SetLru {
     fn on_fault(&mut self, page: PageId, _fault_num: u64) -> FaultOutcome {
         let set = page.page_set(self.set_shift);
         let mask = 1u64 << page.set_offset(self.set_shift);
-        *self.resident.entry(set).or_insert(0) |= mask;
+        *self.resident.get_or_insert_with(set, || 0) |= mask;
         self.chain.insert_mru(set);
         FaultOutcome::default()
     }
@@ -87,13 +86,13 @@ impl EvictionPolicy for SetLru {
         let set = *self.chain.lru()?;
         let mask = self
             .resident
-            .get_mut(&set)
+            .get_mut(set)
             .expect("chained set has a resident mask"); // lint:allow(unwrap) — chain and resident are kept in lockstep
         debug_assert_ne!(*mask, 0, "chained set has no resident pages");
         let offset = mask.trailing_zeros();
         *mask &= !(1u64 << offset);
         if *mask == 0 {
-            self.resident.remove(&set);
+            self.resident.remove(set);
             self.chain.remove(&set);
         }
         Some(set.page_at(self.set_shift, offset))

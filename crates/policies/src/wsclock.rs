@@ -7,8 +7,7 @@
 //! Virtual time advances with every page-walk event the policy observes
 //! (hits and faults), standing in for process virtual time.
 
-use std::collections::HashMap;
-use uvm_types::{PageId, PolicyStats};
+use uvm_types::{PageId, PageMap, PolicyStats};
 
 use crate::{EvictionPolicy, FaultOutcome};
 
@@ -55,7 +54,7 @@ pub struct WsClock {
     cfg: WsClockConfig,
     nodes: Vec<Node>,
     free: Vec<usize>,
-    map: HashMap<PageId, usize>,
+    map: PageMap<PageId, usize>,
     hand: usize,
     vtime: u64,
     stats: PolicyStats,
@@ -68,7 +67,7 @@ impl WsClock {
             cfg,
             nodes: Vec::new(),
             free: Vec::new(),
-            map: HashMap::new(),
+            map: PageMap::new(),
             hand: NIL,
             vtime: 0,
             stats: PolicyStats::default(),
@@ -133,14 +132,14 @@ impl EvictionPolicy for WsClock {
 
     fn on_walk_hit(&mut self, page: PageId) {
         self.vtime += 1;
-        if let Some(&idx) = self.map.get(&page) {
+        if let Some(&idx) = self.map.get(page) {
             self.nodes[idx].referenced = true;
         }
     }
 
     fn on_fault(&mut self, page: PageId, _fault_num: u64) -> FaultOutcome {
         self.vtime += 1;
-        if !self.map.contains_key(&page) {
+        if !self.map.contains_key(page) {
             self.insert_behind_hand(page);
         }
         FaultOutcome::default()
@@ -166,7 +165,7 @@ impl EvictionPolicy for WsClock {
             let age = self.vtime.saturating_sub(node.last_use);
             if age > self.cfg.tau {
                 let victim = node.page;
-                self.map.remove(&victim);
+                self.map.remove(victim);
                 self.unlink(idx);
                 return Some(victim);
             }
@@ -181,7 +180,7 @@ impl EvictionPolicy for WsClock {
             Some((0, self.hand))
         })?;
         let victim = self.nodes[idx].page;
-        self.map.remove(&victim);
+        self.map.remove(victim);
         self.unlink(idx);
         Some(victim)
     }

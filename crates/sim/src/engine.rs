@@ -1,12 +1,11 @@
 //! The discrete-event simulation engine.
 
 use std::cmp::Reverse;
-use std::collections::hash_map::Entry;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
-use uvm_policies::EvictionPolicy;
+use uvm_policies::{EvictionPolicy, EvictionWindow};
 use uvm_types::{
-    ConfigError, CycleAccount, PageId, SignalDisruption, SimConfig, SimError, SimStats,
+    ConfigError, CycleAccount, PageId, PageMap, SignalDisruption, SimConfig, SimError, SimStats,
 };
 use uvm_workloads::{Op, Trace};
 
@@ -123,7 +122,10 @@ pub struct Simulation<P, I = ()> {
     next_seq: u64,
     now: u64,
     live_warps: usize,
-    waiters: HashMap<PageId, Vec<usize>>,
+    /// Warps stalled on each page's pending fault; a page has a fault
+    /// pending exactly while its list is nonempty. Woken lists keep their
+    /// allocation for the page's next fault.
+    waiters: PageMap<PageId, Vec<usize>>,
     fault_queue: VecDeque<PageId>,
     in_service: Option<PageId>,
     /// Pages (demand + prefetched) migrating in the current service; they
@@ -132,8 +134,8 @@ pub struct Simulation<P, I = ()> {
     /// Workload footprint, bounding prefetch candidates.
     footprint_pages: u64,
     memory_full_notified: bool,
-    recent_evictions: VecDeque<PageId>,
-    recent_counts: HashMap<PageId, u32>,
+    /// The last [`WRONG_EVICTION_WINDOW`] victims.
+    recent_evictions: EvictionWindow,
     stats: SimStats,
     /// Active fault-injection state, if a plan was installed.
     faults: Option<FaultState>,
@@ -224,14 +226,13 @@ impl<P: EvictionPolicy> Simulation<P> {
             next_seq: 0,
             now: 0,
             live_warps: 0,
-            waiters: HashMap::new(),
+            waiters: PageMap::new(),
             fault_queue: VecDeque::new(),
             in_service: None,
             in_flight: Vec::new(),
             footprint_pages: trace.footprint_pages(),
             memory_full_notified: false,
-            recent_evictions: VecDeque::new(),
-            recent_counts: HashMap::new(),
+            recent_evictions: EvictionWindow::new(WRONG_EVICTION_WINDOW),
             stats: SimStats::default(),
             faults: None,
             events_since_progress: 0,
@@ -289,7 +290,6 @@ impl<P: EvictionPolicy, I: Instrument> Simulation<P, I> {
             footprint_pages: self.footprint_pages,
             memory_full_notified: self.memory_full_notified,
             recent_evictions: self.recent_evictions,
-            recent_counts: self.recent_counts,
             stats: self.stats,
             faults: self.faults,
             events_since_progress: self.events_since_progress,
@@ -719,44 +719,55 @@ impl<P: EvictionPolicy, I: Instrument> Simulation<P, I> {
 
     fn raise_fault(&mut self, page: PageId, warp: usize) -> Result<(), SimError> {
         self.probe(Probe::WarpStalled { warp });
-        match self.waiters.entry(page) {
-            Entry::Occupied(mut e) => {
-                // Fault already pending: coalesce.
-                e.get_mut().push(warp);
-                self.probe(Probe::Coalesce { page });
-            }
-            Entry::Vacant(e) => {
-                e.insert(vec![warp]);
-                self.emit(SimEvent::FaultRaised {
+        let waiting = self.waiters.get_or_insert_with(page, Vec::new);
+        waiting.push(warp);
+        if waiting.len() > 1 {
+            // Fault already pending: coalesce.
+            self.probe(Probe::Coalesce { page });
+            return Ok(());
+        }
+        self.emit(SimEvent::FaultRaised {
+            time: self.now,
+            page,
+        });
+        if self.recent_evictions.contains(page) {
+            self.stats.driver.wrong_evictions += 1;
+            if I::ENABLED {
+                // The linear scan only runs on an instrumented run.
+                let distance = self.recent_evictions.distance(page).unwrap_or(0);
+                self.emit(SimEvent::WrongEviction {
                     time: self.now,
                     page,
+                    refault_distance: distance,
                 });
-                if self.recent_counts.contains_key(&page) {
-                    self.stats.driver.wrong_evictions += 1;
-                    if I::ENABLED {
-                        // 1 = the most recent eviction. The linear scan
-                        // only runs on an instrumented run.
-                        let distance = self
-                            .recent_evictions
-                            .iter()
-                            .rev()
-                            .position(|&p| p == page)
-                            .map_or(0, |d| d as u64 + 1);
-                        self.emit(SimEvent::WrongEviction {
-                            time: self.now,
-                            page,
-                            refault_distance: distance,
-                        });
-                    }
-                }
-                if self.in_service.is_none() {
-                    self.start_fault_service(page)?;
-                } else {
-                    self.fault_queue.push_back(page);
-                }
             }
         }
+        if self.in_service.is_none() {
+            self.start_fault_service(page)?;
+        } else {
+            self.fault_queue.push_back(page);
+        }
         Ok(())
+    }
+
+    /// Whether warps are stalled on a pending fault for `page`.
+    fn has_waiters(&self, page: PageId) -> bool {
+        self.waiters.get(page).is_some_and(|w| !w.is_empty())
+    }
+
+    /// Reschedules every warp stalled on `page`, now. The page's waiter
+    /// list keeps its allocation for the next fault.
+    fn wake(&mut self, page: PageId) {
+        let Some(slot) = self.waiters.get_mut(page) else {
+            return;
+        };
+        let mut warps = std::mem::take(slot);
+        for w in warps.drain(..) {
+            self.schedule(self.now, EventKind::WarpReady(w));
+        }
+        if let Some(slot) = self.waiters.get_mut(page) {
+            *slot = warps;
+        }
     }
 
     fn start_fault_service(&mut self, page: PageId) -> Result<(), SimError> {
@@ -776,11 +787,7 @@ impl<P: EvictionPolicy, I: Instrument> Simulation<P, I> {
             };
             if self.memory.is_resident(next) {
                 // Satisfied by an earlier prefetch while queued.
-                if let Some(warps) = self.waiters.remove(&next) {
-                    for w in warps {
-                        self.schedule(self.now, EventKind::WarpReady(w));
-                    }
-                }
+                self.wake(next);
                 continue;
             }
             if !self.in_flight.contains(&next) {
@@ -807,7 +814,7 @@ impl<P: EvictionPolicy, I: Instrument> Simulation<P, I> {
             let candidate = PageId(page.0 + i);
             if candidate.0 < self.footprint_pages
                 && !self.memory.is_resident(candidate)
-                && !self.waiters.contains_key(&candidate)
+                && !self.has_waiters(candidate)
             {
                 self.in_flight.push(candidate);
                 self.emit(SimEvent::PrefetchIssued {
@@ -903,7 +910,7 @@ impl<P: EvictionPolicy, I: Instrument> Simulation<P, I> {
             }
             self.l2.invalidate(victim);
             self.stats.driver.evictions += 1;
-            self.remember_eviction(victim);
+            self.recent_evictions.push(victim);
             // VictimSelected (from the policy's buffer) precedes the
             // Eviction it caused.
             self.drain_policy_events();
@@ -914,9 +921,10 @@ impl<P: EvictionPolicy, I: Instrument> Simulation<P, I> {
         }
 
         let mut outcome = uvm_policies::FaultOutcome::default();
-        for (i, &p) in self.in_flight.clone().iter().enumerate() {
+        for i in 0..self.in_flight.len() {
             // Batched demand faults get distinct fault numbers; prefetched
             // pages ride on the last demand number.
+            let p = self.in_flight[i];
             let n = fault_num + (i as u64).min(demand_count - 1);
             let o = self.policy.on_fault(p, n);
             outcome.transfer_bytes += o.transfer_bytes;
@@ -990,7 +998,8 @@ impl<P: EvictionPolicy, I: Instrument> Simulation<P, I> {
         debug_assert_eq!(self.in_service, Some(page));
         self.in_service = None;
         self.events_since_progress = 0;
-        for p in std::mem::take(&mut self.in_flight) {
+        for i in 0..self.in_flight.len() {
+            let p = self.in_flight[i];
             if self.memory.insert(p).is_err() {
                 return Err(SimError::ResidencyOverflow {
                     page: p,
@@ -1004,12 +1013,10 @@ impl<P: EvictionPolicy, I: Instrument> Simulation<P, I> {
                 time: self.now,
                 page: p,
             });
-            if let Some(warps) = self.waiters.remove(&p) {
-                for w in warps {
-                    self.schedule(self.now, EventKind::WarpReady(w));
-                }
-            }
+            self.wake(p);
         }
+        // Cleared, not dropped: the buffer serves every later fault.
+        self.in_flight.clear();
         if self.memory.is_full() && !self.memory_full_notified {
             self.memory_full_notified = true;
             self.policy.on_memory_full();
@@ -1029,11 +1036,7 @@ impl<P: EvictionPolicy, I: Instrument> Simulation<P, I> {
         while let Some(next) = self.fault_queue.pop_front() {
             if self.memory.is_resident(next) {
                 // Satisfied by a prefetch while queued: wake the waiters.
-                if let Some(warps) = self.waiters.remove(&next) {
-                    for w in warps {
-                        self.schedule(self.now, EventKind::WarpReady(w));
-                    }
-                }
+                self.wake(next);
                 continue;
             }
             self.start_fault_service(next)?;
@@ -1132,21 +1135,6 @@ impl<P: EvictionPolicy, I: Instrument> Simulation<P, I> {
             .check_invariants()
             .map_err(|detail| fail("policy-structure", detail))?;
         Ok(())
-    }
-
-    fn remember_eviction(&mut self, page: PageId) {
-        self.recent_evictions.push_back(page);
-        *self.recent_counts.entry(page).or_insert(0) += 1;
-        if self.recent_evictions.len() > WRONG_EVICTION_WINDOW {
-            if let Some(old) = self.recent_evictions.pop_front() {
-                if let Some(c) = self.recent_counts.get_mut(&old) {
-                    *c -= 1;
-                    if *c == 0 {
-                        self.recent_counts.remove(&old);
-                    }
-                }
-            }
-        }
     }
 }
 
@@ -1533,6 +1521,37 @@ mod tests {
         assert_eq!(stats.resilience.fallback_victims, stats.evictions());
         let resident_end = stats.faults() - stats.evictions();
         assert!(resident_end <= 8);
+    }
+
+    /// A broken policy that offers a victim outside the footprint, past
+    /// the end of every page-indexed table the engine keeps.
+    #[derive(Debug)]
+    struct OutOfFootprint(PageId);
+
+    impl EvictionPolicy for OutOfFootprint {
+        fn name(&self) -> String {
+            "OutOfFootprint".to_string()
+        }
+        fn on_fault(&mut self, _page: PageId, _n: u64) -> uvm_policies::FaultOutcome {
+            uvm_policies::FaultOutcome::default()
+        }
+        fn select_victim(&mut self) -> Option<PageId> {
+            Some(self.0)
+        }
+    }
+
+    #[test]
+    fn victim_outside_footprint_is_a_typed_error_not_a_panic() {
+        let footprint = 20u64;
+        let global: Vec<u64> = (0..footprint).cycle().take(80).collect();
+        let trace = Trace::from_global(&global, footprint, 0, 2, 2);
+        for victim in [PageId(footprint + 1000), PageId(u64::MAX)] {
+            let sim = Simulation::new(tiny_cfg(2, 1), &trace, OutOfFootprint(victim), 8).unwrap();
+            match sim.run() {
+                Err(SimError::NonResidentVictim { page, .. }) => assert_eq!(page, victim),
+                other => panic!("expected NonResidentVictim for {victim}, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! GPU memory residency tracking.
 
-use std::collections::HashSet;
-use uvm_types::PageId;
+use uvm_types::{PageId, PageSet};
 
 /// The set of pages resident in GPU memory, bounded by a fixed capacity.
+///
+/// Residency is a dense [`PageSet`] indexed by page number: O(1) probes
+/// that hash nothing, and a memory cost of O(largest resident page).
 ///
 /// # Examples
 ///
@@ -21,7 +23,7 @@ use uvm_types::PageId;
 /// ```
 #[derive(Debug, Clone)]
 pub struct GpuMemory {
-    resident: HashSet<PageId>,
+    resident: PageSet<PageId>,
     capacity: u64,
 }
 
@@ -46,7 +48,7 @@ impl GpuMemory {
     pub fn new(capacity: u64) -> Self {
         assert!(capacity > 0, "capacity must be nonzero");
         GpuMemory {
-            resident: HashSet::with_capacity(capacity as usize),
+            resident: PageSet::new(),
             capacity,
         }
     }
@@ -73,7 +75,7 @@ impl GpuMemory {
 
     /// Whether `page` is resident.
     pub fn is_resident(&self, page: PageId) -> bool {
-        self.resident.contains(&page)
+        self.resident.contains(page)
     }
 
     /// Makes `page` resident.
@@ -83,7 +85,7 @@ impl GpuMemory {
     /// Returns [`MemoryFull`] if memory is at capacity and `page` is not
     /// already resident.
     pub fn insert(&mut self, page: PageId) -> Result<(), MemoryFull> {
-        if self.resident.contains(&page) {
+        if self.resident.contains(page) {
             return Ok(());
         }
         if self.is_full() {
@@ -95,17 +97,16 @@ impl GpuMemory {
 
     /// Removes `page`; returns whether it was resident.
     pub fn remove(&mut self, page: PageId) -> bool {
-        self.resident.remove(&page)
+        self.resident.remove(page)
     }
 
     /// The lowest-numbered resident page, if any.
     ///
     /// Used as the deterministic last-resort victim when a policy offers
-    /// none while memory is full: taking the minimum (rather than an
-    /// arbitrary set element) keeps runs reproducible across processes
-    /// despite the hash set's randomized iteration order.
+    /// none while memory is full. A scan of the page-ordered table, so it
+    /// is linear in the largest resident page; only fallbacks call it.
     pub fn min_resident(&self) -> Option<PageId> {
-        self.resident.iter().copied().min() // lint:allow(hash-iteration) — min() is order-insensitive
+        self.resident.first()
     }
 }
 
@@ -159,5 +160,49 @@ mod tests {
         assert_eq!(mem.min_resident(), Some(PageId(3)));
         mem.remove(PageId(3));
         assert_eq!(mem.min_resident(), Some(PageId(5)));
+    }
+
+    /// `GpuMemory` against a `HashSet` twin with the same capacity rule:
+    /// every insert/remove answers alike, and residency, length, fullness
+    /// and `min_resident` agree after each step.
+    #[test]
+    fn matches_hash_set_twin() {
+        use std::collections::HashSet;
+        use uvm_util::prop::{shrink_vec, Checker};
+
+        Checker::new().run_shrink(
+            |rng| {
+                let capacity = rng.gen_range(1u64..12);
+                let ops = rng.gen_vec(0..300, |r| (r.gen_bool(0.55), r.gen_range(0u64..40)));
+                (capacity, ops)
+            },
+            |(capacity, ops)| {
+                shrink_vec(ops)
+                    .into_iter()
+                    .map(|o| (*capacity, o))
+                    .collect()
+            },
+            |(capacity, ops)| {
+                let mut mem = GpuMemory::new(*capacity);
+                let mut twin: HashSet<PageId> = HashSet::new();
+                for &(insert, p) in ops {
+                    let page = PageId(p);
+                    if insert {
+                        let fits = twin.contains(&page) || (twin.len() as u64) < *capacity;
+                        assert_eq!(mem.insert(page).is_ok(), fits, "insert {page}");
+                        if fits {
+                            twin.insert(page);
+                        }
+                    } else {
+                        assert_eq!(mem.remove(page), twin.remove(&page), "remove {page}");
+                    }
+                    assert_eq!(mem.is_resident(page), twin.contains(&page));
+                    assert_eq!(mem.len(), twin.len() as u64);
+                    assert_eq!(mem.is_empty(), twin.is_empty());
+                    assert_eq!(mem.is_full(), twin.len() as u64 == *capacity);
+                    assert_eq!(mem.min_resident(), twin.iter().copied().min());
+                }
+            },
+        );
     }
 }

@@ -32,9 +32,7 @@
 //! assert!(rp.delay_for(60) <= rp.backoff().max_delay_cycles);
 //! ```
 
-use std::collections::HashMap;
-
-use uvm_types::{ConfigError, PageId};
+use uvm_types::{ConfigError, PageId, PageMap};
 use uvm_util::{impl_json_struct, json, FromJson, Json, JsonError, ToJson};
 
 /// The exponential-backoff schedule shared by both retry modes.
@@ -484,11 +482,10 @@ impl FallbackVictim {
 /// only when [`FallbackVictim::LruShadow`] is selected.
 ///
 /// Stamps are a logical clock bumped on every touch; the fallback victim
-/// is the resident page with the smallest stamp (ties broken by page id,
-/// though stamps are unique in practice).
+/// is the resident page with the smallest stamp (stamps are unique).
 #[derive(Debug, Default)]
 pub(crate) struct LruShadow {
-    stamps: HashMap<PageId, u64>,
+    stamps: PageMap<PageId, u64>,
     clock: u64,
 }
 
@@ -501,15 +498,15 @@ impl LruShadow {
 
     /// Forgets an evicted page.
     pub(crate) fn remove(&mut self, page: PageId) {
-        self.stamps.remove(&page);
+        self.stamps.remove(page);
     }
 
     /// The approximately least-recently-used page, if any is tracked.
     pub(crate) fn lru(&self) -> Option<PageId> {
         self.stamps
-            .iter() // lint:allow(hash-iteration)
-            .min_by_key(|&(page, stamp)| (*stamp, *page))
-            .map(|(&page, _)| page)
+            .iter()
+            .min_by_key(|&(_, &stamp)| stamp)
+            .map(|(page, _)| page)
     }
 
     /// Fingerprint for checkpoint verification.
@@ -529,26 +526,19 @@ impl LruShadow {
                 self.clock
             ));
         }
-        // Reduced to the minimal offending page so the report is
-        // independent of hash visit order.
-        let mut bad_stamp: Option<PageId> = None;
-        let mut missing: Option<PageId> = None;
-        for (&page, &stamp) in &self.stamps {
-            // lint:allow(hash-iteration)
-            if stamp == 0 || stamp > self.clock {
-                bad_stamp = Some(bad_stamp.map_or(page, |p| p.min(page)));
-            }
-            if !resident(page) {
-                missing = Some(missing.map_or(page, |p| p.min(page)));
-            }
-        }
-        if let Some(page) = bad_stamp {
+        // The table is page-ordered, so each report names the lowest
+        // offending page.
+        let bad_stamp = self
+            .stamps
+            .iter()
+            .find(|&(_, &stamp)| stamp == 0 || stamp > self.clock);
+        if let Some((page, _)) = bad_stamp {
             return Err(format!(
                 "LRU shadow stamp for page {page} is outside 1..={}",
                 self.clock
             ));
         }
-        if let Some(page) = missing {
+        if let Some(page) = self.stamps.keys().find(|&p| !resident(p)) {
             return Err(format!("LRU shadow tracks non-resident page {page}"));
         }
         Ok(())

@@ -8,11 +8,20 @@ struct Entry {
     stamp: u64,
 }
 
+/// Filler for slots past a set's length; never read as a translation.
+const EMPTY: Entry = Entry {
+    page: PageId(0),
+    stamp: 0,
+};
+
 /// A set-associative TLB.
 ///
 /// Sets are indexed by `page mod sets`; within a set, replacement is LRU by
 /// access stamp. Associativities are small (≤ 16 in every configuration in
-/// the paper), so per-set linear scans are the fastest structure.
+/// the paper), so per-set linear scans are the fastest structure. All sets
+/// share one `sets × ways` array; set `s` holds its `len[s]` valid entries
+/// at the front of its `ways` slots. Stamps are unique, so the order of
+/// entries within a set never changes a replacement decision.
 ///
 /// # Examples
 ///
@@ -30,7 +39,10 @@ struct Entry {
 #[derive(Debug, Clone)]
 pub struct Tlb {
     cfg: TlbConfig,
-    sets: Vec<Vec<Entry>>,
+    n_sets: u64,
+    ways: usize,
+    entries: Vec<Entry>,
+    len: Vec<usize>,
     clock: u64,
 }
 
@@ -43,9 +55,13 @@ impl Tlb {
     pub fn new(cfg: TlbConfig) -> Self {
         cfg.validate().expect("valid TLB geometry"); // lint:allow(unwrap) — constructor contract, documented panic
         let n_sets = cfg.sets() as usize;
+        let ways = cfg.ways as usize;
         Tlb {
             cfg,
-            sets: vec![Vec::with_capacity(cfg.ways as usize); n_sets],
+            n_sets: n_sets as u64,
+            ways,
+            entries: vec![EMPTY; n_sets * ways],
+            len: vec![0; n_sets],
             clock: 0,
         }
     }
@@ -55,22 +71,24 @@ impl Tlb {
         self.cfg.latency_cycles
     }
 
-    fn set_index(&self, page: PageId) -> usize {
-        (page.0 % self.cfg.sets() as u64) as usize
+    /// The set of `page` and its slot range in `entries` (valid part only).
+    fn set_of(&self, page: PageId) -> (usize, std::ops::Range<usize>) {
+        let set = (page.0 % self.n_sets) as usize;
+        let base = set * self.ways;
+        (set, base..base + self.len[set])
     }
 
     /// Looks up `page`, refreshing its recency on a hit.
     pub fn lookup(&mut self, page: PageId) -> bool {
         self.clock += 1;
-        let clock = self.clock;
-        let idx = self.set_index(page);
-        for e in &mut self.sets[idx] {
-            if e.page == page {
-                e.stamp = clock;
-                return true;
+        let (_, slots) = self.set_of(page);
+        match self.entries[slots].iter_mut().find(|e| e.page == page) {
+            Some(e) => {
+                e.stamp = self.clock;
+                true
             }
+            None => false,
         }
-        false
     }
 
     /// Installs a translation for `page`, evicting the set's LRU entry if
@@ -78,35 +96,40 @@ impl Tlb {
     /// refreshed.
     pub fn fill(&mut self, page: PageId) {
         self.clock += 1;
-        let clock = self.clock;
-        let ways = self.cfg.ways as usize;
-        let idx = self.set_index(page);
-        let set = &mut self.sets[idx];
-        if let Some(e) = set.iter_mut().find(|e| e.page == page) {
-            e.stamp = clock;
+        let entry = Entry {
+            page,
+            stamp: self.clock,
+        };
+        let (set, slots) = self.set_of(page);
+        let valid = &mut self.entries[slots.clone()];
+        if let Some(e) = valid.iter_mut().find(|e| e.page == page) {
+            e.stamp = entry.stamp;
             return;
         }
-        if set.len() == ways {
-            let lru = set
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(i, _)| i)
-                .expect("set nonempty"); // lint:allow(unwrap) — set is full on this branch
-            set.swap_remove(lru);
+        if valid.len() < self.ways {
+            self.entries[slots.end] = entry;
+            self.len[set] += 1;
+        } else if let Some(lru) = valid.iter_mut().min_by_key(|e| e.stamp) {
+            *lru = entry;
         }
-        set.push(Entry { page, stamp: clock });
     }
 
     /// Removes any translation for `page` (TLB shootdown on eviction).
     pub fn invalidate(&mut self, page: PageId) {
-        let idx = self.set_index(page);
-        self.sets[idx].retain(|e| e.page != page);
+        let (set, slots) = self.set_of(page);
+        if let Some(i) = self.entries[slots.clone()]
+            .iter()
+            .position(|e| e.page == page)
+        {
+            // Swap the set's last valid entry into the hole.
+            self.entries.swap(slots.start + i, slots.end - 1);
+            self.len[set] -= 1;
+        }
     }
 
     /// Number of valid entries (diagnostic accessor).
     pub fn occupancy(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.len.iter().sum()
     }
 }
 

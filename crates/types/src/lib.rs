@@ -4,7 +4,8 @@
 //! workspace: virtual addresses, [`PageId`]s and [`PageSetId`]s (the paper's
 //! "page set" is a group of virtually contiguous pages, Section IV), the
 //! simulated-system configuration of Table I ([`SimConfig`]), and the metric
-//! containers the simulator and benchmark harness report.
+//! containers the simulator and benchmark harness report, plus the dense
+//! page-indexed tables ([`PageMap`], [`PageSet`]) that hold per-page state.
 //!
 //! # Examples
 //!
@@ -28,6 +29,7 @@ mod config;
 mod error;
 mod event;
 mod metrics;
+mod pagemap;
 mod profile;
 mod tenant;
 
@@ -36,5 +38,6 @@ pub use config::{HirGeometry, Oversubscription, SimConfig, SimConfigBuilder, Tlb
 pub use error::{ConfigError, SimError};
 pub use event::{PolicyEvent, SignalDisruption, StrategyTag};
 pub use metrics::{DriverStats, PolicyStats, ResilienceStats, SimStats, TlbStats};
+pub use pagemap::{PageIndex, PageMap, PageSet};
 pub use profile::{CycleAccount, SpanStage};
 pub use tenant::{TenantId, TenantStats};

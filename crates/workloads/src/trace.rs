@@ -1,7 +1,7 @@
 //! Trace representation and distribution over per-warp streams.
 
 use uvm_types::PageId;
-use uvm_util::impl_json_struct;
+use uvm_util::{impl_json_struct, FromJson, Json, JsonError, ToJson};
 
 use crate::App;
 
@@ -43,11 +43,49 @@ pub struct Trace {
     total_ops: u64,
 }
 
-impl_json_struct!(Trace {
-    streams,
-    footprint_pages,
-    total_ops,
-});
+impl ToJson for Trace {
+    fn to_json(&self) -> Json {
+        let mut obj = Json::object();
+        obj.insert("streams", self.streams.to_json());
+        obj.insert("footprint_pages", self.footprint_pages.to_json());
+        obj.insert("total_ops", self.total_ops.to_json());
+        obj
+    }
+}
+
+/// Holds a parsed trace to [`Trace::from_global`]'s invariants: every
+/// page below the footprint, and `total_ops` equal to the ops present.
+/// Simulators index per-page tables by page number on the strength of
+/// the first.
+impl FromJson for Trace {
+    fn from_json(v: &Json) -> Result<Self, JsonError> {
+        let field = |name: &str| {
+            v.get(name)
+                .ok_or_else(|| JsonError::new(format!("missing field `{name}`")))
+        };
+        let streams = Vec::<Vec<Op>>::from_json(field("streams")?)?;
+        let footprint_pages = u64::from_json(field("footprint_pages")?)?;
+        let total_ops = u64::from_json(field("total_ops")?)?;
+        if let Some(op) = streams
+            .iter()
+            .flatten()
+            .find(|op| op.page.0 >= footprint_pages)
+        {
+            return Err(JsonError::new(format!(
+                "page index {} outside footprint {footprint_pages}",
+                op.page.0
+            )));
+        }
+        if streams.iter().map(|s| s.len() as u64).sum::<u64>() != total_ops {
+            return Err(JsonError::new("`total_ops` does not match the streams"));
+        }
+        Ok(Trace {
+            streams,
+            footprint_pages,
+            total_ops,
+        })
+    }
+}
 
 impl Trace {
     /// Builds a trace for `app`, dealing tiles of `tile` consecutive global
@@ -214,6 +252,22 @@ mod tests {
         let text = t.to_json().to_string();
         let back = Trace::from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, t);
+    }
+
+    #[test]
+    fn trace_json_breaking_from_global_invariants_is_rejected() {
+        use uvm_util::{FromJson, Json, ToJson};
+        let text = Trace::from_global(&[0, 5], 6, 0, 1, 1)
+            .to_json()
+            .to_string();
+        for (from, to) in [
+            ("\"footprint_pages\":6", "\"footprint_pages\":2"),
+            ("\"total_ops\":2", "\"total_ops\":99"),
+        ] {
+            let bad = text.replace(from, to);
+            assert_ne!(bad, text, "field {from} not found in {text}");
+            assert!(Trace::from_json(&Json::parse(&bad).unwrap()).is_err());
+        }
     }
 
     #[test]
