@@ -42,7 +42,7 @@ use uvm_sim::{
     trace_for, ExploreSpec, FallbackVictim, FaultPlan, HirMode, ReproCase, RetryPolicy, TenantMix,
     DEFAULT_PROFILE_CADENCE, DEFAULT_SANITIZER_CADENCE,
 };
-use uvm_types::{Oversubscription, SimError};
+use uvm_types::{Oversubscription, ResilienceStats, SimError, SimStats};
 use uvm_util::{json, Json, JsonError, ToJson};
 use uvm_workloads::registry;
 
@@ -73,21 +73,24 @@ fn usage() -> ExitCode {
          \n\
          commands:\n\
          \x20 campaign [APP ...] [--seed N] [--rate 75|50] [--retry]\n\
-         \x20          [--fallback min-page|lru-shadow] [--workers N]\n\
+         \x20          [--fallback min-page|lru-shadow] [--sanitize CADENCE]\n\
+         \x20          [--workers N]\n\
          \x20          run every policy under every fault plan and report\n\
          \x20          resilience metrics vs the clean run (default app STN);\n\
          \x20          --workers fans the cells over N threads with a\n\
          \x20          deterministic merge (same output for any N)\n\
          \x20 livelock [--seed N] [--rate 75|50] [--retry]\n\
+         \x20          [--fallback min-page|lru-shadow] [--sanitize CADENCE]\n\
          \x20          inject an unbounded completion-loss livelock and show\n\
          \x20          the watchdog converting it into SimError::Stalled\n\
          \x20          (or, with --retry, into SimError::RetriesExhausted)\n\
          \x20 resume   [APP] [--seed N] [--rate 75|50] [--plan NAME]\n\
          \x20          [--at CYCLE] [--retry] [--fallback min-page|lru-shadow]\n\
+         \x20          [--sanitize CADENCE]\n\
          \x20          run HPE under a fault plan, checkpoint at CYCLE,\n\
          \x20          resume from the checkpoint in a fresh simulation and\n\
          \x20          verify the stats match the uninterrupted run\n\
-         \x20 smoke    [--seed N]\n\
+         \x20 smoke    [--seed N] [--sanitize CADENCE] [--workers N]\n\
          \x20          fast panic-free campaign subset with the runtime\n\
          \x20          invariant sanitizer enabled (CI gate)\n\
          \x20 sanitize [APP ...] [--rate 75|50] [--sanitize CADENCE]\n\
@@ -122,7 +125,9 @@ fn usage() -> ExitCode {
          \n\
          common flags: --adaptive makes --retry use the loss-adaptive\n\
          backoff policy (tunes delay online from the observed\n\
-         completion-loss rate) instead of fixed exponential backoff\n\
+         completion-loss rate) instead of fixed exponential backoff,\n\
+         and is taken wherever --retry is. A command rejects any flag\n\
+         it does not list above.\n\
          \n\
          exit codes: 0 ok, 1 simulation failure, 2 usage error"
     );
@@ -140,8 +145,8 @@ fn parse_rate(text: &str) -> Option<Oversubscription> {
 struct Flags {
     seed: u64,
     rate: Oversubscription,
-    retry: bool,
-    adaptive: bool,
+    /// `--retry` (fixed backoff) or `--adaptive` (loss-adaptive backoff).
+    retry: Option<RetryPolicy>,
     fallback: FallbackVictim,
     plan: Option<String>,
     at: u64,
@@ -156,17 +161,9 @@ struct Flags {
 }
 
 impl Flags {
-    fn retry_policy(&self) -> RetryPolicy {
-        if self.adaptive {
-            RetryPolicy::adaptive()
-        } else {
-            RetryPolicy::default()
-        }
-    }
-
     fn recovery(&self) -> RecoveryOptions {
         RecoveryOptions {
-            retry: self.retry.then(|| self.retry_policy()),
+            retry: self.retry,
             fallback: self.fallback,
             sanitize: self.sanitize,
             profile: None,
@@ -174,12 +171,48 @@ impl Flags {
     }
 }
 
-fn parse_flags(args: &[String]) -> Result<Flags, String> {
+/// A command's entry point.
+type Run = fn(&Flags) -> Result<(), CmdError>;
+
+/// The flags a command reads when it builds its runs at `--seed` and
+/// `--rate` with [`Flags::recovery`].
+const RECOVERY_RUN: &str = "--seed --rate --retry --adaptive --fallback --sanitize";
+
+/// Looks up command `cmd`: its entry point, the flags it reads (in
+/// space-separated groups) and how many positional arguments it takes.
+/// Any other flag or argument is a usage error, never silently dropped.
+fn command(cmd: &str) -> Option<(Run, &'static [&'static str], usize)> {
+    const ANY: usize = usize::MAX;
+    Some(match cmd {
+        "campaign" => (cmd_campaign as Run, &[RECOVERY_RUN, "--workers"], ANY),
+        "livelock" => (cmd_livelock, &[RECOVERY_RUN], 0),
+        "resume" => (cmd_resume, &[RECOVERY_RUN, "--plan --at"], 1),
+        "smoke" => (cmd_smoke, &["--seed --sanitize --workers"], 0),
+        "sanitize" => (cmd_sanitize, &["--rate --sanitize"], ANY),
+        "profile" => (cmd_profile, &["--rate"], ANY),
+        "explore" => (cmd_explore, &["--workers"], 1),
+        "replay" => (cmd_replay, &[], 1),
+        "tenants" => (
+            cmd_tenants,
+            &["--tenants --quota --hir --policy --seed --workers --plan --target"],
+            ANY,
+        ),
+        _ => return None,
+    })
+}
+
+/// Parses `args` for command `cmd`, which reads the flags in `known` and
+/// at most `max_positional` positional arguments.
+fn parse_flags(
+    cmd: &str,
+    known: &[&str],
+    max_positional: usize,
+    args: &[String],
+) -> Result<Flags, String> {
     let mut flags = Flags {
         seed: DEFAULT_SEED,
         rate: Oversubscription::Rate75,
-        retry: false,
-        adaptive: false,
+        retry: None,
         fallback: FallbackVictim::MinPage,
         plan: None,
         at: DEFAULT_RESUME_AT,
@@ -194,71 +227,53 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
     };
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        match a.as_str() {
-            "--seed" => {
-                let v = value("--seed")?;
-                flags.seed = v.parse().map_err(|_| format!("bad --seed '{v}'"))?;
-            }
-            "--rate" => {
-                let v = value("--rate")?;
-                flags.rate = parse_rate(&v).ok_or_else(|| format!("unknown rate '{v}'"))?;
-            }
-            "--retry" => flags.retry = true,
-            // --adaptive implies --retry: there is no backoff to adapt
-            // without the retry machinery on.
-            "--adaptive" => {
-                flags.retry = true;
-                flags.adaptive = true;
-            }
+        let a = a.as_str();
+        if !a.starts_with("--") {
+            flags.positional.push(a.to_string());
+            continue;
+        }
+        if !known.iter().flat_map(|g| g.split(' ')).any(|k| k == a) {
+            return Err(format!("{cmd} does not take '{a}'"));
+        }
+        // --adaptive implies --retry, in either order.
+        if a == "--retry" {
+            flags.retry.get_or_insert_with(RetryPolicy::default);
+            continue;
+        }
+        if a == "--adaptive" {
+            flags.retry = Some(RetryPolicy::adaptive());
+            continue;
+        }
+        let v = it.next().ok_or_else(|| format!("{a} needs a value"))?;
+        let bad = || format!("bad {a} '{v}'");
+        match a {
+            "--seed" => flags.seed = v.parse().map_err(|_| bad())?,
+            "--rate" => flags.rate = parse_rate(v).ok_or_else(|| format!("unknown rate '{v}'"))?,
             "--fallback" => {
-                let v = value("--fallback")?;
-                flags.fallback = FallbackVictim::parse(&v).ok_or_else(|| {
+                flags.fallback = FallbackVictim::parse(v).ok_or_else(|| {
                     format!("unknown fallback '{v}' (expected min-page or lru-shadow)")
                 })?;
             }
-            "--plan" => flags.plan = Some(value("--plan")?),
-            "--sanitize" => {
-                let v = value("--sanitize")?;
-                let cadence: u64 = v.parse().map_err(|_| format!("bad --sanitize '{v}'"))?;
-                flags.sanitize = Some(cadence);
-            }
-            "--at" => {
-                let v = value("--at")?;
-                flags.at = v.parse().map_err(|_| format!("bad --at '{v}'"))?;
-            }
-            "--workers" => {
-                let v = value("--workers")?;
-                flags.workers = v.parse().map_err(|_| format!("bad --workers '{v}'"))?;
-            }
-            "--tenants" => {
-                let v = value("--tenants")?;
-                flags.tenants = v.parse().map_err(|_| format!("bad --tenants '{v}'"))?;
-            }
-            "--quota" => {
-                let v = value("--quota")?;
-                flags.quota = v
-                    .trim_end_matches('%')
-                    .parse()
-                    .map_err(|_| format!("bad --quota '{v}'"))?;
-            }
+            "--plan" => flags.plan = Some(v.clone()),
+            "--sanitize" => flags.sanitize = Some(v.parse().map_err(|_| bad())?),
+            "--at" => flags.at = v.parse().map_err(|_| bad())?,
+            "--workers" => flags.workers = v.parse().map_err(|_| bad())?,
+            "--tenants" => flags.tenants = v.parse().map_err(|_| bad())?,
+            "--quota" => flags.quota = v.trim_end_matches('%').parse().map_err(|_| bad())?,
             "--hir" => {
-                let v = value("--hir")?;
-                flags.hir = HirMode::parse(&v)
+                flags.hir = HirMode::parse(v)
                     .ok_or_else(|| format!("unknown HIR mode '{v}' (per-tenant or shared)"))?;
             }
-            "--policy" => flags.policy = Some(value("--policy")?),
-            "--target" => {
-                let v = value("--target")?;
-                flags.target = Some(v.parse().map_err(|_| format!("bad --target '{v}'"))?);
-            }
-            other if other.starts_with("--") => return Err(format!("unknown flag '{other}'")),
-            other => flags.positional.push(other.to_string()),
+            "--policy" => flags.policy = Some(v.clone()),
+            "--target" => flags.target = Some(v.parse().map_err(|_| bad())?),
+            _ => return Err(format!("unknown flag '{a}'")),
         }
+    }
+    if flags.positional.len() > max_positional {
+        return Err(format!(
+            "{cmd} takes at most {max_positional} argument(s), got {}",
+            flags.positional.len()
+        ));
     }
     Ok(flags)
 }
@@ -274,114 +289,81 @@ fn campaign_plans(seed: u64) -> Vec<(String, FaultPlan)> {
         .collect()
 }
 
-/// Resolves a `--plan` name against the campaign plan set.
-fn plan_by_name(name: &str, seed: u64) -> Option<FaultPlan> {
-    campaign_plans(seed)
-        .into_iter()
-        .find(|(n, _)| n == name)
+/// Resolves a `--plan` name against the campaign plan set; an unknown
+/// name is a usage error listing the known ones.
+fn plan_by_name(name: &str, seed: u64) -> Result<FaultPlan, CmdError> {
+    let plans = campaign_plans(seed);
+    let names: Vec<&str> = plans.iter().map(|(n, _)| n.as_str()).collect();
+    let known = names.join(", ");
+    let found = plans.into_iter().find(|(n, _)| n == name);
+    found
         .map(|(_, p)| p)
+        .ok_or_else(|| CmdError::Usage(format!("unknown plan '{name}' (expected one of: {known})")))
 }
 
 /// One (policy, plan) cell of a campaign: the chaos run compared against
 /// the policy's clean run.
 struct CampaignRow {
-    app: String,
-    policy: String,
-    plan: String,
-    faults: u64,
     clean_cycles: u64,
-    chaos_cycles: u64,
-    injected_delay_cycles: u64,
-    tail_latency_events: u64,
-    congested_services: u64,
-    completions_lost: u64,
-    fallback_victims: u64,
-    spurious_wrong_evictions: u64,
-    faults_during_hir_outage: u64,
-    degraded_entries: u64,
-    degraded_faults: u64,
-    victims_dropped: u64,
-    delayed_hir_flushes: u64,
-    hir_flushes_lost: u64,
-    circuit_breaker_trips: u64,
-    retry_attempts: u64,
-    retry_backoff_cycles: u64,
+    chaos: CampaignRun,
 }
 
 impl CampaignRow {
-    /// The row comparing a `chaos` cell against its policy's `clean` cell.
-    fn new(clean: &CampaignRun, chaos: &CampaignRun) -> Self {
-        let res = &chaos.stats.resilience;
-        CampaignRow {
-            app: chaos.app.clone(),
-            policy: chaos.policy.clone(),
-            plan: chaos.plan.clone(),
-            faults: chaos.stats.faults(),
-            clean_cycles: clean.stats.cycles,
-            chaos_cycles: chaos.stats.cycles,
-            injected_delay_cycles: res.injected_delay_cycles,
-            tail_latency_events: res.tail_latency_events,
-            congested_services: res.congested_services,
-            completions_lost: res.completions_lost,
-            fallback_victims: res.fallback_victims,
-            spurious_wrong_evictions: res.spurious_wrong_evictions,
-            faults_during_hir_outage: res.faults_during_hir_outage,
-            degraded_entries: chaos.stats.policy.degraded_entries,
-            degraded_faults: chaos.stats.policy.degraded_faults,
-            victims_dropped: res.victims_dropped,
-            delayed_hir_flushes: res.delayed_hir_flushes,
-            hir_flushes_lost: res.hir_flushes_lost,
-            circuit_breaker_trips: res.circuit_breaker_trips,
-            retry_attempts: res.retry_attempts,
-            retry_backoff_cycles: res.retry_backoff_cycles,
-        }
+    fn stats(&self) -> &SimStats {
+        &self.chaos.stats
+    }
+
+    fn res(&self) -> &ResilienceStats {
+        &self.chaos.stats.resilience
     }
 
     /// Wall-clock inflation of the chaos run relative to the clean run.
     fn slowdown(&self) -> f64 {
-        self.chaos_cycles as f64 / self.clean_cycles as f64
+        self.stats().cycles as f64 / self.clean_cycles as f64
     }
 
     /// Cycles the chaos run needed beyond the clean run (recovery cost).
     fn recovery_cycles(&self) -> u64 {
-        self.chaos_cycles.saturating_sub(self.clean_cycles)
+        self.stats().cycles.saturating_sub(self.clean_cycles)
     }
 
     /// Fraction of all faults handled in HPE's degraded fallback mode.
     fn degraded_residency(&self) -> f64 {
-        if self.faults == 0 {
+        let faults = self.stats().faults();
+        if faults == 0 {
             0.0
         } else {
-            self.degraded_faults as f64 / self.faults as f64
+            self.stats().policy.degraded_faults as f64 / faults as f64
         }
     }
 
     fn to_json(&self) -> Json {
+        let (stats, res) = (self.stats(), self.res());
         json!({
-            "app": self.app.as_str(),
-            "policy": self.policy.as_str(),
-            "plan": self.plan.as_str(),
-            "faults": self.faults,
+            "app": self.chaos.app.as_str(),
+            "policy": self.chaos.policy.as_str(),
+            "plan": self.chaos.plan.as_str(),
+            "faults": stats.faults(),
             "clean_cycles": self.clean_cycles,
-            "chaos_cycles": self.chaos_cycles,
+            "chaos_cycles": stats.cycles,
             "slowdown": self.slowdown(),
             "recovery_cycles": self.recovery_cycles(),
-            "injected_delay_cycles": self.injected_delay_cycles,
-            "tail_latency_events": self.tail_latency_events,
-            "congested_services": self.congested_services,
-            "completions_lost": self.completions_lost,
-            "fallback_victims": self.fallback_victims,
-            "spurious_wrong_evictions": self.spurious_wrong_evictions,
-            "faults_during_hir_outage": self.faults_during_hir_outage,
-            "degraded_entries": self.degraded_entries,
-            "degraded_faults": self.degraded_faults,
+            "injected_delay_cycles": res.injected_delay_cycles,
+            "tail_latency_events": res.tail_latency_events,
+            "congested_services": res.congested_services,
+            "completions_lost": res.completions_lost,
+            "fallback_victims": res.fallback_victims,
+            "spurious_wrong_evictions": res.spurious_wrong_evictions,
+            "faults_during_hir_outage": res.faults_during_hir_outage,
+            "degraded_entries": stats.policy.degraded_entries,
+            "degraded_faults": stats.policy.degraded_faults,
             "degraded_residency": self.degraded_residency(),
-            "victims_dropped": self.victims_dropped,
-            "delayed_hir_flushes": self.delayed_hir_flushes,
-            "hir_flushes_lost": self.hir_flushes_lost,
-            "circuit_breaker_trips": self.circuit_breaker_trips,
-            "retry_attempts": self.retry_attempts,
-            "retry_backoff_cycles": self.retry_backoff_cycles,
+            "victims_dropped": res.victims_dropped,
+            "delayed_hir_flushes": res.delayed_hir_flushes,
+            "hir_flushes_lost": res.hir_flushes_lost,
+            "circuit_breaker_trips": res.circuit_breaker_trips,
+            "retry_attempts": res.retry_attempts,
+            "retry_backoff_cycles": res.retry_backoff_cycles,
         })
     }
 }
@@ -430,7 +412,10 @@ fn campaign_rows(
                             chaos.key, chaos.error
                         )));
                     }
-                    rows.push(CampaignRow::new(clean, chaos));
+                    rows.push(CampaignRow {
+                        clean_cycles: clean.stats.cycles,
+                        chaos: chaos.clone(),
+                    });
                 }
             }
         }
@@ -461,22 +446,23 @@ fn print_campaign(title: &str, rows: &[CampaignRow]) {
         ],
     );
     for r in rows {
+        let res = r.res();
         t.row(vec![
-            r.app.to_string(),
-            r.policy.to_string(),
-            r.plan.to_string(),
-            r.faults.to_string(),
+            r.chaos.app.to_string(),
+            r.chaos.policy.to_string(),
+            r.chaos.plan.to_string(),
+            r.stats().faults().to_string(),
             f2(r.slowdown()),
             r.recovery_cycles().to_string(),
-            r.injected_delay_cycles.to_string(),
-            r.tail_latency_events.to_string(),
-            r.congested_services.to_string(),
-            r.completions_lost.to_string(),
-            r.fallback_victims.to_string(),
-            r.spurious_wrong_evictions.to_string(),
-            r.victims_dropped.to_string(),
-            r.delayed_hir_flushes.to_string(),
-            r.retry_attempts.to_string(),
+            res.injected_delay_cycles.to_string(),
+            res.tail_latency_events.to_string(),
+            res.congested_services.to_string(),
+            res.completions_lost.to_string(),
+            res.fallback_victims.to_string(),
+            res.spurious_wrong_evictions.to_string(),
+            res.victims_dropped.to_string(),
+            res.delayed_hir_flushes.to_string(),
+            res.retry_attempts.to_string(),
             format!("{:.1}%", 100.0 * r.degraded_residency()),
         ]);
     }
@@ -507,12 +493,12 @@ fn cmd_campaign(flags: &Flags) -> Result<(), CmdError> {
         flags.seed,
         spec.policies.len(),
         spec.plans.len(),
-        if flags.retry { "on" } else { "off" },
+        if flags.retry.is_some() { "on" } else { "off" },
         flags.fallback.label(),
         flags.workers.max(1),
     );
     let (fingerprint, rows) = campaign_rows(&spec, flags.workers)?;
-    let total_faults: u64 = rows.iter().map(|r| r.faults).sum();
+    let total_faults: u64 = rows.iter().map(|r| r.stats().faults()).sum();
     print_campaign(
         format!(
             "chaos campaign (seed {}, {}, {} chaos runs, {} faults total, fingerprint {})",
@@ -538,14 +524,18 @@ fn cmd_livelock(flags: &Flags) -> Result<(), CmdError> {
         "[injecting unbounded completion loss into {} under LRU at {}{}]",
         app.abbr(),
         flags.rate.label(),
-        if flags.retry { ", retry policy on" } else { "" }
+        if flags.retry.is_some() {
+            ", retry policy on"
+        } else {
+            ""
+        }
     );
     let spec = RunSpec {
         plan: Some(&plan),
         recovery: flags.recovery(),
         ..RunSpec::new(app, flags.rate, PolicyKind::Lru)
     };
-    match (flags.retry, run(&cfg, &spec)) {
+    match (flags.retry.is_some(), run(&cfg, &spec)) {
         (false, Err(SimError::Stalled { cycle, in_flight })) => {
             println!(
                 "watchdog fired: SimError::Stalled at cycle {cycle} with {in_flight} \
@@ -586,16 +576,7 @@ fn cmd_resume(flags: &Flags) -> Result<(), CmdError> {
     let app =
         registry::by_abbr(abbr).ok_or_else(|| CmdError::Usage(format!("unknown app '{abbr}'")))?;
     let plan_name = flags.plan.as_deref().unwrap_or("signal-chaos");
-    let plan = plan_by_name(plan_name, flags.seed).ok_or_else(|| {
-        CmdError::Usage(format!(
-            "unknown plan '{plan_name}' (expected one of: {})",
-            campaign_plans(0)
-                .iter()
-                .map(|(n, _)| n.clone())
-                .collect::<Vec<_>>()
-                .join(", ")
-        ))
-    })?;
+    let plan = plan_by_name(plan_name, flags.seed)?;
 
     let cfg = bench_config();
     let trace = trace_for(&cfg, app);
@@ -660,42 +641,46 @@ fn cmd_smoke(flags: &Flags) -> Result<(), CmdError> {
         seed: flags.seed,
     };
     let (_, rows) = campaign_rows(&spec, flags.workers)?;
-    let mut injected = 0usize;
-    for r in &rows {
-        if r.injected_delay_cycles > 0
-            || r.completions_lost > 0
-            || r.faults_during_hir_outage > 0
-            || r.spurious_wrong_evictions > 0
-            || r.victims_dropped > 0
-            || r.delayed_hir_flushes > 0
-        {
-            injected += 1;
-        }
-    }
+    let injected = rows
+        .iter()
+        .map(CampaignRow::res)
+        .filter(|res| {
+            res.injected_delay_cycles > 0
+                || res.completions_lost > 0
+                || res.faults_during_hir_outage > 0
+                || res.spurious_wrong_evictions > 0
+                || res.victims_dropped > 0
+                || res.delayed_hir_flushes > 0
+        })
+        .count();
     if injected == 0 {
         return Err(CmdError::Run(
             "no chaos run recorded any injection; plans are inert".into(),
         ));
     }
-    let hpe_degraded = rows
-        .iter()
-        .any(|r| r.policy == "HPE" && r.plan == "signal-chaos" && r.degraded_faults > 0);
+    let hpe_degraded = rows.iter().any(|r| {
+        r.chaos.policy == "HPE"
+            && r.chaos.plan == "signal-chaos"
+            && r.stats().policy.degraded_faults > 0
+    });
     if !hpe_degraded {
         return Err(CmdError::Run(
             "HPE did not enter degraded mode under signal-chaos".into(),
         ));
     }
-    let fallback_exercised = rows
-        .iter()
-        .any(|r| r.plan == "victim-drop" && r.victims_dropped > 0 && r.fallback_victims > 0);
+    let fallback_exercised = rows.iter().any(|r| {
+        r.chaos.plan == "victim-drop" && r.res().victims_dropped > 0 && r.res().fallback_victims > 0
+    });
     if !fallback_exercised {
         return Err(CmdError::Run(
             "victim-drop did not exercise the fallback victim path".into(),
         ));
     }
-    let delay_exercised = rows
-        .iter()
-        .any(|r| r.policy == "HPE" && r.plan == "partial-outage" && r.delayed_hir_flushes > 0);
+    let delay_exercised = rows.iter().any(|r| {
+        r.chaos.policy == "HPE"
+            && r.chaos.plan == "partial-outage"
+            && r.res().delayed_hir_flushes > 0
+    });
     if !delay_exercised {
         return Err(CmdError::Run(
             "partial-outage did not delay any HIR flush".into(),
@@ -931,20 +916,13 @@ fn cmd_tenants(flags: &Flags) -> Result<(), CmdError> {
     };
 
     let plan = match &flags.plan {
+        None if flags.target.is_some() => {
+            return Err(CmdError::Usage(
+                "--target needs --plan: it names the tenant the plan is scoped to".into(),
+            ))
+        }
         None => None,
-        Some(name) => Some((
-            name.clone(),
-            plan_by_name(name, flags.seed).ok_or_else(|| {
-                CmdError::Usage(format!(
-                    "unknown plan '{name}' (expected one of: {})",
-                    campaign_plans(0)
-                        .iter()
-                        .map(|(n, _)| n.clone())
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                ))
-            })?,
-        )),
+        Some(name) => Some((name.clone(), plan_by_name(name, flags.seed)?)),
     };
     let target = flags.target.unwrap_or(0);
 
@@ -1058,29 +1036,18 @@ fn main() -> ExitCode {
     let Some((cmd, rest)) = args.split_first() else {
         return usage();
     };
-    let flags = match parse_flags(rest) {
+    let Some((run, known, max_positional)) = command(cmd) else {
+        eprintln!("error: unknown command '{cmd}'");
+        return usage();
+    };
+    let flags = match parse_flags(cmd, known, max_positional, rest) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("error: {e}");
             return usage();
         }
     };
-    let outcome = match cmd.as_str() {
-        "campaign" => cmd_campaign(&flags),
-        "livelock" => cmd_livelock(&flags),
-        "resume" => cmd_resume(&flags),
-        "smoke" => cmd_smoke(&flags),
-        "sanitize" => cmd_sanitize(&flags),
-        "profile" => cmd_profile(&flags),
-        "explore" => cmd_explore(&flags),
-        "replay" => cmd_replay(&flags),
-        "tenants" => cmd_tenants(&flags),
-        _ => {
-            eprintln!("error: unknown command '{cmd}'");
-            return usage();
-        }
-    };
-    match outcome {
+    match run(&flags) {
         Ok(()) => ExitCode::SUCCESS,
         Err(CmdError::Usage(e)) => {
             eprintln!("error: {e}");

@@ -436,7 +436,11 @@ where
         let build = || -> Result<Simulation<P, I>, SimError> {
             let sim = Simulation::new(self.cfg.clone(), self.trace, make()?, capacity)?;
             let mut sim = sim.instrument((self.instrument)());
-            configure(&mut sim, spec.plan, spec.recovery)?;
+            let recovery = spec.recovery;
+            sim.set_resilience(spec.plan.cloned(), recovery.retry, recovery.fallback)?;
+            if let Some(cadence) = recovery.sanitize {
+                sim.set_sanitizer(Sanitizer::new(cadence));
+            }
             Ok(sim)
         };
         let outcome = match self.interrupt {
@@ -470,24 +474,6 @@ where
         };
         Ok((driven, outcome.instrument))
     }
-}
-
-fn configure<P: EvictionPolicy, I: Instrument>(
-    sim: &mut Simulation<P, I>,
-    plan: Option<&FaultPlan>,
-    recovery: RecoveryOptions,
-) -> Result<(), SimError> {
-    if let Some(p) = plan {
-        sim.set_fault_plan(p.clone())?;
-    }
-    if let Some(rp) = recovery.retry {
-        sim.set_retry_policy(rp)?;
-    }
-    sim.set_fallback_victim(recovery.fallback);
-    if let Some(cadence) = recovery.sanitize {
-        sim.set_sanitizer(Sanitizer::new(cadence));
-    }
-    Ok(())
 }
 
 /// Cycle-window width used by [`run_policy_traced`]'s cycle-keyed series

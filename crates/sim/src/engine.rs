@@ -12,11 +12,11 @@ use uvm_workloads::{Op, Trace};
 use uvm_util::ToJson;
 
 use crate::checkpoint::Checkpoint;
-use crate::faults::{FaultPlan, FaultState};
+use crate::faults::FaultPlan;
 use crate::instrument::{Instrument, Probe, SimEvent};
 use crate::memory::GpuMemory;
 use crate::profile::MetricsSample;
-use crate::recovery::{CircuitBreaker, FallbackVictim, LossEstimator, LruShadow, RetryPolicy};
+use crate::recovery::{FallbackVictim, Resilience, RetryPolicy};
 use crate::sanitizer::Sanitizer;
 use crate::tlb::Tlb;
 
@@ -31,13 +31,6 @@ const WRONG_EVICTION_WINDOW: usize = 128;
 /// above anything a healthy run produces between progress points, yet
 /// small enough that an injected livelock is caught within a second.
 const WATCHDOG_BASE_EVENTS: u64 = 100_000;
-
-/// HIR flushes lost in transit before the driver's circuit breaker trips
-/// and tells the GPU side to stop transferring flushes. Higher than HPE's
-/// own two-consecutive-missed-flushes degradation trigger: the policy
-/// degrades its eviction strategy first, the breaker then stops the
-/// (still ongoing) wasted PCIe transfers.
-const HIR_BREAKER_THRESHOLD: u32 = 3;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum EventKind {
@@ -137,31 +130,13 @@ pub struct Simulation<P, I = ()> {
     /// The last [`WRONG_EVICTION_WINDOW`] victims.
     recent_evictions: EvictionWindow,
     stats: SimStats,
-    /// Active fault-injection state, if a plan was installed.
-    faults: Option<FaultState>,
     /// Events handled since an op last retired or a page last landed.
     events_since_progress: u64,
     /// Watchdog threshold derived from the warp count.
     watchdog_limit: u64,
-    /// Driver retry/backoff policy for lost completions; `None` keeps the
-    /// plan's flat re-queue delay (and its livelock failure mode).
-    retry: Option<RetryPolicy>,
-    /// Backoff attempts made for the in-service fault's completion.
-    completion_attempts: u32,
-    /// Windowed completion-loss estimator, present only under
-    /// [`RetryPolicy::Adaptive`]; fed one outcome per completion event.
-    loss: Option<LossEstimator>,
-    /// Demand faults serviced since the HIR channel last came (or was)
-    /// up; resets while an injected outage holds the channel down.
-    hir_clean_streak_faults: u64,
-    /// Circuit breaker on the HIR channel (armed only under fault plans
-    /// that lose flushes; otherwise it never records a failure).
-    breaker: CircuitBreaker,
-    /// Victim source for fallback evictions.
-    fallback: FallbackVictim,
-    /// Recency shadow feeding [`FallbackVictim::LruShadow`]; empty (and
-    /// never touched) under the default min-page fallback.
-    shadow: LruShadow,
+    /// Fault injection and driver recovery (see
+    /// [`Self::set_resilience`]); `None` on a clean run.
+    resilience: Option<Resilience>,
     /// The `run_until` limit the run is currently paused at.
     paused_at: Option<u64>,
     /// Opt-in runtime invariant checker; `None` (the default) costs one
@@ -234,16 +209,9 @@ impl<P: EvictionPolicy> Simulation<P> {
             memory_full_notified: false,
             recent_evictions: EvictionWindow::new(WRONG_EVICTION_WINDOW),
             stats: SimStats::default(),
-            faults: None,
             events_since_progress: 0,
             watchdog_limit,
-            retry: None,
-            completion_attempts: 0,
-            loss: None,
-            hir_clean_streak_faults: 0,
-            breaker: CircuitBreaker::new(HIR_BREAKER_THRESHOLD),
-            fallback: FallbackVictim::default(),
-            shadow: LruShadow::default(),
+            resilience: None,
             paused_at: None,
             sanitizer: None,
             instrument: (),
@@ -291,59 +259,35 @@ impl<P: EvictionPolicy, I: Instrument> Simulation<P, I> {
             memory_full_notified: self.memory_full_notified,
             recent_evictions: self.recent_evictions,
             stats: self.stats,
-            faults: self.faults,
             events_since_progress: self.events_since_progress,
             watchdog_limit: self.watchdog_limit,
-            retry: self.retry,
-            completion_attempts: self.completion_attempts,
-            loss: self.loss,
-            hir_clean_streak_faults: self.hir_clean_streak_faults,
-            breaker: self.breaker,
-            fallback: self.fallback,
-            shadow: self.shadow,
+            resilience: self.resilience,
             paused_at: self.paused_at,
             sanitizer: self.sanitizer,
             instrument,
         }
     }
 
-    /// Installs a fault-injection plan. Must be called before
-    /// [`Self::run`]; a [`FaultPlan::none`] plan leaves every statistic
-    /// and event of the run byte-identical to not calling this at all.
+    /// Installs fault injection and driver recovery before [`Self::run`],
+    /// replacing any earlier call's: the fault `plan` (a
+    /// [`FaultPlan::none`] plan changes no statistic or event), the
+    /// `retry` policy for lost completions (without one, the plan's flat
+    /// delay retries forever and an unbounded loss ends in the watchdog's
+    /// [`SimError::Stalled`]), and the `fallback` victim for evictions
+    /// the policy did not answer. The all-default call (no plan, no retry
+    /// policy, [`FallbackVictim::MinPage`]) leaves the run clean.
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError`] if the plan is invalid.
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) -> Result<(), ConfigError> {
-        plan.validate()?;
-        self.faults = Some(FaultState::new(plan));
+    /// Returns [`ConfigError`] if the plan or the retry policy is invalid.
+    pub fn set_resilience(
+        &mut self,
+        plan: Option<FaultPlan>,
+        retry: Option<RetryPolicy>,
+        fallback: FallbackVictim,
+    ) -> Result<(), ConfigError> {
+        self.resilience = Resilience::new(plan, retry, fallback)?;
         Ok(())
-    }
-
-    /// Installs a driver retry/backoff policy for lost fault completions.
-    ///
-    /// Without one, a lost completion is re-queued after the fault plan's
-    /// flat `retry_cycles` forever (an unbounded loss then livelocks into
-    /// the watchdog's [`SimError::Stalled`]). With one, each consecutive
-    /// loss backs off exponentially and the attempt cap surfaces as
-    /// [`SimError::RetriesExhausted`] instead.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] if the policy is invalid.
-    pub fn set_retry_policy(&mut self, rp: RetryPolicy) -> Result<(), ConfigError> {
-        rp.validate()?;
-        self.loss = rp.loss_window().map(LossEstimator::new);
-        self.retry = Some(rp);
-        Ok(())
-    }
-
-    /// Selects the victim source for fallback evictions (policy offered
-    /// no victim, or its answer was dropped in transit). The default is
-    /// [`FallbackVictim::MinPage`]; [`FallbackVictim::LruShadow`] makes
-    /// the engine maintain a recency shadow and evict approximate-LRU.
-    pub fn set_fallback_victim(&mut self, fallback: FallbackVictim) {
-        self.fallback = fallback;
     }
 
     /// Installs the opt-in runtime sanitizer (see [`Sanitizer`]): every
@@ -429,54 +373,18 @@ impl<P: EvictionPolicy, I: Instrument> Simulation<P, I> {
         Ok(true)
     }
 
-    /// Handles a fault-completion signal, routing injected losses through
-    /// the retry policy (if installed) or the plan's flat re-queue delay.
+    /// Handles a fault-completion signal; under injection it may have
+    /// been lost, and the driver retries it (see [`Resilience::completion`]).
     fn driver_done(&mut self, page: PageId) -> Result<(), SimError> {
-        // An injected lossy completion channel may swallow the signal; the
-        // driver retries until it gets through — or, without a retry
-        // policy, never does, and the watchdog reports the livelock.
-        let lost = match &mut self.faults {
-            Some(fs) => fs.completion_lost(self.now, &mut self.stats.resilience),
+        let retry = match &mut self.resilience {
+            Some(r) => r.completion(page, self.now, &mut self.stats.resilience)?,
             None => None,
         };
-        // The adaptive estimator observes every completion outcome —
-        // delivered or lost — so its loss rate tracks the channel, not
-        // just the retries.
-        if let Some(est) = self.loss.as_mut() {
-            est.record(lost.is_some());
-        }
-        match lost {
-            Some(plan_delay) => {
-                let delay = match self.retry {
-                    Some(rp) => {
-                        self.completion_attempts += 1;
-                        if self.completion_attempts >= rp.max_attempts() {
-                            return Err(SimError::RetriesExhausted {
-                                page,
-                                cycle: self.now,
-                                attempts: self.completion_attempts,
-                            });
-                        }
-                        let delay = match (rp, &self.loss) {
-                            (RetryPolicy::Adaptive(a), Some(est)) => {
-                                a.delay_for(self.completion_attempts, est.lost(), est.observed())
-                            }
-                            _ => rp.delay_for(self.completion_attempts),
-                        };
-                        self.stats.resilience.retry_attempts += 1;
-                        self.stats.resilience.retry_backoff_cycles += delay;
-                        delay
-                    }
-                    None => plan_delay,
-                };
-                self.probe(Probe::Retry { page, delay });
-                self.schedule(self.now + delay, EventKind::DriverDone(page));
-            }
-            None => {
-                self.completion_attempts = 0;
-                self.finish_fault(page)?;
-            }
-        }
+        let Some(delay) = retry else {
+            return self.finish_fault(page);
+        };
+        self.probe(Probe::Retry { page, delay });
+        self.schedule(self.now + delay, EventKind::DriverDone(page));
         Ok(())
     }
 
@@ -502,12 +410,18 @@ impl<P: EvictionPolicy, I: Instrument> Simulation<P, I> {
             self.sanitize_check()?;
         }
         self.stats.policy = self.policy.stats();
+        // Without injection the channel never went down.
+        let clean = (false, self.stats.driver.faults_serviced);
+        let (hir_down, hir_clean_streak_faults) = self
+            .resilience
+            .as_ref()
+            .map_or(clean, Resilience::hir_state);
         Ok(SimOutcome {
             stats: self.stats,
             policy: self.policy,
             instrument: self.instrument,
-            hir_down: self.faults.as_ref().is_some_and(|fs| fs.hir_down),
-            hir_clean_streak_faults: self.hir_clean_streak_faults,
+            hir_down,
+            hir_clean_streak_faults,
         })
     }
 
@@ -530,43 +444,29 @@ impl<P: EvictionPolicy, I: Instrument> Simulation<P, I> {
     /// and why that is sufficient under the determinism contract).
     /// Meaningful after [`Self::run_until`] returned `Ok(false)`.
     pub fn checkpoint(&self) -> Checkpoint {
-        let (fault_rng, fault_lost_in_row) = match &self.faults {
-            Some(fs) => {
-                let (state, lost) = fs.fingerprint();
-                (state.to_vec(), lost)
-            }
-            None => (Vec::new(), 0),
-        };
-        let (breaker_failures, breaker_open) = self.breaker.fingerprint();
-        let (shadow_pages, shadow_clock) = self.shadow.fingerprint();
-        let (loss_bits, loss_len) = self.loss.map_or((0, 0), |est| est.fingerprint());
-        Checkpoint {
+        let mut ckpt = Checkpoint {
             cycle: self.paused_at.unwrap_or(self.now),
             now: self.now,
             stats: self.stats.clone(),
-            fault_rng,
-            fault_lost_in_row,
-            hir_down: self.faults.as_ref().is_some_and(|fs| fs.hir_down),
-            breaker_failures,
-            breaker_open,
-            completion_attempts: self.completion_attempts,
             next_seq: self.next_seq,
             live_warps: self.live_warps as u64,
             resident_pages: self.memory.len(),
             in_flight: self.in_flight.len() as u64,
             queue_len: self.fault_queue.len() as u64,
-            shadow_pages,
-            shadow_clock,
-            loss_bits,
-            loss_len,
+            ..Checkpoint::default()
+        };
+        if let Some(r) = &self.resilience {
+            r.fingerprint(&mut ckpt);
         }
+        ckpt
     }
 
     /// Fast-forwards this *freshly built* simulation to `ckpt` and
     /// verifies it reconstructed the identical machine. The simulation
     /// must have been constructed from the same inputs (config, trace,
-    /// policy, capacity, fault plan, retry policy, fallback victim) as
-    /// the run that took the snapshot; continue it afterwards with
+    /// policy, capacity, and the plan, retry policy and fallback victim
+    /// given to [`Self::set_resilience`]) as the run that took the
+    /// snapshot; continue it afterwards with
     /// [`Self::run_until`] or [`Self::finish`].
     ///
     /// # Errors
@@ -695,8 +595,8 @@ impl<P: EvictionPolicy, I: Instrument> Simulation<P, I> {
 
         // The access completes.
         self.events_since_progress = 0;
-        if self.fallback == FallbackVictim::LruShadow {
-            self.shadow.touch(op.page);
+        if let Some(r) = &mut self.resilience {
+            r.touch(op.page);
         }
         self.warps[w].issued = false;
         self.warps[w].cursor += 1;
@@ -828,82 +728,37 @@ impl<P: EvictionPolicy, I: Instrument> Simulation<P, I> {
         self.stats.driver.faults_serviced += demand_count;
         self.stats.driver.prefetched_pages += self.in_flight.len() as u64 - demand_count;
 
-        // Injected GPU→driver channel outage: tell the policy when the
-        // square wave flips, and count faults serviced while it is down.
-        if let Some(fs) = &mut self.faults {
-            if let Some(down) = fs.hir_transition(fault_num, self.now) {
-                self.policy.on_disruption(if down {
-                    SignalDisruption::HirChannelDown
-                } else {
-                    SignalDisruption::HirChannelUp
-                });
-                if !down && self.breaker.reset() {
-                    // Channel restored: close the breaker so the GPU side
-                    // resumes paying for flush transfers.
-                    self.policy
-                        .on_disruption(SignalDisruption::HirCircuitClosed);
-                }
-            }
-            if fs.hir_down {
-                self.stats.resilience.faults_during_hir_outage += demand_count;
-            }
-            // Injected partial outage: this window's HIR flush will arrive
-            // late. Announced before faults are serviced so the policy can
-            // divert the flush instead of applying it inline.
-            if let Some(delay) = fs.flush_delay(self.now, &mut self.stats.resilience) {
-                self.policy
-                    .on_disruption(SignalDisruption::HirFlushDelayed { faults: delay });
-            }
-        }
-        // Recovery headroom: faults serviced with the channel up are the
-        // opportunity a degraded policy had to recover (see
-        // [`SimOutcome::hir_clean_streak_faults`]).
-        if self.faults.as_ref().is_some_and(|fs| fs.hir_down) {
-            self.hir_clean_streak_faults = 0;
-        } else {
-            self.hir_clean_streak_faults += demand_count;
+        if let Some(r) = &mut self.resilience {
+            let res = &mut self.stats.resilience;
+            r.on_service_start(&mut self.policy, fault_num, demand_count, self.now, res);
         }
 
         // Free enough frames for every migrating page.
         let needed = (self.memory.len() + self.in_flight.len() as u64)
             .saturating_sub(self.memory.capacity());
         for _ in 0..needed {
-            // Injected victim-notification drop: the policy's answer is
-            // lost in transit, so the driver acts as if none was offered.
-            let dropped = match &mut self.faults {
-                Some(fs) => fs.victim_dropped(self.now, &mut self.stats.resilience),
-                None => false,
+            let offer = self.policy.select_victim();
+            let (offer, stale_ok) = match &mut self.resilience {
+                Some(r) => r.victim_offer(offer, self.now, &mut self.stats.resilience),
+                None => (offer, false),
             };
-            let victim = match self.policy.select_victim() {
-                Some(v) if !dropped => {
-                    if self.memory.remove(v) {
-                        v
-                    } else if self.faults.as_ref().is_some_and(|fs| fs.drops_victims()) {
-                        // An earlier dropped notification desynced the
-                        // policy's residency view (it forgot a page that
-                        // was never evicted, and never learned about the
-                        // fallback eviction that replaced it). Under a
-                        // victim-dropping plan a stale offer is an expected
-                        // consequence of the injection, so the driver
-                        // tolerates it and falls back; on clean runs it
-                        // stays a hard policy-bug error.
-                        self.evict_fallback()?
-                    } else {
-                        return Err(SimError::NonResidentVictim {
-                            page: v,
-                            cycle: self.now,
-                        });
-                    }
+            let victim = match offer {
+                Some(v) if self.memory.remove(v) => v,
+                // A stale offer is an expected after-effect of an injected
+                // victim drop; on a clean run it is a policy bug.
+                Some(page) if !stale_ok => {
+                    return Err(SimError::NonResidentVictim {
+                        page,
+                        cycle: self.now,
+                    })
                 }
-                _ => {
-                    // No victim arrived — the policy believes nothing is
-                    // resident, or its answer was dropped in transit.
-                    // Evict a fallback victim rather than aborting the run.
-                    self.evict_fallback()?
-                }
+                // No victim arrived: the policy believes nothing is
+                // resident (or its answer was dropped in transit). Evict a
+                // fallback victim rather than aborting the run.
+                _ => self.evict_fallback()?,
             };
-            if self.fallback == FallbackVictim::LruShadow {
-                self.shadow.remove(victim);
+            if let Some(r) = &mut self.resilience {
+                r.forget(victim);
             }
             for l1 in &mut self.l1 {
                 l1.invalidate(victim);
@@ -934,29 +789,18 @@ impl<P: EvictionPolicy, I: Instrument> Simulation<P, I> {
         }
         // StrategySwitch / HirFlush events raised inside on_fault.
         self.drain_policy_events();
-        // HIR flushes sent into a dead channel: account the wasted PCIe
-        // transfer and feed the circuit breaker, which eventually tells
-        // the GPU side to stop paying for flushes that never arrive.
-        if outcome.lost_flushes > 0 {
-            self.stats.resilience.hir_flushes_lost += u64::from(outcome.lost_flushes);
-            self.stats.resilience.wasted_flush_cycles +=
-                self.cfg.pcie_transfer_cycles(outcome.wasted_transfer_bytes);
-            for _ in 0..outcome.lost_flushes {
-                if self.breaker.record_failure() {
-                    self.stats.resilience.circuit_breaker_trips += 1;
-                    self.policy.on_disruption(SignalDisruption::HirCircuitOpen);
-                    self.drain_policy_events();
-                }
-            }
-        }
-        // Injected corrupted fault report: a spurious wrong-eviction signal
-        // reaches the policy's adjustment machinery.
-        if let Some(fs) = &mut self.faults {
-            if fs.spurious_wrong_eviction(self.now, &mut self.stats.resilience) {
-                self.policy
-                    .on_disruption(SignalDisruption::SpuriousWrongEviction { fault_num });
-                self.drain_policy_events();
-            }
+        if let Some(r) = &mut self.resilience {
+            let wasted = self.cfg.pcie_transfer_cycles(outcome.wasted_transfer_bytes);
+            let res = &mut self.stats.resilience;
+            r.after_fault(
+                &mut self.policy,
+                outcome.lost_flushes,
+                wasted,
+                fault_num,
+                self.now,
+                res,
+            );
+            self.drain_policy_events();
         }
         // Prefetched pages each pay their own PCIe transfer. Wasted flush
         // bytes are on the critical path too — the GPU side sent them
@@ -966,9 +810,9 @@ impl<P: EvictionPolicy, I: Instrument> Simulation<P, I> {
             outcome.transfer_bytes + outcome.wasted_transfer_bytes + prefetch_bytes,
         );
         let mut service = self.cfg.fault_service_cycles();
-        if let Some(fs) = &mut self.faults {
+        if let Some(r) = &mut self.resilience {
             (service, transfer) =
-                fs.perturb_service(service, transfer, self.now, &mut self.stats.resilience);
+                r.perturb_service(service, transfer, self.now, &mut self.stats.resilience);
         }
         let duration = service + transfer;
         // Timeline attribution: the whole service window [now, now +
@@ -1006,8 +850,8 @@ impl<P: EvictionPolicy, I: Instrument> Simulation<P, I> {
                     cycle: self.now,
                 });
             }
-            if self.fallback == FallbackVictim::LruShadow {
-                self.shadow.touch(p);
+            if let Some(r) = &mut self.resilience {
+                r.touch(p);
             }
             self.emit(SimEvent::FaultServiced {
                 time: self.now,
@@ -1045,27 +889,19 @@ impl<P: EvictionPolicy, I: Instrument> Simulation<P, I> {
         Ok(())
     }
 
-    /// Picks the engine-side fallback victim: approximate-LRU from the
-    /// recency shadow when enabled (with a min-page safety net should the
-    /// shadow be empty), else the lowest-numbered resident page.
-    fn fallback_victim(&self) -> Option<PageId> {
-        match self.fallback {
-            FallbackVictim::MinPage => self.memory.min_resident(),
-            FallbackVictim::LruShadow => self
-                .shadow
-                .lru()
-                .filter(|&p| self.memory.is_resident(p))
-                .or_else(|| self.memory.min_resident()),
-        }
-    }
-
-    /// Evicts a fallback victim, accounting it and notifying the policy.
+    /// Evicts a fallback victim — the LRU shadow's pick when one is
+    /// installed, else the lowest-numbered resident page — accounting it
+    /// and notifying the policy.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::NoVictimAvailable`] when nothing is resident.
     fn evict_fallback(&mut self) -> Result<PageId, SimError> {
-        let Some(v) = self.fallback_victim() else {
+        let pick = self
+            .resilience
+            .as_ref()
+            .and_then(|r| r.fallback_pick(&self.memory));
+        let Some(v) = pick.or_else(|| self.memory.min_resident()) else {
             return Err(SimError::NoVictimAvailable { cycle: self.now });
         };
         self.memory.remove(v);
@@ -1119,17 +955,9 @@ impl<P: EvictionPolicy, I: Instrument> Simulation<P, I> {
                 ),
             ));
         }
-        if self.fallback == FallbackVictim::LruShadow {
-            self.shadow
-                .check_invariants(&|p| self.memory.is_resident(p))
-                .map_err(|detail| fail("lru-shadow", detail))?;
-        }
-        self.breaker
-            .check_invariants()
-            .map_err(|detail| fail("circuit-breaker", detail))?;
-        if let Some(est) = &self.loss {
-            est.check_invariants()
-                .map_err(|detail| fail("loss-estimator", detail))?;
+        if let Some(r) = &self.resilience {
+            r.check_invariants(&self.memory)
+                .map_err(|(invariant, detail)| fail(invariant, detail))?;
         }
         self.policy
             .check_invariants()
@@ -1146,6 +974,7 @@ mod tests {
     use uvm_policies::{Lru, RandomPolicy};
     use uvm_types::Oversubscription;
     use uvm_workloads::registry;
+    use FallbackVictim::MinPage;
 
     fn tiny_cfg(n_sms: u32, warps: u32) -> SimConfig {
         SimConfig::builder()
@@ -1555,30 +1384,12 @@ mod tests {
     }
 
     #[test]
-    fn noop_fault_plan_changes_nothing() {
-        let global: Vec<u64> = (0..40u64).cycle().take(160).collect();
-        let run = |plan: Option<crate::FaultPlan>| {
-            let cfg = tiny_cfg(2, 1);
-            let trace = Trace::from_global(&global, 40, 0, 2, 3);
-            let mut sim = Simulation::new(cfg, &trace, Lru::new(), 30).unwrap();
-            if let Some(p) = plan {
-                sim.set_fault_plan(p).unwrap();
-            }
-            sim.run().unwrap().stats
-        };
-        let clean = run(None);
-        let noop = run(Some(crate::FaultPlan::none()));
-        assert_eq!(clean, noop);
-        assert!(!noop.resilience.any());
-    }
-
-    #[test]
     fn latency_chaos_completes_and_reports_injection() {
         let global: Vec<u64> = (0..40u64).cycle().take(160).collect();
         let cfg = tiny_cfg(2, 1);
         let trace = Trace::from_global(&global, 40, 0, 2, 3);
         let mut sim = Simulation::new(cfg, &trace, Lru::new(), 30).unwrap();
-        sim.set_fault_plan(crate::FaultPlan::latency_storm(11))
+        sim.set_resilience(Some(FaultPlan::latency_storm(11)), None, MinPage)
             .unwrap();
         let stats = sim.run().expect("chaos run completes").stats;
         assert!(stats.resilience.any());
@@ -1594,7 +1405,8 @@ mod tests {
         let cfg = tiny_cfg(1, 1);
         let trace = Trace::from_global(&global, 10, 0, 1, 1);
         let mut sim = Simulation::new(cfg, &trace, Lru::new(), 16).unwrap();
-        sim.set_fault_plan(crate::FaultPlan::livelock(1)).unwrap();
+        sim.set_resilience(Some(FaultPlan::livelock(1)), None, MinPage)
+            .unwrap();
         match sim.run() {
             Err(SimError::Stalled { in_flight, .. }) => assert!(in_flight >= 1),
             other => panic!("expected Stalled, got {other:?}"),
@@ -1607,12 +1419,12 @@ mod tests {
         let cfg = tiny_cfg(1, 1);
         let trace = Trace::from_global(&global, 10, 0, 1, 1);
         let mut sim = Simulation::new(cfg, &trace, Lru::new(), 16).unwrap();
-        sim.set_fault_plan(crate::FaultPlan::livelock(1)).unwrap();
         let rp = RetryPolicy::Fixed(Backoff {
             max_attempts: 5,
             ..Backoff::default()
         });
-        sim.set_retry_policy(rp).unwrap();
+        sim.set_resilience(Some(FaultPlan::livelock(1)), Some(rp), MinPage)
+            .unwrap();
         match sim.run() {
             Err(SimError::RetriesExhausted { attempts, .. }) => assert_eq!(attempts, 5),
             other => panic!("expected RetriesExhausted, got {other:?}"),
@@ -1625,9 +1437,9 @@ mod tests {
         let cfg = tiny_cfg(2, 1);
         let trace = Trace::from_global(&global, 40, 0, 2, 3);
         let mut sim = Simulation::new(cfg, &trace, Lru::new(), 30).unwrap();
-        sim.set_fault_plan(crate::FaultPlan::completion_loss(7))
+        let plan = Some(FaultPlan::completion_loss(7));
+        sim.set_resilience(plan, Some(RetryPolicy::default()), MinPage)
             .unwrap();
-        sim.set_retry_policy(RetryPolicy::default()).unwrap();
         let stats = sim.run().expect("backoff still delivers").stats;
         assert!(stats.resilience.completions_lost > 0);
         assert_eq!(
@@ -1646,7 +1458,7 @@ mod tests {
             max_attempts: 0,
             ..Backoff::default()
         });
-        assert!(sim.set_retry_policy(bad).is_err());
+        assert!(sim.set_resilience(None, Some(bad), MinPage).is_err());
     }
 
     #[test]
@@ -1656,9 +1468,8 @@ mod tests {
             let cfg = tiny_cfg(2, 1);
             let trace = Trace::from_global(&global, 40, 0, 2, 3);
             let mut sim = Simulation::new(cfg, &trace, Lru::new(), 30).unwrap();
-            sim.set_fault_plan(crate::FaultPlan::completion_loss(7))
+            sim.set_resilience(Some(FaultPlan::completion_loss(7)), Some(rp), MinPage)
                 .unwrap();
-            sim.set_retry_policy(rp).unwrap();
             sim.run().expect("bounded loss still completes").stats
         };
         let fixed = run(RetryPolicy::default());
@@ -1688,10 +1499,10 @@ mod tests {
             let cfg = tiny_cfg(2, 1);
             let trace = Trace::from_global(&global, 20, 0, 2, 2);
             let mut sim = Simulation::new(cfg, &trace, NoVictim, 8).unwrap();
-            sim.set_fallback_victim(fallback);
+            sim.set_resilience(None, None, fallback).unwrap();
             sim.run().expect("fallback keeps the run alive").stats
         };
-        let min_page = run(FallbackVictim::MinPage);
+        let min_page = run(MinPage);
         let shadow = run(FallbackVictim::LruShadow);
         assert_eq!(
             min_page.resilience.fallback_victims,
@@ -1713,7 +1524,7 @@ mod tests {
         let cfg = tiny_cfg(2, 1);
         let trace = Trace::from_global(&global, 40, 0, 2, 3);
         let mut sim = Simulation::new(cfg, &trace, Lru::new(), 30).unwrap();
-        sim.set_fault_plan(crate::FaultPlan::victim_drop(3))
+        sim.set_resilience(Some(FaultPlan::victim_drop(3)), None, MinPage)
             .unwrap();
         let stats = sim.run().expect("dropped victims are tolerated").stats;
         assert!(stats.resilience.victims_dropped > 0, "injection fired");
@@ -1732,7 +1543,7 @@ mod tests {
             let cfg = tiny_cfg(2, 1);
             let trace = Trace::from_global(&global, 40, 0, 2, 3);
             let mut sim = Simulation::new(cfg, &trace, Lru::new(), 30).unwrap();
-            sim.set_fault_plan(crate::FaultPlan::latency_storm(11))
+            sim.set_resilience(Some(FaultPlan::latency_storm(11)), None, MinPage)
                 .unwrap();
             sim
         };
@@ -1760,7 +1571,7 @@ mod tests {
             let cfg = tiny_cfg(2, 1);
             let trace = Trace::from_global(&global, 40, 0, 2, 3);
             let mut sim = Simulation::new(cfg, &trace, Lru::new(), 30).unwrap();
-            sim.set_fault_plan(crate::FaultPlan::latency_storm(seed))
+            sim.set_resilience(Some(FaultPlan::latency_storm(seed)), None, MinPage)
                 .unwrap();
             sim
         };
@@ -1802,7 +1613,7 @@ mod tests {
             .unwrap()
             .stats;
         let mut sim = Simulation::new(cfg, &trace, Lru::new(), 30).unwrap();
-        sim.set_fault_plan(crate::FaultPlan::completion_loss(7))
+        sim.set_resilience(Some(FaultPlan::completion_loss(7)), None, MinPage)
             .unwrap();
         let lossy = sim.run().expect("bounded retries always deliver").stats;
         assert!(lossy.resilience.completions_lost > 0);
@@ -1851,7 +1662,8 @@ mod tests {
         let cfg = tiny_cfg(1, 1);
         let trace = Trace::from_global(&global, 30, 0, 1, 3);
         let mut sim = Simulation::new(cfg, &trace, Lru::new(), 20).unwrap();
-        sim.set_fallback_victim(FallbackVictim::LruShadow);
+        sim.set_resilience(None, None, FallbackVictim::LruShadow)
+            .unwrap();
         sim.set_sanitizer(Sanitizer::new(1));
         let stats = sim.run().unwrap().stats;
         assert!(stats.faults() > 0);

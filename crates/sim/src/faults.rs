@@ -616,49 +616,41 @@ impl FaultState {
         Some(down)
     }
 
+    /// Whether an effect of `family` with probability `p` fires at cycle
+    /// `now`: always inside one of the family's windows (no draw), else
+    /// by one RNG draw, made only when `p` is nonzero.
+    fn fires(&mut self, family: FaultFamily, p: f64, now: u64) -> bool {
+        self.plan.in_family_window(family, now) || (p > 0.0 && self.rng.gen_bool(p))
+    }
+
     /// Whether this serviced fault also delivers a spurious wrong-eviction
     /// report.
     pub(crate) fn spurious_wrong_eviction(&mut self, now: u64, res: &mut ResilienceStats) -> bool {
-        if self.plan.in_family_window(FaultFamily::SpuriousSignal, now) {
-            res.spurious_wrong_evictions += 1;
-            return true;
-        }
         let p = self.plan.spurious_wrong_eviction_probability;
-        if p > 0.0 && self.rng.gen_bool(p) {
-            res.spurious_wrong_evictions += 1;
-            return true;
-        }
-        false
+        let fired = self.fires(FaultFamily::SpuriousSignal, p, now);
+        res.spurious_wrong_evictions += u64::from(fired);
+        fired
     }
 
     /// Whether this fault-service window delays the policy's next HIR
     /// flush in transit (partial outage); returns the delay in faults.
     pub(crate) fn flush_delay(&mut self, now: u64, res: &mut ResilienceStats) -> Option<u64> {
-        if self.plan.in_family_window(FaultFamily::FlushDelay, now) {
-            res.delayed_hir_flushes += 1;
-            return Some(self.plan.hir_delay_faults);
-        }
         let p = self.plan.hir_delay_probability;
-        if p > 0.0 && self.rng.gen_bool(p) {
-            res.delayed_hir_flushes += 1;
-            return Some(self.plan.hir_delay_faults);
-        }
-        None
+        let fired = self.fires(FaultFamily::FlushDelay, p, now);
+        res.delayed_hir_flushes += u64::from(fired);
+        fired.then_some(self.plan.hir_delay_faults)
     }
 
     /// Whether one victim response from the policy is corrupted in
     /// transit, forcing the engine onto its fallback victim.
     pub(crate) fn victim_dropped(&mut self, now: u64, res: &mut ResilienceStats) -> bool {
-        if self.plan.in_family_window(FaultFamily::VictimDrop, now) {
-            res.victims_dropped += 1;
-            return true;
-        }
-        let p = self.plan.victim_drop_probability;
-        if p > 0.0 && self.rng.gen_bool(p) {
-            res.victims_dropped += 1;
-            return true;
-        }
-        false
+        let fired = self.fires(
+            FaultFamily::VictimDrop,
+            self.plan.victim_drop_probability,
+            now,
+        );
+        res.victims_dropped += u64::from(fired);
+        fired
     }
 
     /// Whether this plan can drop victim responses at all. When it can,

@@ -21,6 +21,9 @@
 //!   fallback-eviction path an approximate-LRU victim instead of the
 //!   deterministic-but-arbitrary minimum page id.
 //!
+//! [`Resilience`] owns all of it, plus the fault plan's runtime state,
+//! and is the engine's one seam to injection and recovery.
+//!
 //! # Examples
 //!
 //! ```
@@ -32,8 +35,13 @@
 //! assert!(rp.delay_for(60) <= rp.backoff().max_delay_cycles);
 //! ```
 
-use uvm_types::{ConfigError, PageId, PageMap};
+use uvm_policies::EvictionPolicy;
+use uvm_types::{ConfigError, PageId, PageMap, ResilienceStats, SignalDisruption, SimError};
 use uvm_util::{impl_json_struct, json, FromJson, Json, JsonError, ToJson};
+
+use crate::checkpoint::Checkpoint;
+use crate::faults::{FaultPlan, FaultState};
+use crate::memory::GpuMemory;
 
 /// The exponential-backoff schedule shared by both retry modes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -184,7 +192,7 @@ impl AdaptiveBackoff {
 
 /// How the driver retries a lost fault-completion signal.
 ///
-/// Installed with `Simulation::set_retry_policy`. Without one, a lost
+/// Installed with `Simulation::set_resilience`. Without one, a lost
 /// completion is re-queued after the fault plan's flat `retry_cycles`
 /// forever (the pre-recovery behavior, where an unbounded loss becomes a
 /// watchdog [`uvm_types::SimError::Stalled`]).
@@ -350,11 +358,6 @@ impl LossEstimator {
         self.len
     }
 
-    /// Fingerprint for checkpoint verification.
-    pub(crate) fn fingerprint(&self) -> (u64, u32) {
-        (self.bits, self.len)
-    }
-
     /// Validates the ring (sanitizer hook): the observation count never
     /// exceeds the window and no bits live beyond it.
     pub(crate) fn check_invariants(&self) -> Result<(), String> {
@@ -374,28 +377,26 @@ impl LossEstimator {
     }
 }
 
+/// HIR flushes lost in transit before the driver's circuit breaker trips
+/// and tells the GPU side to stop transferring flushes. Higher than HPE's
+/// own two-consecutive-missed-flushes degradation trigger: the policy
+/// degrades its eviction strategy first, the breaker then stops the
+/// (still ongoing) wasted PCIe transfers.
+const HIR_BREAKER_THRESHOLD: u32 = 3;
+
 /// A count-based circuit breaker on the HIR channel.
 ///
 /// The engine records one failure per flush lost in transit; at
-/// `threshold` failures the breaker trips (returns `true` exactly once)
-/// and stays open until [`CircuitBreaker::reset`] — which the engine
-/// calls when the injected outage ends.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// [`HIR_BREAKER_THRESHOLD`] failures the breaker trips (returns `true`
+/// exactly once) and stays open until [`CircuitBreaker::reset`] — which
+/// the engine calls when the injected outage ends.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct CircuitBreaker {
-    threshold: u32,
     failures: u32,
     open: bool,
 }
 
 impl CircuitBreaker {
-    pub(crate) fn new(threshold: u32) -> Self {
-        CircuitBreaker {
-            threshold,
-            failures: 0,
-            open: false,
-        }
-    }
-
     /// Records one lost flush; returns `true` on the failure that trips
     /// the breaker open (only that one — callers emit the open signal
     /// exactly once).
@@ -404,7 +405,7 @@ impl CircuitBreaker {
             return false;
         }
         self.failures += 1;
-        if self.failures >= self.threshold {
+        if self.failures >= HIR_BREAKER_THRESHOLD {
             self.open = true;
             return true;
         }
@@ -426,21 +427,16 @@ impl CircuitBreaker {
         was_open
     }
 
-    /// Fingerprint for checkpoint verification.
-    pub(crate) fn fingerprint(&self) -> (u32, bool) {
-        (self.failures, self.open)
-    }
-
     /// Validates the breaker's state machine (sanitizer hook): the
     /// breaker is open exactly when the failure count has reached the
     /// threshold (it trips at the threshold and stops counting while
     /// open).
     pub(crate) fn check_invariants(&self) -> Result<(), String> {
-        let should_be_open = self.failures >= self.threshold;
+        let should_be_open = self.failures >= HIR_BREAKER_THRESHOLD;
         if self.open != should_be_open {
             return Err(format!(
                 "circuit breaker open={} with {} failures against threshold {}",
-                self.open, self.failures, self.threshold
+                self.open, self.failures, HIR_BREAKER_THRESHOLD
             ));
         }
         Ok(())
@@ -509,11 +505,6 @@ impl LruShadow {
             .map(|(page, _)| page)
     }
 
-    /// Fingerprint for checkpoint verification.
-    pub(crate) fn fingerprint(&self) -> (u64, u64) {
-        (self.stamps.len() as u64, self.clock)
-    }
-
     /// Validates the shadow against the engine's resident set (sanitizer
     /// hook): the clock is monotone so no more stamps than clock ticks
     /// can exist, every stamp lies in `1..=clock`, and every tracked
@@ -542,6 +533,287 @@ impl LruShadow {
             return Err(format!("LRU shadow tracks non-resident page {page}"));
         }
         Ok(())
+    }
+}
+
+/// Everything the engine does only under fault injection or recovery.
+///
+/// The engine holds it as one `Option`, `None` on every clean run, and
+/// calls one hook at each injection point, so a clean run pays one
+/// branch per hook and reads as the modelled driver alone.
+#[derive(Debug)]
+pub(crate) struct Resilience {
+    /// Fault-plan runtime state, if a plan was installed.
+    faults: Option<FaultState>,
+    /// Backoff for lost completions; `None` keeps the plan's flat
+    /// re-queue delay (and its livelock failure mode).
+    retry: Option<RetryPolicy>,
+    /// Backoff attempts made for the in-service fault's completion.
+    completion_attempts: u32,
+    /// Completion-loss estimator, present only under
+    /// [`RetryPolicy::Adaptive`].
+    loss: Option<LossEstimator>,
+    /// The HIR channel's breaker; only lost flushes move it.
+    breaker: CircuitBreaker,
+    /// Recency shadow, present only under [`FallbackVictim::LruShadow`].
+    shadow: Option<LruShadow>,
+    /// Demand faults serviced since the HIR channel last came (or was)
+    /// up: the headroom a degraded policy had to recover.
+    clean_streak_faults: u64,
+}
+
+impl Resilience {
+    /// Validates the plan, then the retry policy. The all-default call
+    /// (no plan, no retry policy, min-page fallback) has nothing to
+    /// inject or recover and returns `None`.
+    pub(crate) fn new(
+        plan: Option<FaultPlan>,
+        retry: Option<RetryPolicy>,
+        fallback: FallbackVictim,
+    ) -> Result<Option<Self>, ConfigError> {
+        if let Some(plan) = &plan {
+            plan.validate()?;
+        }
+        if let Some(rp) = &retry {
+            rp.validate()?;
+        }
+        if plan.is_none() && retry.is_none() && fallback == FallbackVictim::MinPage {
+            return Ok(None);
+        }
+        Ok(Some(Resilience {
+            faults: plan.map(FaultState::new),
+            retry,
+            completion_attempts: 0,
+            loss: retry
+                .and_then(|rp| rp.loss_window())
+                .map(LossEstimator::new),
+            breaker: CircuitBreaker::default(),
+            shadow: (fallback == FallbackVictim::LruShadow).then(LruShadow::default),
+            clean_streak_faults: 0,
+        }))
+    }
+
+    /// Completion hook. Returns `Some(delay)` when the signal for `page`
+    /// was lost and the driver retries it after `delay` cycles (the
+    /// backoff, or the plan's flat delay without a retry policy), `None`
+    /// when it was delivered.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::RetriesExhausted`] at the retry policy's
+    /// attempt cap.
+    pub(crate) fn completion(
+        &mut self,
+        page: PageId,
+        now: u64,
+        res: &mut ResilienceStats,
+    ) -> Result<Option<u64>, SimError> {
+        let lost = match &mut self.faults {
+            Some(fs) => fs.completion_lost(now, res),
+            None => None,
+        };
+        // The estimator observes every outcome, delivered or lost, so its
+        // loss rate tracks the channel, not just the retries.
+        if let Some(est) = self.loss.as_mut() {
+            est.record(lost.is_some());
+        }
+        let Some(plan_delay) = lost else {
+            self.completion_attempts = 0;
+            return Ok(None);
+        };
+        let Some(rp) = self.retry else {
+            return Ok(Some(plan_delay));
+        };
+        self.completion_attempts += 1;
+        if self.completion_attempts >= rp.max_attempts() {
+            return Err(SimError::RetriesExhausted {
+                page,
+                cycle: now,
+                attempts: self.completion_attempts,
+            });
+        }
+        let delay = match (rp, &self.loss) {
+            (RetryPolicy::Adaptive(a), Some(est)) => {
+                a.delay_for(self.completion_attempts, est.lost(), est.observed())
+            }
+            _ => rp.delay_for(self.completion_attempts),
+        };
+        res.retry_attempts += 1;
+        res.retry_backoff_cycles += delay;
+        Ok(Some(delay))
+    }
+
+    /// Service-start hook, after the window's `demand` faults were
+    /// numbered from `fault_num`. Tells the policy when the injected HIR
+    /// outage flips (closing the breaker when the channel returns),
+    /// counts faults serviced while it is down, announces a flush delayed
+    /// in transit before the faults reach the policy (so it can divert
+    /// the flush), and steps the clean streak.
+    pub(crate) fn on_service_start(
+        &mut self,
+        policy: &mut dyn EvictionPolicy,
+        fault_num: u64,
+        demand: u64,
+        now: u64,
+        res: &mut ResilienceStats,
+    ) {
+        if let Some(fs) = &mut self.faults {
+            if let Some(down) = fs.hir_transition(fault_num, now) {
+                policy.on_disruption(if down {
+                    SignalDisruption::HirChannelDown
+                } else {
+                    SignalDisruption::HirChannelUp
+                });
+                if !down && self.breaker.reset() {
+                    policy.on_disruption(SignalDisruption::HirCircuitClosed);
+                }
+            }
+            if fs.hir_down {
+                res.faults_during_hir_outage += demand;
+            }
+            if let Some(delay) = fs.flush_delay(now, res) {
+                policy.on_disruption(SignalDisruption::HirFlushDelayed { faults: delay });
+            }
+        }
+        if self.hir_down() {
+            self.clean_streak_faults = 0;
+        } else {
+            self.clean_streak_faults += demand;
+        }
+    }
+
+    /// Victim hook: the policy's `offer` after the injected notification
+    /// drop (a dropped answer arrives as none), and whether a stale,
+    /// non-resident offer is tolerated. It is under a victim-dropping
+    /// plan: an earlier drop left the policy believing a page was evicted
+    /// that never was, and unaware of the fallback eviction in its place.
+    pub(crate) fn victim_offer(
+        &mut self,
+        offer: Option<PageId>,
+        now: u64,
+        res: &mut ResilienceStats,
+    ) -> (Option<PageId>, bool) {
+        let Some(fs) = &mut self.faults else {
+            return (offer, false);
+        };
+        // Drawn whether or not the policy offered a victim.
+        let dropped = fs.victim_dropped(now, res);
+        (offer.filter(|_| !dropped), fs.drops_victims())
+    }
+
+    /// After-fault hook. HIR flushes lost in a dead channel account
+    /// their wasted transfer (`wasted_cycles`) and feed the breaker,
+    /// which eventually tells the GPU side to stop sending them; then a
+    /// corrupted fault report may reach the policy as a spurious wrong
+    /// eviction.
+    pub(crate) fn after_fault(
+        &mut self,
+        policy: &mut dyn EvictionPolicy,
+        lost_flushes: u32,
+        wasted_cycles: u64,
+        fault_num: u64,
+        now: u64,
+        res: &mut ResilienceStats,
+    ) {
+        if lost_flushes > 0 {
+            res.hir_flushes_lost += u64::from(lost_flushes);
+            res.wasted_flush_cycles += wasted_cycles;
+            for _ in 0..lost_flushes {
+                if self.breaker.record_failure() {
+                    res.circuit_breaker_trips += 1;
+                    policy.on_disruption(SignalDisruption::HirCircuitOpen);
+                }
+            }
+        }
+        if let Some(fs) = &mut self.faults {
+            if fs.spurious_wrong_eviction(now, res) {
+                policy.on_disruption(SignalDisruption::SpuriousWrongEviction { fault_num });
+            }
+        }
+    }
+
+    /// Service-time hook: the plan's jitter, tail and congestion applied
+    /// to one window's `(service, transfer)` cycles.
+    pub(crate) fn perturb_service(
+        &mut self,
+        service: u64,
+        transfer: u64,
+        now: u64,
+        res: &mut ResilienceStats,
+    ) -> (u64, u64) {
+        match &mut self.faults {
+            Some(fs) => fs.perturb_service(service, transfer, now, res),
+            None => (service, transfer),
+        }
+    }
+
+    /// Shadow hook: `page` was accessed or became resident.
+    pub(crate) fn touch(&mut self, page: PageId) {
+        if let Some(shadow) = &mut self.shadow {
+            shadow.touch(page);
+        }
+    }
+
+    /// Shadow hook: `page` was evicted.
+    pub(crate) fn forget(&mut self, page: PageId) {
+        if let Some(shadow) = &mut self.shadow {
+            shadow.remove(page);
+        }
+    }
+
+    /// Shadow hook: the shadow's least-recent page, if it is on and that
+    /// page is resident.
+    pub(crate) fn fallback_pick(&self, memory: &GpuMemory) -> Option<PageId> {
+        let pick = self.shadow.as_ref()?.lru();
+        pick.filter(|&p| memory.is_resident(p))
+    }
+
+    fn hir_down(&self) -> bool {
+        self.faults.as_ref().is_some_and(|fs| fs.hir_down)
+    }
+
+    /// `SimOutcome`'s HIR fields: whether the injected outage is still
+    /// active, and the clean streak.
+    pub(crate) fn hir_state(&self) -> (bool, u64) {
+        (self.hir_down(), self.clean_streak_faults)
+    }
+
+    /// Writes the recovery fields of `ckpt`; a clean run leaves them at
+    /// their defaults.
+    pub(crate) fn fingerprint(&self, ckpt: &mut Checkpoint) {
+        if let Some(fs) = &self.faults {
+            let (state, lost) = fs.fingerprint();
+            (ckpt.fault_rng, ckpt.fault_lost_in_row) = (state.to_vec(), lost);
+            ckpt.hir_down = fs.hir_down;
+        }
+        (ckpt.breaker_failures, ckpt.breaker_open) = (self.breaker.failures, self.breaker.open);
+        ckpt.completion_attempts = self.completion_attempts;
+        if let Some(shadow) = &self.shadow {
+            (ckpt.shadow_pages, ckpt.shadow_clock) = (shadow.stamps.len() as u64, shadow.clock);
+        }
+        if let Some(est) = &self.loss {
+            (ckpt.loss_bits, ckpt.loss_len) = (est.bits, est.len);
+        }
+    }
+
+    /// Sanitizer hook: the shadow against the resident set, the breaker
+    /// and the loss estimator. Errors name the violated invariant.
+    pub(crate) fn check_invariants(
+        &self,
+        memory: &GpuMemory,
+    ) -> Result<(), (&'static str, String)> {
+        if let Some(shadow) = &self.shadow {
+            shadow
+                .check_invariants(&|p| memory.is_resident(p))
+                .map_err(|detail| ("lru-shadow", detail))?;
+        }
+        self.breaker
+            .check_invariants()
+            .map_err(|detail| ("circuit-breaker", detail))?;
+        match &self.loss {
+            Some(est) => est.check_invariants().map_err(|d| ("loss-estimator", d)),
+            None => Ok(()),
+        }
     }
 }
 
@@ -692,13 +964,12 @@ mod tests {
         }
         assert_eq!((wide.lost(), wide.observed()), (64, 64));
         wide.check_invariants().unwrap();
-        let fp = wide.fingerprint();
-        assert_eq!(fp, (u64::MAX, 64));
+        assert_eq!((wide.bits, wide.len), (u64::MAX, 64));
     }
 
     #[test]
     fn breaker_trips_once_and_resets() {
-        let mut b = CircuitBreaker::new(3);
+        let mut b = CircuitBreaker::default();
         assert!(!b.record_failure());
         assert!(!b.record_failure());
         assert!(b.record_failure(), "third failure trips");

@@ -29,10 +29,15 @@
 //!   `lru-shadow` fallback is active);
 //! * **circuit-breaker** — the HIR breaker is open exactly when its
 //!   failure count reached the threshold;
+//! * **loss-estimator** — the adaptive retry's outcome ring stays inside
+//!   its window (only under adaptive retry);
 //! * **policy-structure** — whatever the policy's own
 //!   `EvictionPolicy::check_invariants` claims (for HPE: chain
 //!   partitions sum to the chain length and the HIR cache's set/tag
 //!   layout is self-consistent).
+//!
+//! The three recovery checks come from the state
+//! `Simulation::set_resilience` installs; a clean run has none to check.
 //!
 //! # Examples
 //!

@@ -8,8 +8,12 @@
 //! legally shrink a service below its base latency.
 
 use std::collections::HashSet;
-use uvm_policies::Lru;
-use uvm_sim::{trace_for, Checkpoint, FaultPlan, RetryPolicy, Sanitizer, Simulation};
+use uvm_policies::{
+    ArcPolicy, ClockPro, ClockProConfig, EvictionPolicy, Lru, RandomPolicy, Rrip, RripConfig,
+};
+use uvm_sim::{
+    trace_for, Checkpoint, FallbackVictim, FaultPlan, RetryPolicy, Sanitizer, Simulation,
+};
 use uvm_types::{Oversubscription, SimConfig, SimError, SimStats, TlbConfig};
 use uvm_util::prop::Checker;
 use uvm_util::{FromJson, Json, Rng, ToJson};
@@ -63,7 +67,8 @@ fn random_plan(rng: &mut Rng) -> FaultPlan {
 fn run_chaos(global: &[u64], capacity: u64, plan: &FaultPlan) -> SimStats {
     let trace = Trace::from_global(global, 40, 2, 3, 3);
     let mut sim = Simulation::new(small_cfg(3), &trace, Lru::new(), capacity).expect("valid sim");
-    sim.set_fault_plan(plan.clone()).expect("valid plan");
+    sim.set_resilience(Some(plan.clone()), None, FallbackVictim::MinPage)
+        .expect("valid plan");
     // Every chaos property runs with the invariant sanitizer enabled at a
     // tight cadence: injection must never corrupt engine accounting, and
     // the sanitizer itself must never perturb stats (the comparisons
@@ -145,10 +150,9 @@ fn unbounded_loss_with_retry_policy_reports_retries_exhausted() {
     let global: Vec<u64> = (0..10).collect();
     let trace = Trace::from_global(&global, 10, 0, 1, 1);
     let mut sim = Simulation::new(small_cfg(1), &trace, Lru::new(), 16).expect("valid sim");
-    sim.set_fault_plan(FaultPlan::livelock(9))
-        .expect("valid plan");
-    sim.set_retry_policy(RetryPolicy::default())
-        .expect("valid policy");
+    let (plan, retry) = (FaultPlan::livelock(9), RetryPolicy::default());
+    sim.set_resilience(Some(plan), Some(retry), FallbackVictim::MinPage)
+        .expect("valid plan and policy");
     match sim.run() {
         Err(e @ SimError::RetriesExhausted { .. }) => {
             assert_eq!(e.kind(), "RetriesExhausted");
@@ -180,9 +184,8 @@ fn checkpoint_resume_reproduces_stn_byte_identically() {
         let build = || {
             let mut sim =
                 Simulation::new(cfg.clone(), &trace, Lru::new(), capacity).expect("valid sim");
-            if let Some(p) = plan {
-                sim.set_fault_plan(p.clone()).expect("valid plan");
-            }
+            sim.set_resilience(plan.clone(), None, FallbackVictim::MinPage)
+                .expect("valid plan");
             sim
         };
         let straight = build().run().expect("straight run completes").stats;
@@ -205,6 +208,75 @@ fn checkpoint_resume_reproduces_stn_byte_identically() {
     }
 }
 
+/// Changes one leaf of `v`: flips a bool, toggles a number's low bit,
+/// and descends into the first element or entry of a container (an
+/// empty array gains an element).
+fn perturb(v: &mut Json) {
+    match v {
+        Json::Bool(b) => *b = !*b,
+        Json::UInt(n) => *n ^= 1,
+        Json::Int(n) => *n ^= 1,
+        Json::Float(x) => *x += 1.0,
+        Json::Array(xs) => match xs.first_mut() {
+            Some(x) => perturb(x),
+            None => xs.push(Json::UInt(1)),
+        },
+        Json::Object(entries) => perturb(&mut entries[0].1),
+        Json::Null | Json::Str(_) => panic!("checkpoints carry no {v:?} field"),
+    }
+}
+
+/// The checkpoint is a safety net: corrupting any single field of a
+/// snapshot (other than the pause cycle, which only moves the replay
+/// point) must make `resume` report `CheckpointDiverged` — never a
+/// panic, never a silently different run. The run uses every piece of
+/// recovery state the fingerprint covers: a lossy, outage-prone,
+/// victim-dropping plan under adaptive retry and the LRU shadow.
+#[test]
+fn corrupting_any_checkpoint_field_is_reported_as_divergence() {
+    let global: Vec<u64> = (0..40u64).cycle().take(400).collect();
+    let trace = Trace::from_global(&global, 40, 2, 3, 3);
+    let plan = FaultPlan {
+        hir_outage_period: 64,
+        hir_outage_duty: 0.5,
+        victim_drop_probability: 0.05,
+        completion_loss_probability: 0.3,
+        ..FaultPlan::completion_loss(77)
+    };
+    let build = || {
+        let mut sim = Simulation::new(small_cfg(3), &trace, Lru::new(), 24).expect("valid sim");
+        let retry = Some(RetryPolicy::adaptive());
+        sim.set_resilience(Some(plan.clone()), retry, FallbackVictim::LruShadow)
+            .expect("valid recovery");
+        sim
+    };
+    let mut paused = build();
+    assert!(!paused.run_until(2_000_000).expect("first half runs"));
+    let ckpt = paused.checkpoint();
+    assert!(ckpt.stats.resilience.completions_lost > 0, "plan fired");
+    assert!(ckpt.shadow_pages > 0 && ckpt.loss_len > 0, "recovery ran");
+    build()
+        .resume(&ckpt)
+        .expect("the intact checkpoint resumes");
+
+    let Json::Object(fields) = ckpt.to_json() else {
+        panic!("a checkpoint serializes as an object");
+    };
+    assert_eq!(fields.len(), 18, "every Checkpoint field is covered");
+    for (i, (name, _)) in fields.iter().enumerate() {
+        if name == "cycle" {
+            continue;
+        }
+        let mut corrupt = fields.clone();
+        perturb(&mut corrupt[i].1);
+        let corrupt = Checkpoint::from_json(&Json::Object(corrupt)).expect("still parses");
+        match build().resume(&corrupt) {
+            Err(SimError::CheckpointDiverged { cycle }) => assert_eq!(cycle, ckpt.cycle),
+            other => panic!("corrupted `{name}`: expected CheckpointDiverged, got {other:?}"),
+        }
+    }
+}
+
 /// Property: the invariant sanitizer is observation-only under active
 /// fault plans — a sanitized run's `SimStats` are byte-identical to the
 /// same run without a sanitizer, at any cadence.
@@ -224,7 +296,8 @@ fn sanitizer_is_byte_identical_under_random_fault_plans() {
             let run = |sanitize: Option<u64>| {
                 let mut sim = Simulation::new(small_cfg(3), &trace, Lru::new(), *capacity)
                     .expect("valid sim");
-                sim.set_fault_plan(plan.clone()).expect("valid plan");
+                sim.set_resilience(Some(plan.clone()), None, FallbackVictim::MinPage)
+                    .expect("valid plan");
                 if let Some(c) = sanitize {
                     sim.set_sanitizer(Sanitizer::new(c));
                 }
@@ -271,7 +344,8 @@ fn checkpoint_json_roundtrip_is_byte_identical() {
             let trace = Trace::from_global(global, 40, 2, 3, 3);
             let mut sim =
                 Simulation::new(small_cfg(3), &trace, Lru::new(), *capacity).expect("valid sim");
-            sim.set_fault_plan(plan.clone()).expect("valid plan");
+            sim.set_resilience(Some(plan.clone()), None, FallbackVictim::MinPage)
+                .expect("valid plan");
             let _ = sim.run_until(*limit).expect("run proceeds");
             let ckpt = sim.checkpoint();
             let text = ckpt.to_json().to_string();
@@ -293,7 +367,8 @@ fn sanitizer_cadence_boundaries_check_and_stay_observation_only() {
     let trace = Trace::from_global(&global, 30, 2, 3, 3);
     let run = |sanitize: Option<u64>| {
         let mut sim = Simulation::new(small_cfg(3), &trace, Lru::new(), 20).expect("valid sim");
-        sim.set_fault_plan(FaultPlan::latency_storm(11))
+        let plan = FaultPlan::latency_storm(11);
+        sim.set_resilience(Some(plan), None, FallbackVictim::MinPage)
             .expect("valid plan");
         if let Some(c) = sanitize {
             sim.set_sanitizer(Sanitizer::new(c));
@@ -320,29 +395,67 @@ fn sanitizer_cadence_boundaries_check_and_stay_observation_only() {
     );
 }
 
+/// The policies the no-op property draws from.
+const NOOP_POLICIES: [&str; 5] = ["LRU", "RRIP", "CLOCK-Pro", "Random", "ARC"];
+
+fn policy_named(name: &str) -> Box<dyn EvictionPolicy> {
+    match name {
+        "RRIP" => Box::new(Rrip::new(RripConfig::default())),
+        "CLOCK-Pro" => Box::new(ClockPro::new(ClockProConfig::default())),
+        "Random" => Box::new(RandomPolicy::seeded(7)),
+        "ARC" => Box::new(ArcPolicy::new()),
+        _ => Box::new(Lru::new()),
+    }
+}
+
+/// Property: recovery installed without injection — a no-op plan, under
+/// any retry policy and either fallback — leaves a run byte-identical to
+/// a clean one (no `set_resilience` call at all), for every drawn policy,
+/// down to the outcome's HIR fields. A clean run is what the engine's
+/// `None` resilience state executes, so this pins that `None` and the
+/// no-op state behave alike.
 #[test]
 fn noop_plan_is_byte_identical_to_no_plan() {
     Checker::new().cases(32).run(
         |rng| {
+            let retries = [
+                None,
+                Some(RetryPolicy::default()),
+                Some(RetryPolicy::adaptive()),
+            ];
+            let fallbacks = [FallbackVictim::MinPage, FallbackVictim::LruShadow];
             (
                 rng.gen_vec(1..200, |r| r.gen_range(0u64..30)),
                 rng.gen_range(2u64..32),
+                retries[rng.gen_range(0..retries.len())],
+                fallbacks[rng.gen_range(0..fallbacks.len())],
+                NOOP_POLICIES[rng.gen_range(0..NOOP_POLICIES.len())],
             )
         },
-        |(global, capacity)| {
+        |(global, capacity, retry, fallback, policy)| {
             let trace = Trace::from_global(global, 30, 2, 3, 3);
-            let clean = Simulation::new(small_cfg(3), &trace, Lru::new(), *capacity)
-                .expect("valid sim")
-                .run()
-                .expect("run completes")
-                .stats;
-            let noop = run_chaos(global, *capacity, &FaultPlan::none());
+            let sim = || {
+                Simulation::new(small_cfg(3), &trace, policy_named(policy), *capacity)
+                    .expect("valid sim")
+            };
+            let clean = sim().run().expect("run completes");
+            let mut noop = sim();
+            noop.set_resilience(Some(FaultPlan::none()), *retry, *fallback)
+                .expect("valid recovery");
+            noop.set_sanitizer(Sanitizer::new(256));
+            let noop = noop.run().expect("run completes");
             assert_eq!(
-                clean.to_json().to_string(),
-                noop.to_json().to_string(),
+                clean.stats.to_json().to_string(),
+                noop.stats.to_json().to_string(),
                 "a no-op plan must not perturb anything"
             );
-            assert!(!noop.resilience.any());
+            assert!(!noop.stats.resilience.any());
+            assert!(!clean.hir_down && !noop.hir_down);
+            assert_eq!(clean.hir_clean_streak_faults, noop.hir_clean_streak_faults);
+            assert_eq!(
+                clean.hir_clean_streak_faults,
+                clean.stats.driver.faults_serviced
+            );
         },
     );
 }

@@ -86,6 +86,40 @@ echo "==> profiler smoke (one traced+profiled run, conservation checked)"
 # to the run's total cycles. See DESIGN.md §12.
 cargo run -q --release --offline -p hpe-bench --bin hpe-trace -- profile STN > /dev/null
 
+echo "==> fault-space exploration smoke (clean, seeded-bad, replay)"
+# The clean smoke spec must come back counterexample-free (exit 0);
+# the seeded-bad fixture must be found and shrunk (exit 1) and its
+# emitted repro must replay byte-identically (exit 0). See DESIGN.md §13.
+cargo run -q --release --offline -p hpe-bench --bin hpe-chaos -- \
+    explore fixtures/explore/smoke.json --workers 4 2> /dev/null > /dev/null
+if cargo run -q --release --offline -p hpe-bench --bin hpe-chaos -- \
+    explore fixtures/explore/seeded-bad.json 2> /dev/null > /dev/null; then
+    echo "explore: seeded-bad spec unexpectedly came back clean" >&2
+    exit 1
+fi
+cargo run -q --release --offline -p hpe-bench --bin hpe-chaos -- \
+    replay target/paper-results/explore-repro-0.json > /dev/null
+
+echo "==> multi-tenant isolation smoke (4 tenants, 2 workers)"
+# A 4-tenant mix on 2 workers must run panic-free (exit 0), and a fault
+# plan scoped to tenant 1 must leave every other tenant's SimStats
+# byte-identical to the fault-free mix — `tenants` exits 1 if
+# containment is broken. See DESIGN.md §14.
+cargo run -q --release --offline -p hpe-bench --bin hpe-chaos -- \
+    tenants --tenants 4 --workers 2 > /dev/null
+cargo run -q --release --offline -p hpe-bench --bin hpe-chaos -- \
+    tenants --tenants 4 --workers 2 --plan signal-chaos --target 1 > /dev/null
+# The saved report must round-trip through the strict parser and
+# render with every tenant ok (exit 0).
+cargo run -q --release --offline -p hpe-bench --bin hpe-trace -- \
+    tenants target/paper-results/tenant-mix-faulted.json > /dev/null
+
+echo "==> profiler byte-identity gate (STN + SGM, on vs off)"
+# Runs STN and SGM with the profiler attached and detached and exits
+# nonzero unless SimStats are byte-identical and the timeline accounts
+# conserve — the observation-only contract. See DESIGN.md §12.
+cargo run -q --release --offline -p hpe-bench --bin hpe-chaos -- profile > /dev/null
+
 echo "==> benchmark/ build and smoke (it compiles against the engine's API)"
 # benchmark/ is a workspace of its own, so the build and tests above
 # never compile it. Same target directory as benchmark/run.sh; --smoke
@@ -101,47 +135,6 @@ cargo clippy -q --offline --workspace --all-targets -- -D warnings
 if [ "${CHECK_FIGURES:-0}" = "1" ]; then
     echo "==> figure shape check (CHECK_FIGURES=1)"
     sh scripts/check_figures.sh
-fi
-
-if [ "${CHECK_EXPLORE:-0}" = "1" ]; then
-    echo "==> fault-space exploration smoke (CHECK_EXPLORE=1)"
-    # The clean smoke spec must come back counterexample-free (exit 0);
-    # the seeded-bad fixture must be found and shrunk (exit 1) and its
-    # emitted repro must replay byte-identically (exit 0). See
-    # DESIGN.md §13.
-    cargo run -q --release --offline -p hpe-bench --bin hpe-chaos -- \
-        explore fixtures/explore/smoke.json --workers 4 2> /dev/null > /dev/null
-    if cargo run -q --release --offline -p hpe-bench --bin hpe-chaos -- \
-        explore fixtures/explore/seeded-bad.json 2> /dev/null > /dev/null; then
-        echo "CHECK_EXPLORE: seeded-bad spec unexpectedly came back clean" >&2
-        exit 1
-    fi
-    cargo run -q --release --offline -p hpe-bench --bin hpe-chaos -- \
-        replay target/paper-results/explore-repro-0.json > /dev/null
-fi
-
-if [ "${CHECK_TENANTS:-0}" = "1" ]; then
-    echo "==> multi-tenant isolation smoke (CHECK_TENANTS=1)"
-    # A 4-tenant mix on 2 workers must run panic-free (exit 0), and a
-    # fault plan scoped to tenant 1 must leave every other tenant's
-    # SimStats byte-identical to the fault-free mix — `tenants` exits 1
-    # if containment is broken. See DESIGN.md §14.
-    cargo run -q --release --offline -p hpe-bench --bin hpe-chaos -- \
-        tenants --tenants 4 --workers 2 > /dev/null
-    cargo run -q --release --offline -p hpe-bench --bin hpe-chaos -- \
-        tenants --tenants 4 --workers 2 --plan signal-chaos --target 1 > /dev/null
-    # The saved report must round-trip through the strict parser and
-    # render with every tenant ok (exit 0).
-    cargo run -q --release --offline -p hpe-bench --bin hpe-trace -- \
-        tenants target/paper-results/tenant-mix-faulted.json > /dev/null
-fi
-
-if [ "${CHECK_PROFILE:-0}" = "1" ]; then
-    echo "==> profiler byte-identity gate (CHECK_PROFILE=1)"
-    # Runs STN and SGM with the profiler attached and detached and
-    # exits nonzero unless SimStats are byte-identical and the
-    # timeline accounts conserve — the observation-only contract.
-    cargo run -q --release --offline -p hpe-bench --bin hpe-chaos -- profile
 fi
 
 echo "verify: OK"

@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 
 use hpe::core::{Hpe, HpeConfig};
 use hpe::policies::{ClockPro, ClockProConfig, EvictionPolicy, Lru, Rrip, RripConfig};
-use hpe::sim::{trace_for, EventLog, FaultPlan, SimEvent, Simulation};
+use hpe::sim::{trace_for, EventLog, FallbackVictim, FaultPlan, SimEvent, Simulation};
 use hpe::types::{Oversubscription, SimConfig};
 use hpe::workloads::registry;
 
@@ -49,9 +49,8 @@ fn run_digest(
     let trace = trace_for(&cfg, app);
     let capacity = Oversubscription::Rate75.capacity_pages(app.footprint_pages());
     let mut sim = Simulation::new(cfg.clone(), &trace, make(&cfg), capacity).expect("valid sim");
-    if let Some(p) = plan {
-        sim.set_fault_plan(p.clone()).expect("valid plan");
-    }
+    sim.set_resilience(plan.cloned(), None, FallbackVictim::MinPage)
+        .expect("valid plan");
     let log = sim
         .instrument(EventLog::new())
         .run()
@@ -151,7 +150,8 @@ fn degraded_run_emits_degraded_strategy_switches() {
         capacity,
     )
     .expect("valid sim");
-    sim.set_fault_plan(FaultPlan::signal_chaos(2019))
+    let plan = Some(FaultPlan::signal_chaos(2019));
+    sim.set_resilience(plan, None, FallbackVictim::MinPage)
         .expect("valid plan");
     let events = sim
         .instrument(EventLog::new())
