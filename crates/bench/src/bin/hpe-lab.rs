@@ -17,7 +17,7 @@
 //! Run via `cargo run --release -p hpe-bench --bin hpe-lab -- <args>`.
 //!
 //! Exit codes: 0 success, 1 a run failed, 2 usage error — the same
-//! convention as `hpe-chaos` and `hpe-lint`.
+//! convention as `hpe-chaos`.
 
 use std::fs;
 use std::path::PathBuf;

@@ -38,7 +38,7 @@ use uvm_util::{FromJson, Json, ToJson};
 use uvm_workloads::registry;
 
 /// How a command failed, mapped onto the process exit code (the same
-/// 0/1/2 convention `hpe-chaos`, `hpe-lab` and `hpe-lint` use).
+/// 0/1/2 convention `hpe-chaos` and `hpe-lab` use).
 enum CmdError {
     /// Bad arguments or unreadable/malformed input files: exit 2.
     Usage(String),
@@ -54,11 +54,11 @@ fn usage() -> ExitCode {
          \x20 record    <APP> [--policy P] [--rate 75|50] [--out FILE]\n\
          \x20           run APP and write its event stream as JSONL\n\
          \x20           (default: target/paper-results/traces/<app>-<policy>-<rate>.jsonl)\n\
-         \x20 summarize <FILE|APP> [--policy P] [--rate 75|50]\n\
+         \x20 summarize <FILE|APP> [--window N] [--policy P] [--rate 75|50]\n\
          \x20           event counters, interval series and histograms\n\
          \x20 timeline  <FILE|APP> [--window N] [--policy P] [--rate 75|50]\n\
          \x20           fault-windowed series plus marker events\n\
-         \x20 diff      <FILE> <FILE>\n\
+         \x20 diff      <FILE|APP> <FILE|APP> [--policy P] [--rate 75|50]\n\
          \x20           compare two streams; exit 1 if they differ\n\
          \x20 shape     <FIG.json>\n\
          \x20           stable shape of a figure's JSON series\n\
@@ -105,8 +105,8 @@ fn parse_rate(text: &str) -> Option<Oversubscription> {
     }
 }
 
-/// Common `--policy` / `--rate` / `--out` / `--window` / `--cadence`
-/// flags.
+/// The `--policy` / `--rate` / `--out` / `--window` / `--cadence` flags
+/// and the positional arguments.
 struct Flags {
     policy: PolicyKind,
     rate: Oversubscription,
@@ -116,7 +116,34 @@ struct Flags {
     positional: Vec<String>,
 }
 
-fn parse_flags(args: &[String]) -> Result<Flags, String> {
+/// A command's entry point; `Ok(false)` exits 1.
+type Run = fn(&Flags) -> Result<bool, CmdError>;
+
+/// The flags of every command that runs an app live.
+const LIVE_RUN: &str = "--policy --rate";
+
+/// Looks up command `cmd`: its entry point and the flags it reads (in
+/// space-separated groups). Any other flag is a usage error, never
+/// silently dropped; each command checks its own positional arguments.
+fn command(cmd: &str) -> Option<(Run, &'static [&'static str])> {
+    Some(match cmd {
+        "record" => (cmd_record as Run, &[LIVE_RUN, "--out"]),
+        "summarize" => (cmd_summarize, &[LIVE_RUN, "--window"]),
+        "timeline" => (cmd_timeline, &[LIVE_RUN, "--window"]),
+        "diff" => (cmd_diff, &[LIVE_RUN]),
+        "shape" => (cmd_shape, &[]),
+        "campaign" => (cmd_campaign, &[]),
+        "explore" => (cmd_explore, &[]),
+        "profile" => (cmd_profile, &[LIVE_RUN, "--cadence --out"]),
+        "spans" => (cmd_spans, &[LIVE_RUN]),
+        "flame" => (cmd_flame, &[LIVE_RUN, "--out"]),
+        "tenants" => (cmd_tenants, &[]),
+        _ => return None,
+    })
+}
+
+/// Parses `args` for command `cmd`, which reads the flags in `known`.
+fn parse_flags(cmd: &str, known: &[&str], args: &[String]) -> Result<Flags, String> {
     let mut flags = Flags {
         policy: PolicyKind::Hpe,
         rate: Oversubscription::Rate75,
@@ -132,6 +159,9 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
                 .cloned()
                 .ok_or_else(|| format!("{name} needs a value"))
         };
+        if a.starts_with("--") && !known.iter().flat_map(|g| g.split(' ')).any(|k| k == a) {
+            return Err(format!("{cmd} does not take '{a}'"));
+        }
         match a.as_str() {
             "--policy" => {
                 let v = value("--policy")?;
@@ -189,7 +219,7 @@ fn load_events(spec: &str, flags: &Flags) -> Result<Vec<SimEvent>, CmdError> {
     Ok(capture.log.events().to_vec())
 }
 
-fn cmd_record(flags: &Flags) -> Result<(), CmdError> {
+fn cmd_record(flags: &Flags) -> Result<bool, CmdError> {
     let [spec] = flags.positional.as_slice() else {
         return Err(CmdError::Usage("record needs exactly one APP".into()));
     };
@@ -218,7 +248,7 @@ fn cmd_record(flags: &Flags) -> Result<(), CmdError> {
         lines,
         path.display()
     );
-    Ok(())
+    Ok(true)
 }
 
 fn replay<S: Instrument>(sink: &mut S, events: &[SimEvent]) {
@@ -227,7 +257,7 @@ fn replay<S: Instrument>(sink: &mut S, events: &[SimEvent]) {
     }
 }
 
-fn cmd_summarize(flags: &Flags) -> Result<(), CmdError> {
+fn cmd_summarize(flags: &Flags) -> Result<bool, CmdError> {
     let [spec] = flags.positional.as_slice() else {
         return Err(CmdError::Usage(
             "summarize needs exactly one FILE or APP".into(),
@@ -269,7 +299,7 @@ fn cmd_summarize(flags: &Flags) -> Result<(), CmdError> {
     ] {
         println!("{}", h.render());
     }
-    Ok(())
+    Ok(true)
 }
 
 fn print_timeline_table(spec: &str, events: &[SimEvent], window: u64) {
@@ -299,7 +329,7 @@ fn print_timeline_table(spec: &str, events: &[SimEvent], window: u64) {
     t.print();
 }
 
-fn cmd_timeline(flags: &Flags) -> Result<(), CmdError> {
+fn cmd_timeline(flags: &Flags) -> Result<bool, CmdError> {
     let [spec] = flags.positional.as_slice() else {
         return Err(CmdError::Usage(
             "timeline needs exactly one FILE or APP".into(),
@@ -331,7 +361,7 @@ fn cmd_timeline(flags: &Flags) -> Result<(), CmdError> {
     if markers == 0 {
         println!("  (none)");
     }
-    Ok(())
+    Ok(true)
 }
 
 fn cmd_diff(flags: &Flags) -> Result<bool, CmdError> {
@@ -402,7 +432,7 @@ fn cmd_diff(flags: &Flags) -> Result<bool, CmdError> {
 /// per entry, its identifying fields and sorted key set — but no measured
 /// values, so the shape survives algorithmic tuning while still catching
 /// missing apps, dropped fields, or schema drift.
-fn cmd_shape(flags: &Flags) -> Result<(), CmdError> {
+fn cmd_shape(flags: &Flags) -> Result<bool, CmdError> {
     let [file] = flags.positional.as_slice() else {
         return Err(CmdError::Usage("shape needs exactly one FIG.json".into()));
     };
@@ -425,7 +455,7 @@ fn cmd_shape(flags: &Flags) -> Result<(), CmdError> {
         let rate = e["rate"].as_str().unwrap_or("-");
         println!("app={app} rate={rate} keys={}", keys.join(","));
     }
-    Ok(())
+    Ok(true)
 }
 
 /// Summarizes a campaign progress JSONL stream: per-policy and per-plan
@@ -636,18 +666,18 @@ fn cmd_profile(flags: &Flags) -> Result<bool, CmdError> {
 }
 
 /// `spans`: fault-lifecycle span summary and stage latency percentiles.
-fn cmd_spans(flags: &Flags) -> Result<(), CmdError> {
+fn cmd_spans(flags: &Flags) -> Result<bool, CmdError> {
     let [spec] = flags.positional.as_slice() else {
         return Err(CmdError::Usage("spans needs exactly one APP".into()));
     };
     let profile = profiled_run(spec, flags)?;
     println!("{}", profile.render_spans());
-    Ok(())
+    Ok(true)
 }
 
 /// `flame`: folded-stack output (`component;account cycles` per line) for
 /// standard flamegraph tooling.
-fn cmd_flame(flags: &Flags) -> Result<(), CmdError> {
+fn cmd_flame(flags: &Flags) -> Result<bool, CmdError> {
     let [spec] = flags.positional.as_slice() else {
         return Err(CmdError::Usage("flame needs exactly one APP".into()));
     };
@@ -661,7 +691,7 @@ fn cmd_flame(flags: &Flags) -> Result<(), CmdError> {
         }
         None => print!("{folded}"),
     }
-    Ok(())
+    Ok(true)
 }
 
 /// `tenants`: per-tenant summary of a multi-tenant mix report written by
@@ -740,31 +770,18 @@ fn main() -> ExitCode {
     let Some((cmd, rest)) = args.split_first() else {
         return usage();
     };
-    let flags = match parse_flags(rest) {
+    let Some((run, known)) = command(cmd) else {
+        eprintln!("error: unknown command '{cmd}'");
+        return usage();
+    };
+    let flags = match parse_flags(cmd, known, rest) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("error: {e}");
             return usage();
         }
     };
-    let outcome = match cmd.as_str() {
-        "record" => cmd_record(&flags).map(|()| true),
-        "summarize" => cmd_summarize(&flags).map(|()| true),
-        "timeline" => cmd_timeline(&flags).map(|()| true),
-        "diff" => cmd_diff(&flags),
-        "shape" => cmd_shape(&flags).map(|()| true),
-        "campaign" => cmd_campaign(&flags),
-        "explore" => cmd_explore(&flags),
-        "profile" => cmd_profile(&flags),
-        "spans" => cmd_spans(&flags).map(|()| true),
-        "flame" => cmd_flame(&flags).map(|()| true),
-        "tenants" => cmd_tenants(&flags),
-        _ => {
-            eprintln!("error: unknown command '{cmd}'");
-            return usage();
-        }
-    };
-    match outcome {
+    match run(&flags) {
         Ok(true) => ExitCode::SUCCESS,
         Ok(false) => ExitCode::FAILURE,
         Err(CmdError::Run(e)) => {

@@ -565,3 +565,33 @@ pub fn manual_strategy_for(app: &App) -> StrategyKind {
         _ => StrategyKind::MruC,
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use uvm_workloads::registry;
+
+    /// The runner seeds Random from the app: a run through it equals a
+    /// direct run seeded with `app.seed()` and differs from a run under
+    /// another seed.
+    #[test]
+    fn random_is_seeded_from_the_app() {
+        let cfg = crate::bench_config();
+        let app = registry::by_abbr("HSD").unwrap();
+        let rate = Oversubscription::Rate75;
+        let trace = trace_for(&cfg, app);
+        let capacity = rate.capacity_pages(app.footprint_pages());
+        let direct = |seed| {
+            Simulation::new(cfg.clone(), &trace, RandomPolicy::seeded(seed), capacity)
+                .unwrap()
+                .run()
+                .unwrap()
+                .stats
+        };
+        let via_runner = run_policy(&cfg, app, rate, PolicyKind::Random)
+            .unwrap()
+            .stats;
+        assert_eq!(via_runner, direct(app.seed()));
+        assert_ne!(via_runner, direct(app.seed() ^ 1));
+    }
+}

@@ -109,3 +109,43 @@ fn spans_subcommand_prints_stage_percentiles() {
     assert!(stdout.contains("p99"), "stdout: {stdout}");
     assert!(stdout.contains("spans"), "stdout: {stdout}");
 }
+
+fn assert_usage_error(out: &Output, message: &str) {
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains(message), "stderr: {stderr}");
+    assert!(stderr.contains("usage: hpe-trace"), "stderr: {stderr}");
+    assert!(out.stdout.is_empty(), "stdout: {out:?}");
+}
+
+#[test]
+fn commands_reject_flags_they_never_read() {
+    let dir = std::env::temp_dir().join("hpe-trace-cli-flags");
+    std::fs::create_dir_all(&dir).unwrap();
+    // `spans` reports lifecycle spans, not the sampled metrics series.
+    let out = hpe_trace(&["spans", "STN", "--cadence", "5"], &dir);
+    assert_usage_error(&out, "spans does not take '--cadence'");
+    // `flame` folds whole-run cycle accounts; it has no window.
+    let out = hpe_trace(&["flame", "STN", "--window", "3"], &dir);
+    assert_usage_error(&out, "flame does not take '--window'");
+    // Report readers take everything from their input file.
+    let out = hpe_trace(&["shape", "fig.json", "--policy", "LRU"], &dir);
+    assert_usage_error(&out, "shape does not take '--policy'");
+    let out = hpe_trace(&["timeline", "STN", "--out", "x.jsonl"], &dir);
+    assert_usage_error(&out, "timeline does not take '--out'");
+    let out = hpe_trace(&["record", "STN", "--bogus"], &dir);
+    assert_usage_error(&out, "record does not take '--bogus'");
+    let out = hpe_trace(&["frob"], &dir);
+    assert_usage_error(&out, "unknown command 'frob'");
+}
+
+#[test]
+fn listed_flags_are_still_read() {
+    let dir = std::env::temp_dir().join("hpe-trace-cli-listed");
+    std::fs::create_dir_all(&dir).unwrap();
+    let a = write(&dir, "a.jsonl", EVENTS_A);
+    let out = hpe_trace(&["summarize", &a, "--window", "0"], &dir);
+    assert_usage_error(&out, "--window must be nonzero");
+    let out = hpe_trace(&["timeline", &a, "--window", "1"], &dir);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+}

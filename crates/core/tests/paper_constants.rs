@@ -1,11 +1,11 @@
-//! Pins the HPE parameters the paper fixes in its evaluation (Sections
-//! III-IV, Table III) so an accidental retune shows up as a test diff,
-//! plus behavioral checks that the two cadences those constants imply —
-//! the HIR flush every 16th fault and the partition rotation every 64th —
-//! actually fire on schedule.
+//! Pins the parameters the paper fixes in its evaluation (Table I,
+//! Sections III-V, Table III) so an accidental retune shows up as a test
+//! diff, plus behavioral checks that the two cadences those constants
+//! imply — the HIR flush every 16th fault and the partition rotation
+//! every 64th — actually fire on schedule.
 
 use hpe_core::{Hpe, HpeConfig};
-use uvm_policies::EvictionPolicy;
+use uvm_policies::{ClockProConfig, EvictionPolicy};
 use uvm_types::{HirGeometry, PageId, SimConfig};
 
 #[test]
@@ -47,6 +47,30 @@ fn hir_geometry_matches_paper() {
     assert_eq!(hir.ways, 8);
     assert_eq!(hir.counter_bits, 2);
     assert_eq!(hir.sets(), 128);
+}
+
+#[test]
+fn sim_paper_default_matches_table_one() {
+    let sim = SimConfig::paper_default();
+    // L1 TLB: 128 entries, fully associative.
+    assert_eq!(sim.l1_tlb.entries, 128);
+    assert_eq!(sim.l1_tlb.ways, 128);
+    // L2 TLB: 512 entries, 16-way.
+    assert_eq!(sim.l2_tlb.entries, 512);
+    assert_eq!(sim.l2_tlb.ways, 16);
+    // A far-fault takes 20 us to service over a 16 GB/s PCIe link.
+    assert_eq!(sim.fault_service_us, 20.0);
+    assert_eq!(sim.pcie_gbps, 16.0);
+    // The HPE structure the simulator hands the policy (Section IV).
+    assert_eq!(sim.page_set_size, 16);
+    assert_eq!(sim.interval_len, 64);
+    assert_eq!(sim.transfer_interval, 16);
+    assert_eq!(sim.hir, HirGeometry::paper_default());
+}
+
+#[test]
+fn clockpro_cold_allocation_is_fixed_at_128_pages() {
+    assert_eq!(ClockProConfig::default().m_c, 128);
 }
 
 #[test]

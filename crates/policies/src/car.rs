@@ -164,7 +164,8 @@ impl EvictionPolicy for Car {
         loop {
             let t1_first = self.t1.len() >= self.p.max(1) || self.t2.is_empty();
             if t1_first && !self.t1.is_empty() {
-                let head = *self.t1.lru().expect("nonempty"); // lint:allow(unwrap) — guarded by !is_empty above
+                #[expect(clippy::expect_used, reason = "guarded by !is_empty above")]
+                let head = *self.t1.lru().expect("nonempty");
                 if self.referenced.get(head).copied().unwrap_or(false) {
                     // Promote to the tail of T2 with the bit cleared.
                     self.referenced.insert(head, false);

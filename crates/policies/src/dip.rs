@@ -131,7 +131,7 @@ impl Dip {
     pub fn new() -> Self {
         Dip {
             chain: RecencyChain::new(),
-            // lint:allow(rng-taint) — fixed dither stream per the DIP spec
+            // A fixed dither stream per the DIP spec, not the run's seed.
             rng: Rng::seed_from_u64(0xD1B),
             epsilon_inv: 32,
             epoch_len: 64,

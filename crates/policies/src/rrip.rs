@@ -206,7 +206,10 @@ impl EvictionPolicy for Rrip {
         // that page directly.
         let mut best: Option<(u8, std::cmp::Reverse<u32>, PageId)> = None;
         let mut blocked_best: Option<(u64, u32, PageId)> = None;
-        // lint:allow(hash-iteration) — total-order reduction, ties broken by slot/page
+        #[expect(
+            clippy::iter_over_hash_type,
+            reason = "total-order reduction, ties broken by slot/page"
+        )]
         for (&page, e) in &self.entries {
             self.stats.search_comparisons += 1;
             if self.current_fault.saturating_sub(e.delay) >= self.cfg.delay_threshold {
@@ -232,7 +235,7 @@ impl EvictionPolicy for Rrip {
                 // the iterative algorithm.
                 let aging = max - rrpv;
                 if aging > 0 {
-                    // lint:allow(hash-iteration) — uniform aging, order-free
+                    #[expect(clippy::iter_over_hash_type, reason = "uniform aging, order-free")]
                     for e in self.entries.values_mut() {
                         e.rrpv = (e.rrpv + aging).min(max);
                     }
@@ -241,9 +244,14 @@ impl EvictionPolicy for Rrip {
             }
             // Every resident page is delay-blocked: fall back to the page
             // migrated longest ago.
-            None => blocked_best.expect("entries nonempty").2, // lint:allow(unwrap) — best.is_none() implies every entry went to blocked_best
+            #[expect(
+                clippy::expect_used,
+                reason = "best.is_none() implies every entry went to blocked_best"
+            )]
+            None => blocked_best.expect("entries nonempty").2,
         };
-        let freed = self.entries.remove(&victim).expect("victim exists").slot; // lint:allow(unwrap) — victim drawn from entries just above
+        #[expect(clippy::expect_used, reason = "victim drawn from entries just above")]
+        let freed = self.entries.remove(&victim).expect("victim exists").slot;
         self.freed_slots.push(freed);
         Some(victim)
     }

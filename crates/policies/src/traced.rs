@@ -209,7 +209,7 @@ mod tests {
                 ..
             } = *e
             else {
-                unreachable!()
+                panic!("unexpected event")
             };
             assert!(search_comparisons > 0);
             assert!(victim_age <= 4);

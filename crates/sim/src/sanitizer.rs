@@ -1,12 +1,13 @@
 //! The opt-in runtime sanitizer: cadenced structural invariant checks.
 //!
-//! The static side of the safety net (`uvm-lint`) proves properties of
-//! the *source*; this module is the dynamic side, validating properties
-//! of the *running* simulation that no lexer can see — residency
-//! accounting, HIR occupancy, chain partitioning, and the recovery state
-//! machines. The engine owns a [`Sanitizer`] only when one is installed
-//! with `Simulation::set_sanitizer`, so sanitizer-off runs pay a single
-//! `Option` branch per event and nothing else.
+//! The static side of the safety net (the workspace's clippy denies and
+//! `crates/clippy.toml`) checks the *source*; this module is the dynamic
+//! side, validating properties of the *running* simulation that no lint
+//! can see — residency accounting, HIR occupancy, chain partitioning,
+//! and the recovery state machines. The engine owns a [`Sanitizer`] only
+//! when one is installed with `Simulation::set_sanitizer`, so
+//! sanitizer-off runs pay a single `Option` branch per event and nothing
+//! else.
 //!
 //! Checks are read-only by contract: a sanitizer-on run must produce
 //! byte-identical [`uvm_types::SimStats`] to a sanitizer-off run. On a

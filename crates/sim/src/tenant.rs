@@ -644,10 +644,14 @@ pub fn schedule(mix: &TenantMix) -> Result<TenantSchedule, SimError> {
     state.drain_to(u64::MAX)?;
     debug_assert!(state.pending.is_empty(), "pending tenants after full drain");
 
+    #[expect(
+        clippy::expect_used,
+        reason = "the full drain above resolves every pending tenant"
+    )]
     let admissions: Vec<TenantAdmission> = state
         .admissions
         .into_iter()
-        .map(|a| a.expect("every tenant resolved")) // lint:allow(unwrap)
+        .map(|a| a.expect("every tenant resolved"))
         .collect();
     Ok(TenantSchedule {
         fingerprint: mix.fingerprint(),
@@ -714,7 +718,8 @@ impl Scheduler<'_> {
     /// pending queue FIFO at each release boundary.
     fn drain_to(&mut self, horizon: u64) -> Result<(), SimError> {
         while self.leases.peek().is_some_and(|l| l.end <= horizon) {
-            let lease = self.leases.pop().expect("peeked nonempty"); // lint:allow(unwrap) — guarded by peek
+            #[expect(clippy::expect_used, reason = "guarded by peek")]
+            let lease = self.leases.pop().expect("peeked nonempty");
             self.ledger.release(lease.tenant, lease.quota)?;
             while let Some(&idx) = self.pending.first() {
                 if self.fits(idx) {
@@ -799,7 +804,7 @@ impl TenantReport {
         if s.is_empty() {
             return 0.0;
         }
-        s.sort_by(|a, b| a.partial_cmp(b).expect("slowdowns are finite")); // lint:allow(unwrap)
+        s.sort_by(f64::total_cmp);
         let idx = ((s.len() as f64 * 0.99).ceil() as usize).clamp(1, s.len()) - 1;
         s[idx]
     }

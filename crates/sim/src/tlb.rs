@@ -52,8 +52,9 @@ impl Tlb {
     /// # Panics
     ///
     /// Panics if the geometry is invalid (see [`TlbConfig::validate`]).
+    #[expect(clippy::expect_used, reason = "constructor contract, documented panic")]
     pub fn new(cfg: TlbConfig) -> Self {
-        cfg.validate().expect("valid TLB geometry"); // lint:allow(unwrap) — constructor contract, documented panic
+        cfg.validate().expect("valid TLB geometry");
         let n_sets = cfg.sets() as usize;
         let ways = cfg.ways as usize;
         Tlb {

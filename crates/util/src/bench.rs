@@ -15,6 +15,11 @@
 //! - `UVM_BENCH_FAST=1` — one sample of one iteration, for smoke-testing
 //!   that benches run at all.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "a benchmark timer reads the wall clock by design; simulation code never does"
+)]
+
 use std::time::{Duration, Instant};
 
 pub use std::hint::black_box;

@@ -78,9 +78,9 @@ impl Json {
     /// # Panics
     ///
     /// Panics if `self` is not an object.
+    #[expect(clippy::panic, reason = "documented panic contract")]
     pub fn insert(&mut self, key: impl Into<String>, value: Json) {
         let Json::Object(entries) = self else {
-            // lint:allow(panic-reachability) — documented panic contract
             panic!("Json::insert on non-object");
         };
         let key = key.into();
@@ -312,6 +312,7 @@ impl Index<&str> for Json {
 impl IndexMut<&str> for Json {
     /// Auto-vivifies: indexing `Null` turns it into an object, and missing
     /// keys are inserted as `Null` (so `v["k"] = json!(..)` works).
+    #[expect(clippy::panic, reason = "documented panic contract, as `insert`'s")]
     fn index_mut(&mut self, key: &str) -> &mut Json {
         if self.is_null() {
             *self = Json::object();
@@ -786,8 +787,10 @@ macro_rules! json {
     (null) => {
         $crate::json::Json::Null
     };
-    ({ $($key:tt : $value:expr),* $(,)? }) => {{
-        #[allow(unused_mut)]
+    ({}) => {
+        $crate::json::Json::object()
+    };
+    ({ $($key:tt : $value:expr),+ $(,)? }) => {{
         let mut obj = $crate::json::Json::object();
         $( obj.insert($key, $crate::json::ToJson::to_json(&$value)); )*
         obj

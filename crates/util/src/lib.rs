@@ -24,6 +24,15 @@
 //! snapshot in the workspace, so treat them as ABI.
 
 #![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::iter_over_hash_type
+)]
 
 pub mod bench;
 pub mod hist;

@@ -165,9 +165,10 @@ impl Checker {
 /// Shrink candidates for a vector: empty, both halves, and the vector with
 /// one element removed (first/middle/last). Pair with
 /// [`Checker::run_shrink`] for sequence-shaped inputs.
-// The `&Vec` parameter is deliberate: this is passed bare as the `shrink`
-// callback of `run_shrink`, whose input type is the generator's `Vec<T>`.
-#[allow(clippy::ptr_arg)]
+#[expect(
+    clippy::ptr_arg,
+    reason = "passed bare as the `shrink` callback of `run_shrink`, whose input is the generator's `Vec<T>`"
+)]
 pub fn shrink_vec<T: Clone>(xs: &Vec<T>) -> Vec<Vec<T>> {
     let n = xs.len();
     if n == 0 {

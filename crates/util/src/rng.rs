@@ -68,7 +68,6 @@ impl Rng {
     /// `seed_from_u64(0)` state instead.
     pub fn from_state(s: [u64; 4]) -> Self {
         if s == [0; 4] {
-            // lint:allow(rng-taint) — documented remap of the all-zero state
             return Rng::seed_from_u64(0);
         }
         Rng { s }
@@ -166,6 +165,10 @@ impl Rng {
     /// # Panics
     ///
     /// Panics if `weights` is empty or sums to zero.
+    #[expect(
+        clippy::unreachable,
+        reason = "the roll is below the positive total asserted above"
+    )]
     pub fn pick_weighted(&mut self, weights: &[u32]) -> usize {
         let total: u64 = weights.iter().map(|&w| w as u64).sum();
         assert!(total > 0, "pick_weighted requires a positive total weight");

@@ -5,7 +5,7 @@
 //! distances, thrashing traces have reuse distances clustered at the
 //! footprint size, and windowed traces cluster at the window size.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// A Fenwick (binary indexed) tree over `n` slots counting marked
 /// positions; supports point update and prefix sum in O(log n).
@@ -117,7 +117,7 @@ pub fn profile(global: &[u64]) -> TraceProfile {
     let distances = stack_distances(global);
     let mut finite: Vec<u64> = distances.iter().filter_map(|d| *d).collect();
     finite.sort_unstable();
-    let mut per_page: HashMap<u64, u64> = HashMap::new();
+    let mut per_page: BTreeMap<u64, u64> = BTreeMap::new();
     for &p in global {
         *per_page.entry(p).or_insert(0) += 1;
     }
@@ -132,7 +132,7 @@ pub fn profile(global: &[u64]) -> TraceProfile {
         },
         median_reuse: percentile(&finite, 0.50),
         p90_reuse: percentile(&finite, 0.90),
-        max_refs_per_page: per_page.values().copied().max().unwrap_or(0), // lint:allow(hash-iteration) — max() is order-insensitive
+        max_refs_per_page: per_page.values().copied().max().unwrap_or(0),
     }
 }
 

@@ -517,6 +517,28 @@ mod tests {
     use super::*;
     use std::collections::HashSet;
 
+    /// The apps whose generators draw from their seed must generate a
+    /// different trace under a different seed; the rest draw nothing.
+    #[test]
+    fn stochastic_apps_follow_their_seed() {
+        let reseeded: Vec<&str> = all()
+            .iter()
+            .filter(|app| {
+                let other = App {
+                    seed: app.seed ^ 1,
+                    ..(*app).clone()
+                };
+                assert_eq!(app.global_sequence(), app.global_sequence());
+                other.global_sequence() != app.global_sequence()
+            })
+            .map(|a| a.abbr())
+            .collect();
+        assert_eq!(
+            reseeded,
+            ["PAT", "DWT", "BKP", "KMN", "SAD", "NW", "BFS", "MVT", "HIS", "SPV"]
+        );
+    }
+
     #[test]
     fn twenty_three_apps_with_unique_abbrs() {
         assert_eq!(all().len(), 23);
