@@ -33,6 +33,7 @@
 
 use std::process::ExitCode;
 
+use hpe_bench::cli::{self, Args, CliError, Command};
 use hpe_bench::{
     bench_config, campaign, check_containment, drive, f2, replay_repro, repro_for, run,
     run_explore, run_mix, run_policy, save_json, CampaignRun, MixOptions, PolicyKind,
@@ -43,262 +44,143 @@ use uvm_sim::{
     DEFAULT_PROFILE_CADENCE, DEFAULT_SANITIZER_CADENCE,
 };
 use uvm_types::{Oversubscription, ResilienceStats, SimError, SimStats};
-use uvm_util::{json, Json, JsonError, ToJson};
+use uvm_util::{json, Json, ToJson};
 use uvm_workloads::registry;
-
-/// Default campaign seed (the paper's publication year, for no deeper
-/// reason than reproducibility needs *some* pinned value).
-const DEFAULT_SEED: u64 = 2019;
 
 /// Default pause cycle for `resume` (well inside every campaign run).
 const DEFAULT_RESUME_AT: u64 = 10_000_000;
 
-/// How a command failed, mapped onto the process exit code.
-enum CmdError {
-    /// Bad arguments: exit 2, after printing usage.
-    Usage(String),
-    /// A simulation failed or an expectation did not hold: exit 1.
-    Run(String),
-}
+/// The flags of every command that builds its runs at `--seed` and
+/// `--rate` with [`recovery`].
+const RECOVERY_RUN: &str =
+    "--seed N --rate PCT --retry --adaptive --fallback min-page|lru-shadow --sanitize CADENCE";
 
-impl From<SimError> for CmdError {
-    fn from(e: SimError) -> Self {
-        CmdError::Run(e.to_string())
-    }
-}
+/// The command table.
+static COMMANDS: &[Command] = &[
+    Command {
+        name: "campaign",
+        about: "run every policy under every fault plan and report resilience metrics vs \
+                the clean run (default app STN); --workers fans the cells over N threads \
+                with a deterministic merge (same output for any N); --adaptive, here and \
+                wherever --retry is taken, implies --retry and makes its backoff \
+                loss-adaptive (tuned online from the observed completion-loss rate)",
+        args: "[APP ...]",
+        flags: &[RECOVERY_RUN, "--workers N"],
+        run: cmd_campaign,
+    },
+    Command {
+        name: "livelock",
+        about: "inject an unbounded completion-loss livelock and show the watchdog \
+                converting it into SimError::Stalled (or, with --retry, into \
+                SimError::RetriesExhausted)",
+        args: "",
+        flags: &[RECOVERY_RUN],
+        run: cmd_livelock,
+    },
+    Command {
+        name: "resume",
+        about: "run HPE under a fault plan (default signal-chaos, app STN), checkpoint at \
+                CYCLE, resume from the checkpoint in a fresh simulation and verify the \
+                stats match the uninterrupted run",
+        args: "[APP]",
+        flags: &[RECOVERY_RUN, "--plan NAME --at CYCLE"],
+        run: cmd_resume,
+    },
+    Command {
+        name: "smoke",
+        about: "fast panic-free campaign subset with the runtime invariant sanitizer \
+                enabled (CI gate)",
+        args: "",
+        flags: &["--seed N --sanitize CADENCE --workers N"],
+        run: cmd_smoke,
+    },
+    Command {
+        name: "sanitize",
+        about: "run HPE with the invariant sanitizer on and off (default apps STN SGM) \
+                and verify the sanitizer leaves SimStats byte-identical",
+        args: "[APP ...]",
+        flags: &["--rate PCT --sanitize CADENCE"],
+        run: cmd_sanitize,
+    },
+    Command {
+        name: "profile",
+        about: "run HPE with the cycle-attribution profiler on and off (default apps STN \
+                SGM) and verify the profiler leaves SimStats byte-identical and its \
+                timeline accounts conserve total cycles",
+        args: "[APP ...]",
+        flags: &["--rate PCT"],
+        run: cmd_profile,
+    },
+    Command {
+        name: "explore",
+        about: "fault-space exploration: enumerate fault-window placements and seeded \
+                plan batches from the spec, check every invariant on every run, shrink \
+                failures to minimal counterexamples and save replayable repro files; the \
+                merged coverage report is byte-identical for any worker count (exit 1 if \
+                counterexamples)",
+        args: "<SPEC.json>",
+        flags: &["--workers N"],
+        run: cmd_explore,
+    },
+    Command {
+        name: "replay",
+        about: "re-run a shrunk counterexample deterministically and verify it reproduces \
+                the recorded violation verbatim",
+        args: "<REPRO.json>",
+        flags: &[],
+        run: cmd_replay,
+    },
+    Command {
+        name: "tenants",
+        about: "run N tenants (cycling the listed apps; default STN/MVT/CUT) through \
+                admission control against a shared residency pool and print per-tenant \
+                outcomes and fairness metrics; with --plan, scope the fault plan to \
+                --target (default tenant 0) and verify the blast radius: every other \
+                tenant's stats must be byte-identical to the fault-free mix (exit 1 on \
+                leak)",
+        args: "[APP ...]",
+        flags: &[
+            "--tenants N --quota PCT --hir per-tenant|shared --policy P --seed N \
+                  --workers N --plan NAME --target TENANT",
+        ],
+        run: cmd_tenants,
+    },
+];
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: hpe-chaos <command> [args]\n\
-         \n\
-         commands:\n\
-         \x20 campaign [APP ...] [--seed N] [--rate 75|50] [--retry]\n\
-         \x20          [--fallback min-page|lru-shadow] [--sanitize CADENCE]\n\
-         \x20          [--workers N]\n\
-         \x20          run every policy under every fault plan and report\n\
-         \x20          resilience metrics vs the clean run (default app STN);\n\
-         \x20          --workers fans the cells over N threads with a\n\
-         \x20          deterministic merge (same output for any N)\n\
-         \x20 livelock [--seed N] [--rate 75|50] [--retry]\n\
-         \x20          [--fallback min-page|lru-shadow] [--sanitize CADENCE]\n\
-         \x20          inject an unbounded completion-loss livelock and show\n\
-         \x20          the watchdog converting it into SimError::Stalled\n\
-         \x20          (or, with --retry, into SimError::RetriesExhausted)\n\
-         \x20 resume   [APP] [--seed N] [--rate 75|50] [--plan NAME]\n\
-         \x20          [--at CYCLE] [--retry] [--fallback min-page|lru-shadow]\n\
-         \x20          [--sanitize CADENCE]\n\
-         \x20          run HPE under a fault plan, checkpoint at CYCLE,\n\
-         \x20          resume from the checkpoint in a fresh simulation and\n\
-         \x20          verify the stats match the uninterrupted run\n\
-         \x20 smoke    [--seed N] [--sanitize CADENCE] [--workers N]\n\
-         \x20          fast panic-free campaign subset with the runtime\n\
-         \x20          invariant sanitizer enabled (CI gate)\n\
-         \x20 sanitize [APP ...] [--rate 75|50] [--sanitize CADENCE]\n\
-         \x20          run HPE with the invariant sanitizer on and off\n\
-         \x20          (default apps STN SGM) and verify the sanitizer\n\
-         \x20          leaves SimStats byte-identical\n\
-         \x20 profile  [APP ...] [--rate 75|50]\n\
-         \x20          run HPE with the cycle-attribution profiler on and\n\
-         \x20          off (default apps STN SGM) and verify the profiler\n\
-         \x20          leaves SimStats byte-identical and its timeline\n\
-         \x20          accounts conserve total cycles\n\
-         \x20 explore  SPEC.json [--workers N]\n\
-         \x20          fault-space exploration: enumerate fault-window\n\
-         \x20          placements and seeded plan batches from the spec,\n\
-         \x20          check every invariant on every run, shrink failures\n\
-         \x20          to minimal counterexamples and save replayable repro\n\
-         \x20          files; the merged coverage report is byte-identical\n\
-         \x20          for any worker count (exit 1 if counterexamples)\n\
-         \x20 replay   REPRO.json\n\
-         \x20          re-run a shrunk counterexample deterministically and\n\
-         \x20          verify it reproduces the recorded violation verbatim\n\
-         \x20 tenants  [APP ...] [--tenants N] [--quota PCT] [--hir per-tenant|shared]\n\
-         \x20          [--policy NAME] [--seed N] [--workers N]\n\
-         \x20          [--plan NAME [--target TENANT]]\n\
-         \x20          run N tenants (cycling the listed apps; default\n\
-         \x20          STN/MVT/CUT) through admission control against a\n\
-         \x20          shared residency pool and print per-tenant outcomes\n\
-         \x20          and fairness metrics; with --plan, scope the fault\n\
-         \x20          plan to --target (default tenant 0) and verify the\n\
-         \x20          blast radius: every other tenant's stats must be\n\
-         \x20          byte-identical to the fault-free mix (exit 1 on leak)\n\
-         \n\
-         common flags: --adaptive makes --retry use the loss-adaptive\n\
-         backoff policy (tunes delay online from the observed\n\
-         completion-loss rate) instead of fixed exponential backoff,\n\
-         and is taken wherever --retry is. A command rejects any flag\n\
-         it does not list above.\n\
-         \n\
-         exit codes: 0 ok, 1 simulation failure, 2 usage error"
-    );
-    ExitCode::from(2)
-}
-
-fn parse_rate(text: &str) -> Option<Oversubscription> {
-    match text.trim_end_matches('%') {
-        "75" => Some(Oversubscription::Rate75),
-        "50" => Some(Oversubscription::Rate50),
-        _ => None,
-    }
-}
-
-struct Flags {
-    seed: u64,
-    rate: Oversubscription,
-    /// `--retry` (fixed backoff) or `--adaptive` (loss-adaptive backoff).
-    retry: Option<RetryPolicy>,
-    fallback: FallbackVictim,
-    plan: Option<String>,
-    at: u64,
-    sanitize: Option<u64>,
-    workers: usize,
-    tenants: u64,
-    quota: u64,
-    hir: HirMode,
-    policy: Option<String>,
-    target: Option<u64>,
-    positional: Vec<String>,
-}
-
-impl Flags {
-    fn recovery(&self) -> RecoveryOptions {
-        RecoveryOptions {
-            retry: self.retry,
-            fallback: self.fallback,
-            sanitize: self.sanitize,
-            profile: None,
-        }
-    }
-}
-
-/// A command's entry point.
-type Run = fn(&Flags) -> Result<(), CmdError>;
-
-/// The flags a command reads when it builds its runs at `--seed` and
-/// `--rate` with [`Flags::recovery`].
-const RECOVERY_RUN: &str = "--seed --rate --retry --adaptive --fallback --sanitize";
-
-/// Looks up command `cmd`: its entry point, the flags it reads (in
-/// space-separated groups) and how many positional arguments it takes.
-/// Any other flag or argument is a usage error, never silently dropped.
-fn command(cmd: &str) -> Option<(Run, &'static [&'static str], usize)> {
-    const ANY: usize = usize::MAX;
-    Some(match cmd {
-        "campaign" => (cmd_campaign as Run, &[RECOVERY_RUN, "--workers"], ANY),
-        "livelock" => (cmd_livelock, &[RECOVERY_RUN], 0),
-        "resume" => (cmd_resume, &[RECOVERY_RUN, "--plan --at"], 1),
-        "smoke" => (cmd_smoke, &["--seed --sanitize --workers"], 0),
-        "sanitize" => (cmd_sanitize, &["--rate --sanitize"], ANY),
-        "profile" => (cmd_profile, &["--rate"], ANY),
-        "explore" => (cmd_explore, &["--workers"], 1),
-        "replay" => (cmd_replay, &[], 1),
-        "tenants" => (
-            cmd_tenants,
-            &["--tenants --quota --hir --policy --seed --workers --plan --target"],
-            ANY,
-        ),
-        _ => return None,
+/// The recovery knobs a run takes from `--retry`/`--adaptive`,
+/// `--fallback` and `--sanitize`.
+fn recovery(args: &Args) -> Result<RecoveryOptions, CliError> {
+    // --adaptive implies --retry, in either order.
+    let retry = if args.has("--adaptive") {
+        Some(RetryPolicy::adaptive())
+    } else {
+        args.has("--retry").then(RetryPolicy::default)
+    };
+    Ok(RecoveryOptions {
+        retry,
+        fallback: args
+            .parsed("--fallback", FallbackVictim::parse)?
+            .unwrap_or(FallbackVictim::MinPage),
+        sanitize: args.num("--sanitize")?,
+        profile: None,
     })
 }
 
-/// Parses `args` for command `cmd`, which reads the flags in `known` and
-/// at most `max_positional` positional arguments.
-fn parse_flags(
-    cmd: &str,
-    known: &[&str],
-    max_positional: usize,
-    args: &[String],
-) -> Result<Flags, String> {
-    let mut flags = Flags {
-        seed: DEFAULT_SEED,
-        rate: Oversubscription::Rate75,
-        retry: None,
-        fallback: FallbackVictim::MinPage,
-        plan: None,
-        at: DEFAULT_RESUME_AT,
-        sanitize: None,
-        workers: 1,
-        tenants: 4,
-        quota: 75,
-        hir: HirMode::PerTenant,
-        policy: None,
-        target: None,
-        positional: Vec::new(),
-    };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let a = a.as_str();
-        if !a.starts_with("--") {
-            flags.positional.push(a.to_string());
-            continue;
-        }
-        if !known.iter().flat_map(|g| g.split(' ')).any(|k| k == a) {
-            return Err(format!("{cmd} does not take '{a}'"));
-        }
-        // --adaptive implies --retry, in either order.
-        if a == "--retry" {
-            flags.retry.get_or_insert_with(RetryPolicy::default);
-            continue;
-        }
-        if a == "--adaptive" {
-            flags.retry = Some(RetryPolicy::adaptive());
-            continue;
-        }
-        let v = it.next().ok_or_else(|| format!("{a} needs a value"))?;
-        let bad = || format!("bad {a} '{v}'");
-        match a {
-            "--seed" => flags.seed = v.parse().map_err(|_| bad())?,
-            "--rate" => flags.rate = parse_rate(v).ok_or_else(|| format!("unknown rate '{v}'"))?,
-            "--fallback" => {
-                flags.fallback = FallbackVictim::parse(v).ok_or_else(|| {
-                    format!("unknown fallback '{v}' (expected min-page or lru-shadow)")
-                })?;
-            }
-            "--plan" => flags.plan = Some(v.clone()),
-            "--sanitize" => flags.sanitize = Some(v.parse().map_err(|_| bad())?),
-            "--at" => flags.at = v.parse().map_err(|_| bad())?,
-            "--workers" => flags.workers = v.parse().map_err(|_| bad())?,
-            "--tenants" => flags.tenants = v.parse().map_err(|_| bad())?,
-            "--quota" => flags.quota = v.trim_end_matches('%').parse().map_err(|_| bad())?,
-            "--hir" => {
-                flags.hir = HirMode::parse(v)
-                    .ok_or_else(|| format!("unknown HIR mode '{v}' (per-tenant or shared)"))?;
-            }
-            "--policy" => flags.policy = Some(v.clone()),
-            "--target" => flags.target = Some(v.parse().map_err(|_| bad())?),
-            _ => return Err(format!("unknown flag '{a}'")),
-        }
-    }
-    if flags.positional.len() > max_positional {
-        return Err(format!(
-            "{cmd} takes at most {max_positional} argument(s), got {}",
-            flags.positional.len()
-        ));
-    }
-    Ok(flags)
-}
-
-/// The named fault plans a campaign sweeps, shared with the parallel
-/// engine's [`campaign::chaos_plan_set`] (minus its clean control cell).
-/// Each derives its RNG stream from the campaign seed so the whole sweep
-/// replays from one number.
-fn campaign_plans(seed: u64) -> Vec<(String, FaultPlan)> {
-    campaign::chaos_plan_set(seed)
+/// Resolves a `--plan` name against the named fault plans a campaign
+/// sweeps ([`campaign::chaos_plan_set`] minus its clean control cell,
+/// each seeded from `seed`); an unknown name is a usage error listing
+/// the known ones.
+fn plan_by_name(name: &str, seed: u64) -> Result<FaultPlan, CliError> {
+    let plans: Vec<(String, FaultPlan)> = campaign::chaos_plan_set(seed)
         .into_iter()
-        .filter_map(|spec| spec.plan.clone().map(|plan| (spec.name, plan)))
-        .collect()
-}
-
-/// Resolves a `--plan` name against the campaign plan set; an unknown
-/// name is a usage error listing the known ones.
-fn plan_by_name(name: &str, seed: u64) -> Result<FaultPlan, CmdError> {
-    let plans = campaign_plans(seed);
-    let names: Vec<&str> = plans.iter().map(|(n, _)| n.as_str()).collect();
-    let known = names.join(", ");
-    let found = plans.into_iter().find(|(n, _)| n == name);
+        .filter_map(|spec| Some((spec.name, spec.plan?)))
+        .collect();
+    let known: Vec<&str> = plans.iter().map(|(n, _)| n.as_str()).collect();
+    let known = known.join(", ");
+    let found = plans.iter().find(|(n, _)| n == name);
     found
-        .map(|(_, p)| p)
-        .ok_or_else(|| CmdError::Usage(format!("unknown plan '{name}' (expected one of: {known})")))
+        .map(|(_, p)| p.clone())
+        .ok_or_else(|| CliError::Usage(format!("bad --plan '{name}' (expected one of: {known})")))
 }
 
 /// One (policy, plan) cell of a campaign: the chaos run compared against
@@ -374,14 +256,14 @@ impl CampaignRow {
 fn campaign_rows(
     spec: &campaign::CampaignSpec,
     workers: usize,
-) -> Result<(String, Vec<CampaignRow>), CmdError> {
+) -> Result<(String, Vec<CampaignRow>), CliError> {
     let pool = campaign::PoolOptions {
         workers,
         ..campaign::PoolOptions::default()
     };
     let report = campaign::run_campaign(&bench_config(), spec, &pool, None)
         .and_then(|outcome| outcome.report())
-        .map_err(|e| CmdError::Run(e.to_string()))?;
+        .map_err(|e| CliError::Run(e.to_string()))?;
     let mut rows = Vec::new();
     for abbr in &spec.apps {
         for &kind in &spec.policies {
@@ -390,11 +272,11 @@ fn campaign_rows(
                     let key = campaign::grid_key(abbr, kind.label(), &rate.label(), plan);
                     report
                         .find(&key)
-                        .ok_or_else(|| CmdError::Run(format!("missing {plan} cell for {abbr}")))
+                        .ok_or_else(|| CliError::Run(format!("missing {plan} cell for {abbr}")))
                 };
                 let clean = cell("clean")?;
                 if !clean.ok {
-                    return Err(CmdError::Run(format!(
+                    return Err(CliError::Run(format!(
                         "clean run failed for {abbr}/{}: {}",
                         kind.label(),
                         clean.error
@@ -407,7 +289,7 @@ fn campaign_rows(
                 for plan in spec.plans.iter().filter(|p| p.plan.is_some()) {
                     let chaos = cell(&plan.name)?;
                     if !chaos.ok {
-                        return Err(CmdError::Run(format!(
+                        return Err(CliError::Run(format!(
                             "chaos run failed for {}: {}",
                             chaos.key, chaos.error
                         )));
@@ -469,41 +351,46 @@ fn print_campaign(title: &str, rows: &[CampaignRow]) {
     t.print();
 }
 
-fn cmd_campaign(flags: &Flags) -> Result<(), CmdError> {
-    let apps: Vec<String> = if flags.positional.is_empty() {
-        vec!["STN".to_string()]
-    } else {
-        flags.positional.clone()
-    };
+fn cmd_campaign(args: &Args) -> Result<(), CliError> {
+    let (seed, rate, recovery) = (args.seed()?, args.rate()?, recovery(args)?);
+    let workers = args.num("--workers")?.unwrap_or(1);
+    let apps = args.positional_or(&["STN"]);
+    for abbr in &apps {
+        cli::app(abbr)?;
+    }
     // The engine's plan set keeps the clean control cell in the grid, so
     // every chaos row's baseline comes out of the same merged report.
     let spec = campaign::CampaignSpec {
         apps,
         policies: PolicyKind::ALL.to_vec(),
-        rates: vec![flags.rate],
-        plans: campaign::chaos_plan_set(flags.seed),
-        recovery: flags.recovery(),
-        seed: flags.seed,
+        rates: vec![rate],
+        plans: campaign::chaos_plan_set(seed),
+        recovery,
+        seed,
     };
     eprintln!(
         "[campaign: {} app(s) at {}, seed {}, {} policies x {} plans, retry {}, \
          fallback {}, {} worker(s)]",
         spec.apps.len(),
-        flags.rate.label(),
-        flags.seed,
+        rate.label(),
+        seed,
         spec.policies.len(),
         spec.plans.len(),
-        if flags.retry.is_some() { "on" } else { "off" },
-        flags.fallback.label(),
-        flags.workers.max(1),
+        if recovery.retry.is_some() {
+            "on"
+        } else {
+            "off"
+        },
+        recovery.fallback.label(),
+        workers.max(1),
     );
-    let (fingerprint, rows) = campaign_rows(&spec, flags.workers)?;
+    let (fingerprint, rows) = campaign_rows(&spec, workers)?;
     let total_faults: u64 = rows.iter().map(|r| r.stats().faults()).sum();
     print_campaign(
         format!(
             "chaos campaign (seed {}, {}, {} chaos runs, {} faults total, fingerprint {})",
-            flags.seed,
-            flags.rate.label(),
+            seed,
+            rate.label(),
             rows.len(),
             total_faults,
             fingerprint
@@ -516,15 +403,16 @@ fn cmd_campaign(flags: &Flags) -> Result<(), CmdError> {
     Ok(())
 }
 
-fn cmd_livelock(flags: &Flags) -> Result<(), CmdError> {
+fn cmd_livelock(args: &Args) -> Result<(), CliError> {
+    let (seed, rate, recovery) = (args.seed()?, args.rate()?, recovery(args)?);
     let app = registry::by_abbr("STN").expect("STN is registered");
     let cfg = bench_config();
-    let plan = FaultPlan::livelock(flags.seed);
+    let plan = FaultPlan::livelock(seed);
     eprintln!(
         "[injecting unbounded completion loss into {} under LRU at {}{}]",
         app.abbr(),
-        flags.rate.label(),
-        if flags.retry.is_some() {
+        rate.label(),
+        if recovery.retry.is_some() {
             ", retry policy on"
         } else {
             ""
@@ -532,10 +420,10 @@ fn cmd_livelock(flags: &Flags) -> Result<(), CmdError> {
     );
     let spec = RunSpec {
         plan: Some(&plan),
-        recovery: flags.recovery(),
-        ..RunSpec::new(app, flags.rate, PolicyKind::Lru)
+        recovery,
+        ..RunSpec::new(app, rate, PolicyKind::Lru)
     };
-    match (flags.retry.is_some(), run(&cfg, &spec)) {
+    match (recovery.retry.is_some(), run(&cfg, &spec)) {
         (false, Err(SimError::Stalled { cycle, in_flight })) => {
             println!(
                 "watchdog fired: SimError::Stalled at cycle {cycle} with {in_flight} \
@@ -557,11 +445,11 @@ fn cmd_livelock(flags: &Flags) -> Result<(), CmdError> {
             );
             Ok(())
         }
-        (false, Err(other)) => Err(CmdError::Run(format!("expected Stalled, got: {other}"))),
-        (true, Err(other)) => Err(CmdError::Run(format!(
+        (false, Err(other)) => Err(CliError::Run(format!("expected Stalled, got: {other}"))),
+        (true, Err(other)) => Err(CliError::Run(format!(
             "expected RetriesExhausted, got: {other}"
         ))),
-        (_, Ok(_)) => Err(CmdError::Run(
+        (_, Ok(_)) => Err(CliError::Run(
             "expected the injected livelock to abort the run".into(),
         )),
     }
@@ -571,27 +459,27 @@ fn cmd_livelock(flags: &Flags) -> Result<(), CmdError> {
 /// paused at `--at` to take a checkpoint, and a fresh simulation resumed
 /// from that checkpoint — then verify the resumed stats are byte-identical
 /// to the straight run's.
-fn cmd_resume(flags: &Flags) -> Result<(), CmdError> {
-    let abbr = flags.positional.first().map_or("STN", String::as_str);
-    let app =
-        registry::by_abbr(abbr).ok_or_else(|| CmdError::Usage(format!("unknown app '{abbr}'")))?;
-    let plan_name = flags.plan.as_deref().unwrap_or("signal-chaos");
-    let plan = plan_by_name(plan_name, flags.seed)?;
+fn cmd_resume(args: &Args) -> Result<(), CliError> {
+    let (seed, rate, recovery) = (args.seed()?, args.rate()?, recovery(args)?);
+    let at = args.num("--at")?.unwrap_or(DEFAULT_RESUME_AT);
+    let plan_name = args.value("--plan").unwrap_or("signal-chaos");
+    let plan = plan_by_name(plan_name, seed)?;
+    let app = cli::app(args.positional.first().map_or("STN", String::as_str))?;
 
     let cfg = bench_config();
     let trace = trace_for(&cfg, app);
     let spec = RunSpec {
         plan: Some(&plan),
-        recovery: flags.recovery(),
-        ..RunSpec::new(app, flags.rate, PolicyKind::Hpe)
+        recovery,
+        ..RunSpec::new(app, rate, PolicyKind::Hpe)
     };
 
     eprintln!(
         "[resume: HPE on {} at {} under {plan_name} (seed {}), checkpoint at cycle {}]",
         app.abbr(),
-        flags.rate.label(),
-        flags.seed,
-        flags.at
+        rate.label(),
+        seed,
+        at
     );
     let straight = drive(&cfg, &spec, &trace, None, |_, _| {})?.result.stats;
     let on_checkpoint = |ckpt: &uvm_sim::Checkpoint, done: bool| {
@@ -599,7 +487,7 @@ fn cmd_resume(flags: &Flags) -> Result<(), CmdError> {
         if done {
             eprintln!(
                 "note: the run completed before cycle {}; the checkpoint captures its final state",
-                flags.at
+                at
             );
         }
         println!(
@@ -607,13 +495,13 @@ fn cmd_resume(flags: &Flags) -> Result<(), CmdError> {
             ckpt.cycle, ckpt.stats.driver.faults_serviced, ckpt.stats.cycles
         );
     };
-    let stats = drive(&cfg, &spec, &trace, Some(flags.at), on_checkpoint)?
+    let stats = drive(&cfg, &spec, &trace, Some(at), on_checkpoint)?
         .result
         .stats;
 
     let (a, b) = (stats.to_json().to_string(), straight.to_json().to_string());
     if a != b {
-        return Err(CmdError::Run(format!(
+        return Err(CliError::Run(format!(
             "resumed stats diverged from the uninterrupted run\nresumed:  {a}\nstraight: {b}"
         )));
     }
@@ -625,7 +513,10 @@ fn cmd_resume(flags: &Flags) -> Result<(), CmdError> {
     Ok(())
 }
 
-fn cmd_smoke(flags: &Flags) -> Result<(), CmdError> {
+fn cmd_smoke(args: &Args) -> Result<(), CliError> {
+    let seed = args.seed()?;
+    let sanitize = args.num("--sanitize")?.unwrap_or(DEFAULT_SANITIZER_CADENCE);
+    let workers = args.num("--workers")?.unwrap_or(1);
     // The smoke gate runs with the invariant sanitizer on: a corrupted
     // residency count or broken policy structure under injection fails
     // CI as a typed InvariantViolated, not a wrong number downstream.
@@ -633,14 +524,14 @@ fn cmd_smoke(flags: &Flags) -> Result<(), CmdError> {
         apps: vec!["STN".to_string()],
         policies: vec![PolicyKind::Lru, PolicyKind::Rrip, PolicyKind::Hpe],
         rates: vec![Oversubscription::Rate75],
-        plans: campaign::chaos_plan_set(flags.seed),
+        plans: campaign::chaos_plan_set(seed),
         recovery: RecoveryOptions {
-            sanitize: Some(flags.sanitize.unwrap_or(DEFAULT_SANITIZER_CADENCE)),
+            sanitize: Some(sanitize),
             ..RecoveryOptions::default()
         },
-        seed: flags.seed,
+        seed,
     };
-    let (_, rows) = campaign_rows(&spec, flags.workers)?;
+    let (_, rows) = campaign_rows(&spec, workers)?;
     let injected = rows
         .iter()
         .map(CampaignRow::res)
@@ -654,7 +545,7 @@ fn cmd_smoke(flags: &Flags) -> Result<(), CmdError> {
         })
         .count();
     if injected == 0 {
-        return Err(CmdError::Run(
+        return Err(CliError::Run(
             "no chaos run recorded any injection; plans are inert".into(),
         ));
     }
@@ -664,7 +555,7 @@ fn cmd_smoke(flags: &Flags) -> Result<(), CmdError> {
             && r.stats().policy.degraded_faults > 0
     });
     if !hpe_degraded {
-        return Err(CmdError::Run(
+        return Err(CliError::Run(
             "HPE did not enter degraded mode under signal-chaos".into(),
         ));
     }
@@ -672,7 +563,7 @@ fn cmd_smoke(flags: &Flags) -> Result<(), CmdError> {
         r.chaos.plan == "victim-drop" && r.res().victims_dropped > 0 && r.res().fallback_victims > 0
     });
     if !fallback_exercised {
-        return Err(CmdError::Run(
+        return Err(CliError::Run(
             "victim-drop did not exercise the fallback victim path".into(),
         ));
     }
@@ -682,7 +573,7 @@ fn cmd_smoke(flags: &Flags) -> Result<(), CmdError> {
             && r.res().delayed_hir_flushes > 0
     });
     if !delay_exercised {
-        return Err(CmdError::Run(
+        return Err(CliError::Run(
             "partial-outage did not delay any HIR flush".into(),
         ));
     }
@@ -700,26 +591,21 @@ fn cmd_smoke(flags: &Flags) -> Result<(), CmdError> {
 /// `recovery` knobs, require byte-identical `SimStats` JSON, then hand
 /// the observed run to `report`.
 fn observation_only(
-    flags: &Flags,
+    args: &Args,
     observer: &str,
     recovery: RecoveryOptions,
-    mut report: impl FnMut(&str, &RunResult) -> Result<(), CmdError>,
-) -> Result<(), CmdError> {
+    mut report: impl FnMut(&str, &RunResult) -> Result<(), CliError>,
+) -> Result<(), CliError> {
+    let rate = args.rate()?;
     let cfg = bench_config();
-    let abbrs: Vec<&str> = if flags.positional.is_empty() {
-        vec!["STN", "SGM"]
-    } else {
-        flags.positional.iter().map(String::as_str).collect()
-    };
-    for abbr in abbrs {
-        let app = registry::by_abbr(abbr)
-            .ok_or_else(|| CmdError::Usage(format!("unknown app '{abbr}'")))?;
-        let straight = run_policy(&cfg, app, flags.rate, PolicyKind::Hpe)?;
+    for abbr in args.positional_or(&["STN", "SGM"]) {
+        let app = cli::app(&abbr)?;
+        let straight = run_policy(&cfg, app, rate, PolicyKind::Hpe)?;
         let observed = run(
             &cfg,
             &RunSpec {
                 recovery,
-                ..RunSpec::new(app, flags.rate, PolicyKind::Hpe)
+                ..RunSpec::new(app, rate, PolicyKind::Hpe)
             },
         )?;
         let (a, b) = (
@@ -727,24 +613,24 @@ fn observation_only(
             straight.stats.to_json().to_string(),
         );
         if a != b {
-            return Err(CmdError::Run(format!(
+            return Err(CliError::Run(format!(
                 "{observer} perturbed {abbr}: stats diverged\nwith:    {a}\nwithout: {b}"
             )));
         }
-        report(abbr, &observed)?;
+        report(&abbr, &observed)?;
     }
     Ok(())
 }
 
 /// `sanitize`: prove the runtime invariant sanitizer is observation-only
 /// at `--sanitize` cadence.
-fn cmd_sanitize(flags: &Flags) -> Result<(), CmdError> {
-    let cadence = flags.sanitize.unwrap_or(DEFAULT_SANITIZER_CADENCE);
+fn cmd_sanitize(args: &Args) -> Result<(), CliError> {
+    let cadence = args.num("--sanitize")?.unwrap_or(DEFAULT_SANITIZER_CADENCE);
     let recovery = RecoveryOptions {
         sanitize: Some(cadence),
         ..RecoveryOptions::default()
     };
-    observation_only(flags, "sanitizer", recovery, |abbr, on| {
+    observation_only(args, "sanitizer", recovery, |abbr, on| {
         println!(
             "{abbr}: {} cycles, {} faults — sanitizer (cadence {cadence}) left \
              SimStats byte-identical",
@@ -758,17 +644,17 @@ fn cmd_sanitize(flags: &Flags) -> Result<(), CmdError> {
 /// `profile`: prove the cycle-attribution profiler is observation-only,
 /// and that its timeline accounts sum exactly to the run's total cycles
 /// (the conservation law the breakdown rests on).
-fn cmd_profile(flags: &Flags) -> Result<(), CmdError> {
+fn cmd_profile(args: &Args) -> Result<(), CliError> {
     let recovery = RecoveryOptions {
         profile: Some(DEFAULT_PROFILE_CADENCE),
         ..RecoveryOptions::default()
     };
-    observation_only(flags, "profiler", recovery, |abbr, on| {
+    observation_only(args, "profiler", recovery, |abbr, on| {
         let Some(profile) = &on.profile else {
-            return Err(CmdError::Run(format!("no profile recorded for {abbr}")));
+            return Err(CliError::Run(format!("no profile recorded for {abbr}")));
         };
         if profile.timeline_sum() != profile.total_cycles {
-            return Err(CmdError::Run(format!(
+            return Err(CliError::Run(format!(
                 "profiler accounts for {abbr} do not conserve: timeline sum {} vs {} total cycles",
                 profile.timeline_sum(),
                 profile.total_cycles
@@ -785,45 +671,29 @@ fn cmd_profile(flags: &Flags) -> Result<(), CmdError> {
     })
 }
 
-/// Loads a JSON document from `path` through a strict decoder — unknown
-/// or misspelled fields come back as actionable usage errors, never as
-/// silently-ignored keys.
-fn load_json<T>(
-    path: &str,
-    what: &str,
-    parse: impl FnOnce(&Json) -> Result<T, JsonError>,
-) -> Result<T, CmdError> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| CmdError::Usage(format!("cannot read {what} '{path}': {e}")))?;
-    let json = Json::parse(&text)
-        .map_err(|e| CmdError::Usage(format!("{what} '{path}' is not valid JSON: {e}")))?;
-    parse(&json).map_err(|e| CmdError::Usage(format!("bad {what} '{path}': {e}")))
-}
-
 /// `explore`: run the fault-space exploration engine over a spec file,
 /// shrink any failures, and save the coverage report plus one replayable
 /// repro file per counterexample.
-fn cmd_explore(flags: &Flags) -> Result<(), CmdError> {
-    let Some(path) = flags.positional.first() else {
-        return Err(CmdError::Usage("explore needs a SPEC.json path".into()));
-    };
-    let spec: ExploreSpec = load_json(path, "explore spec", ExploreSpec::from_json_strict)?;
+fn cmd_explore(args: &Args) -> Result<(), CliError> {
+    let workers = args.num("--workers")?.unwrap_or(1);
+    let path = &args.positional[0];
+    let spec: ExploreSpec = cli::read_json(path, "explore spec", ExploreSpec::from_json_strict)?;
     eprintln!(
         "[explore: {} under {} at {}%, invariants [{}], {} worker(s)]",
         spec.app,
         spec.policy,
         spec.rate,
         spec.invariant_set().join(", "),
-        flags.workers.max(1),
+        workers.max(1),
     );
     let mut progress = std::io::stderr();
     let report = run_explore(
         &bench_config(),
         &spec,
-        flags.workers,
+        workers,
         Some(&mut progress as &mut dyn std::io::Write),
     )
-    .map_err(|e| CmdError::Run(e.to_string()))?;
+    .map_err(|e| CliError::Run(e.to_string()))?;
     save_json("explore-report", &report);
     println!(
         "explored {} case(s) ({} fixture, {} window, {} batch; {} invalid placements \
@@ -856,7 +726,7 @@ fn cmd_explore(flags: &Flags) -> Result<(), CmdError> {
             cx.probes,
         );
     }
-    Err(CmdError::Run(format!(
+    Err(CliError::Run(format!(
         "{} counterexample(s) found",
         report.counterexamples.len()
     )))
@@ -864,26 +734,24 @@ fn cmd_explore(flags: &Flags) -> Result<(), CmdError> {
 
 /// `replay`: re-run a shrunk counterexample and verify it reproduces the
 /// recorded violation byte-for-byte.
-fn cmd_replay(flags: &Flags) -> Result<(), CmdError> {
-    let Some(path) = flags.positional.first() else {
-        return Err(CmdError::Usage("replay needs a REPRO.json path".into()));
-    };
-    let repro: ReproCase = load_json(path, "repro case", ReproCase::from_json_strict)?;
+fn cmd_replay(args: &Args) -> Result<(), CliError> {
+    let path = &args.positional[0];
+    let repro: ReproCase = cli::read_json(path, "repro case", ReproCase::from_json_strict)?;
     eprintln!(
         "[replay: {} under {} at {}%, expecting `{}` violation]",
         repro.app, repro.policy, repro.rate, repro.invariant
     );
-    match replay_repro(&bench_config(), &repro).map_err(|e| CmdError::Run(e.to_string()))? {
+    match replay_repro(&bench_config(), &repro).map_err(|e| CliError::Run(e.to_string()))? {
         Some((invariant, error)) if invariant == repro.invariant && error == repro.error => {
             println!("reproduced: invariant `{invariant}` violated — {error}");
             Ok(())
         }
-        Some((invariant, error)) => Err(CmdError::Run(format!(
+        Some((invariant, error)) => Err(CliError::Run(format!(
             "violation differs from the recorded one\ngot:      `{invariant}`: {error}\n\
              recorded: `{}`: {}",
             repro.invariant, repro.error
         ))),
-        None => Err(CmdError::Run(format!(
+        None => Err(CliError::Run(format!(
             "the run came back clean; recorded `{}` violation did not reproduce",
             repro.invariant
         ))),
@@ -894,48 +762,49 @@ fn cmd_replay(flags: &Flags) -> Result<(), CmdError> {
 /// per-tenant outcomes plus fairness metrics. With `--plan`, the fault
 /// plan is scoped to `--target` and the blast radius is verified: every
 /// non-target tenant's stats must be byte-identical to the fault-free mix.
-fn cmd_tenants(flags: &Flags) -> Result<(), CmdError> {
-    let pool: Vec<&str> = if flags.positional.is_empty() {
-        CONTAINMENT_APPS.to_vec()
-    } else {
-        flags.positional.iter().map(String::as_str).collect()
-    };
+fn cmd_tenants(args: &Args) -> Result<(), CliError> {
+    let tenants: u64 = args.num("--tenants")?.unwrap_or(4);
+    let quota = args
+        .parsed("--quota", |v| v.trim_end_matches('%').parse().ok())?
+        .unwrap_or(75);
+    let hir = args
+        .parsed("--hir", HirMode::parse)?
+        .unwrap_or(HirMode::PerTenant);
+    let (policy, seed) = (args.policy()?, args.seed()?);
+    let workers = args.num("--workers")?.unwrap_or(1);
+    let target: Option<u64> = args.num("--target")?;
+    let pool = args.positional_or(&CONTAINMENT_APPS);
     for abbr in &pool {
-        registry::by_abbr(abbr).ok_or_else(|| CmdError::Usage(format!("unknown app '{abbr}'")))?;
+        cli::app(abbr)?;
     }
-    let apps: Vec<&str> = (0..flags.tenants)
-        .map(|i| pool[(i as usize) % pool.len()])
+    let apps: Vec<&str> = (0..tenants)
+        .map(|i| pool[(i as usize) % pool.len()].as_str())
         .collect();
-    let mut mix = TenantMix::uniform(&apps, flags.quota, 1_000, flags.seed);
-    mix.hir_mode = flags.hir;
-    mix.validate().map_err(|e| CmdError::Usage(e.to_string()))?;
-    let policy = match flags.policy.as_deref() {
-        None => PolicyKind::Hpe,
-        Some(name) => PolicyKind::parse(name)
-            .ok_or_else(|| CmdError::Usage(format!("unknown policy '{name}'")))?,
-    };
+    let mut mix = TenantMix::uniform(&apps, quota, 1_000, seed);
+    mix.hir_mode = hir;
+    mix.validate().map_err(|e| CliError::Usage(e.to_string()))?;
 
-    let plan = match &flags.plan {
-        None if flags.target.is_some() => {
-            return Err(CmdError::Usage(
+    let plan = match args.value("--plan") {
+        None if target.is_some() => {
+            return Err(CliError::Usage(
                 "--target needs --plan: it names the tenant the plan is scoped to".into(),
             ))
         }
         None => None,
-        Some(name) => Some((name.clone(), plan_by_name(name, flags.seed)?)),
+        Some(name) => Some((name.to_string(), plan_by_name(name, seed)?)),
     };
-    let target = flags.target.unwrap_or(0);
+    let target = target.unwrap_or(0);
 
     eprintln!(
         "[tenants: {} tenant(s) over {{{}}} at {}% quota, {} HIR, policy {}, seed {}, \
          {} worker(s){}]",
-        flags.tenants,
+        tenants,
         pool.join(", "),
-        flags.quota,
-        flags.hir.label(),
+        quota,
+        hir.label(),
         policy.label(),
-        flags.seed,
-        flags.workers.max(1),
+        seed,
+        workers.max(1),
         match &plan {
             Some((name, _)) => format!(", plan {name} scoped to T{target}"),
             None => String::new(),
@@ -945,10 +814,10 @@ fn cmd_tenants(flags: &Flags) -> Result<(), CmdError> {
     let cfg = bench_config();
     let baseline_opts = MixOptions {
         policy,
-        workers: flags.workers,
+        workers,
         ..MixOptions::default()
     };
-    let baseline = run_mix(&cfg, &mix, &baseline_opts).map_err(|e| CmdError::Run(e.to_string()))?;
+    let baseline = run_mix(&cfg, &mix, &baseline_opts).map_err(|e| CliError::Run(e.to_string()))?;
 
     let mut t = Table::new(
         format!(
@@ -989,9 +858,8 @@ fn cmd_tenants(flags: &Flags) -> Result<(), CmdError> {
         return Ok(());
     };
     if !mix.tenants.iter().any(|t| t.id == target) {
-        return Err(CmdError::Usage(format!(
-            "--target {target} is not part of the mix (tenants 0..{})",
-            flags.tenants
+        return Err(CliError::Usage(format!(
+            "--target {target} is not part of the mix (tenants 0..{tenants})"
         )));
     }
     let faulted_opts = MixOptions {
@@ -999,12 +867,12 @@ fn cmd_tenants(flags: &Flags) -> Result<(), CmdError> {
         plan: Some(plan),
         plan_name: plan_name.clone(),
         fault_tenant: Some(target),
-        workers: flags.workers,
+        workers,
         ..MixOptions::default()
     };
-    let faulted = run_mix(&cfg, &mix, &faulted_opts).map_err(|e| CmdError::Run(e.to_string()))?;
+    let faulted = run_mix(&cfg, &mix, &faulted_opts).map_err(|e| CliError::Run(e.to_string()))?;
     save_json("tenant-mix-faulted", &faulted);
-    check_containment(&baseline, &faulted).map_err(CmdError::Run)?;
+    check_containment(&baseline, &faulted).map_err(CliError::Run)?;
     let degraded = faulted
         .tenants
         .iter()
@@ -1033,29 +901,5 @@ fn cmd_tenants(flags: &Flags) -> Result<(), CmdError> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some((cmd, rest)) = args.split_first() else {
-        return usage();
-    };
-    let Some((run, known, max_positional)) = command(cmd) else {
-        eprintln!("error: unknown command '{cmd}'");
-        return usage();
-    };
-    let flags = match parse_flags(cmd, known, max_positional, rest) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return usage();
-        }
-    };
-    match run(&flags) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(CmdError::Usage(e)) => {
-            eprintln!("error: {e}");
-            usage()
-        }
-        Err(CmdError::Run(e)) => {
-            eprintln!("error: {e}");
-            ExitCode::from(1)
-        }
-    }
+    cli::run("hpe-chaos", COMMANDS, &args)
 }

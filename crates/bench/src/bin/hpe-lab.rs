@@ -1,96 +1,112 @@
 //! `hpe-lab` — command-line front end for the HPE reproduction stack.
 //!
 //! ```text
-//! hpe-lab list
-//! hpe-lab run <APP> [--policy lru|random|lfu|rrip|clockpro|ideal|hpe]
-//!                   [--rate 75|50|<percent>] [--json]
-//! hpe-lab compare <APP> [--rate ...]        # all policies side by side
-//! hpe-lab sweep <APP> [--policy ...]        # capacity sweep 95%..40%
-//! hpe-lab profile <APP>                     # access-pattern profile
-//! hpe-lab campaign [APP ...] [--workers N] [--chaos] [--snapshot FILE]
-//!                  [--resume] [--progress FILE]   # parallel grid sweep
+//! hpe-lab list                                # the registered applications
+//! hpe-lab run <APP> [--policy P] [--rate PCT] [--json]
+//! hpe-lab compare <APP> [--rate PCT]          # all policies side by side
+//! hpe-lab sweep <APP> [--policy P]            # capacity sweep 95%..40%
+//! hpe-lab profile <APP>                       # access-pattern profile
+//! hpe-lab campaign [APP ...] [--workers N] [--seed N] [--chaos] [--rate PCT|both]
+//!                  [--progress FILE] [--snapshot FILE] [--snapshot-every N]
+//!                  [--resume] [--limit N]     # parallel grid sweep
 //! hpe-lab bench-snapshot [--workers N] [--dir DIR]  # record the next BENCH_*.json
-//! hpe-lab fairness [--workers N] [--seed N] # per-tenant vs shared HIR:
-//!                                           # fairness-vs-throughput grid
+//! hpe-lab fairness [--workers N] [--seed N]   # per-tenant vs shared HIR:
+//!                                             # fairness-vs-throughput grid
 //! ```
 //!
-//! Run via `cargo run --release -p hpe-bench --bin hpe-lab -- <args>`.
+//! Run via `cargo run --release -p hpe-bench --bin hpe-lab -- <args>`;
+//! the usage text (no arguments) is generated from the command table
+//! below ([`hpe_bench::cli`]).
 //!
 //! Exit codes: 0 success, 1 a run failed, 2 usage error — the same
-//! convention as `hpe-chaos`.
+//! convention as `hpe-chaos` and `hpe-trace`.
 
 use std::fs;
-use std::path::PathBuf;
+use std::process::ExitCode;
 
+use hpe_bench::cli::{self, Args, CliError, Command};
 use hpe_bench::{
     bench_config, campaign, f2, f3, fairness_grid, geomean, perf, run_policy, save_json,
-    PolicyKind, Table,
+    CampaignError, PolicyKind, Table,
 };
 use uvm_types::Oversubscription;
 use uvm_util::{json, Json, ToJson};
 use uvm_workloads::registry;
 
-fn parse_policy(s: &str) -> Result<PolicyKind, String> {
-    Ok(match s.to_ascii_lowercase().as_str() {
-        "lru" => PolicyKind::Lru,
-        "random" => PolicyKind::Random,
-        "lfu" => PolicyKind::Lfu,
-        "rrip" => PolicyKind::Rrip,
-        "clockpro" | "clock-pro" => PolicyKind::ClockPro,
-        "ideal" | "belady" | "min" => PolicyKind::Ideal,
-        "hpe" => PolicyKind::Hpe,
-        other => return Err(format!("unknown policy {other:?}")),
-    })
-}
+/// The command table.
+static COMMANDS: &[Command] = &[
+    Command {
+        name: "list",
+        about: "the registered applications: abbreviation, name, suite, pattern type and \
+                footprint in pages",
+        args: "",
+        flags: &[],
+        run: cmd_list,
+    },
+    Command {
+        name: "run",
+        about: "run APP under one policy and print its faults, evictions, cycles and IPC \
+                (and HPE's classification); --json prints them as JSON",
+        args: "<APP>",
+        flags: &["--policy P --rate PCT --json"],
+        run: cmd_run,
+    },
+    Command {
+        name: "compare",
+        about: "run APP under every policy at one rate, side by side",
+        args: "<APP>",
+        flags: &["--rate PCT"],
+        run: cmd_compare,
+    },
+    Command {
+        name: "sweep",
+        about: "run APP under one policy at memory capacities from 95% down to 40% of its \
+                footprint",
+        args: "<APP>",
+        flags: &["--policy P"],
+        run: cmd_sweep,
+    },
+    Command {
+        name: "profile",
+        about: "access-pattern profile of APP's reference stream (reuse distances, \
+                compulsory fraction); no simulation",
+        args: "<APP>",
+        flags: &[],
+        run: cmd_profile,
+    },
+    Command {
+        name: "campaign",
+        about: "run the app x policy x rate grid (default every app at both rates; --rate \
+                also takes both) on the parallel campaign engine and summarize the \
+                deterministically merged report; --chaos adds the fault plans, --progress \
+                streams JSONL completions, --snapshot/--snapshot-every/--resume checkpoint \
+                and resume, --limit stops after N cells",
+        args: "[APP ...]",
+        flags: &[
+            "--workers N --seed N --chaos --rate PCT --progress FILE --snapshot FILE \
+                  --snapshot-every N --resume --limit N",
+        ],
+        run: cmd_campaign,
+    },
+    Command {
+        name: "bench-snapshot",
+        about: "collect the clean full grid and record it as the next \
+                benchmarks/BENCH_NNNN.json (or under --dir)",
+        args: "",
+        flags: &["--workers N --dir DIR"],
+        run: cmd_bench_snapshot,
+    },
+    Command {
+        name: "fairness",
+        about: "per-tenant vs shared HIR: p99 per-tenant slowdown against aggregate \
+                throughput over the fairness grid's mixes and quotas",
+        args: "",
+        flags: &["--workers N --seed N"],
+        run: cmd_fairness,
+    },
+];
 
-fn parse_rate(s: &str) -> Result<Oversubscription, String> {
-    match s {
-        "75" => Ok(Oversubscription::Rate75),
-        "50" => Ok(Oversubscription::Rate50),
-        other => {
-            let pct: f64 = other
-                .trim_end_matches('%')
-                .parse()
-                .map_err(|_| format!("bad rate {other:?}"))?;
-            if !(0.0..=100.0).contains(&pct) || pct == 0.0 {
-                return Err(format!("rate {pct} out of range (0, 100]"));
-            }
-            Ok(Oversubscription::Custom(pct / 100.0))
-        }
-    }
-}
-
-struct Opts {
-    policy: PolicyKind,
-    rate: Oversubscription,
-    json: bool,
-}
-
-fn parse_opts(args: &[String]) -> Result<Opts, String> {
-    let mut opts = Opts {
-        policy: PolicyKind::Hpe,
-        rate: Oversubscription::Rate75,
-        json: false,
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--policy" => {
-                let v = it.next().ok_or("--policy needs a value")?;
-                opts.policy = parse_policy(v)?;
-            }
-            "--rate" => {
-                let v = it.next().ok_or("--rate needs a value")?;
-                opts.rate = parse_rate(v)?;
-            }
-            "--json" => opts.json = true,
-            other => return Err(format!("unknown option {other:?}")),
-        }
-    }
-    Ok(opts)
-}
-
-fn cmd_list() {
+fn cmd_list(_: &Args) -> Result<(), CliError> {
     let mut t = Table::new(
         "registered applications",
         &["abbr", "name", "suite", "type", "pages"],
@@ -105,15 +121,16 @@ fn cmd_list() {
         ]);
     }
     t.print();
+    Ok(())
 }
 
-fn cmd_run(abbr: &str, opts: &Opts) -> Result<(), CliError> {
-    let app =
-        registry::by_abbr(abbr).ok_or_else(|| CliError::Usage(format!("unknown app {abbr:?}")))?;
-    let cfg = bench_config();
-    let r = run_policy(&cfg, app, opts.rate, opts.policy)
+fn cmd_run(args: &Args) -> Result<(), CliError> {
+    let (policy, rate) = (args.policy()?, args.rate()?);
+    let abbr = &args.positional[0];
+    let app = cli::app(abbr)?;
+    let r = run_policy(&bench_config(), app, rate, policy)
         .map_err(|e| CliError::Run(format!("{abbr} run failed: {e}")))?;
-    if opts.json {
+    if args.has("--json") {
         let mut v = json!({
             "app": r.app,
             "policy": r.policy,
@@ -157,16 +174,17 @@ fn cmd_run(abbr: &str, opts: &Opts) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_compare(abbr: &str, opts: &Opts) -> Result<(), CliError> {
-    let app =
-        registry::by_abbr(abbr).ok_or_else(|| CliError::Usage(format!("unknown app {abbr:?}")))?;
+fn cmd_compare(args: &Args) -> Result<(), CliError> {
+    let rate = args.rate()?;
+    let abbr = &args.positional[0];
+    let app = cli::app(abbr)?;
     let cfg = bench_config();
     let mut t = Table::new(
-        format!("{abbr} at {}", opts.rate.label()),
+        format!("{abbr} at {}", rate.label()),
         &["policy", "faults", "evictions", "cycles", "IPC"],
     );
     for kind in PolicyKind::ALL {
-        let r = run_policy(&cfg, app, opts.rate, kind)
+        let r = run_policy(&cfg, app, rate, kind)
             .map_err(|e| CliError::Run(format!("{abbr}/{} run failed: {e}", kind.label())))?;
         t.row(vec![
             r.policy.to_string(),
@@ -180,17 +198,18 @@ fn cmd_compare(abbr: &str, opts: &Opts) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_sweep(abbr: &str, opts: &Opts) -> Result<(), CliError> {
-    let app =
-        registry::by_abbr(abbr).ok_or_else(|| CliError::Usage(format!("unknown app {abbr:?}")))?;
+fn cmd_sweep(args: &Args) -> Result<(), CliError> {
+    let policy = args.policy()?;
+    let abbr = &args.positional[0];
+    let app = cli::app(abbr)?;
     let cfg = bench_config();
     let mut t = Table::new(
-        format!("{abbr} capacity sweep under {}", opts.policy.label()),
+        format!("{abbr} capacity sweep under {}", policy.label()),
         &["memory", "capacity(pages)", "faults", "evictions", "IPC"],
     );
     for pct in [95, 90, 85, 75, 60, 50, 40] {
         let rate = Oversubscription::Custom(pct as f64 / 100.0);
-        let r = run_policy(&cfg, app, rate, opts.policy)
+        let r = run_policy(&cfg, app, rate, policy)
             .map_err(|e| CliError::Run(format!("{abbr} at {pct}% failed: {e}")))?;
         t.row(vec![
             format!("{pct}%"),
@@ -204,9 +223,9 @@ fn cmd_sweep(abbr: &str, opts: &Opts) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_profile(abbr: &str) -> Result<(), String> {
+fn cmd_profile(args: &Args) -> Result<(), CliError> {
     use uvm_workloads::analysis;
-    let app = registry::by_abbr(abbr).ok_or_else(|| format!("unknown app {abbr:?}"))?;
+    let app = cli::app(&args.positional[0])?;
     let seq = app.global_sequence();
     let p = analysis::profile(&seq);
     println!("{app} ({}):", app.pattern());
@@ -225,104 +244,33 @@ fn cmd_profile(abbr: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Flags of the `campaign` subcommand.
-struct CampaignOpts {
-    apps: Vec<String>,
-    workers: usize,
-    seed: u64,
-    chaos: bool,
-    rate: Option<Oversubscription>,
-    progress: Option<PathBuf>,
-    snapshot: Option<PathBuf>,
-    snapshot_every: usize,
-    resume: bool,
-    limit: Option<usize>,
-}
-
-fn parse_campaign_opts(args: &[String]) -> Result<CampaignOpts, String> {
-    let mut opts = CampaignOpts {
-        apps: Vec::new(),
-        workers: 1,
-        seed: 2019,
-        chaos: false,
-        rate: None,
-        progress: None,
-        snapshot: None,
-        snapshot_every: 0,
-        resume: false,
-        limit: None,
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--workers" => {
-                let v = value("--workers")?;
-                opts.workers = v.parse().map_err(|_| format!("bad --workers {v:?}"))?;
-            }
-            "--seed" => {
-                let v = value("--seed")?;
-                opts.seed = v.parse().map_err(|_| format!("bad --seed {v:?}"))?;
-            }
-            "--chaos" => opts.chaos = true,
-            "--rate" => {
-                let v = value("--rate")?;
-                if v == "both" {
-                    opts.rate = None;
-                } else {
-                    opts.rate = Some(parse_rate(&v)?);
-                }
-            }
-            "--progress" => opts.progress = Some(PathBuf::from(value("--progress")?)),
-            "--snapshot" => opts.snapshot = Some(PathBuf::from(value("--snapshot")?)),
-            "--snapshot-every" => {
-                let v = value("--snapshot-every")?;
-                opts.snapshot_every = v
-                    .parse()
-                    .map_err(|_| format!("bad --snapshot-every {v:?}"))?;
-            }
-            "--resume" => opts.resume = true,
-            "--limit" => {
-                let v = value("--limit")?;
-                opts.limit = Some(v.parse().map_err(|_| format!("bad --limit {v:?}"))?);
-            }
-            other if other.starts_with("--") => return Err(format!("unknown option {other:?}")),
-            other => opts.apps.push(other.to_string()),
-        }
-    }
-    Ok(opts)
-}
-
 /// `campaign`: run a (sub)grid on the parallel engine and summarize the
 /// deterministically merged report.
-fn cmd_campaign(opts: &CampaignOpts) -> Result<(), CliError> {
-    let apps: Vec<String> = if opts.apps.is_empty() {
-        registry::all()
-            .iter()
-            .map(|a| a.abbr().to_string())
-            .collect()
-    } else {
-        opts.apps.clone()
+fn cmd_campaign(args: &Args) -> Result<(), CliError> {
+    let seed = args.seed()?;
+    // `--rate both`, the default, keeps both of the grid's rates.
+    let rate = match args.value("--rate") {
+        None | Some("both") => None,
+        Some(_) => Some(args.rate()?),
     };
-    let mut spec = campaign::CampaignSpec::clean_grid(apps, opts.seed);
-    if opts.chaos {
-        spec.plans = campaign::chaos_plan_set(opts.seed);
+    let pool = campaign::PoolOptions {
+        workers: args.num("--workers")?.unwrap_or(1),
+        shuffle: None,
+        snapshot_path: args.path("--snapshot")?,
+        snapshot_every: args.num("--snapshot-every")?.unwrap_or(0),
+        resume: args.has("--resume"),
+        limit: args.num("--limit")?,
+    };
+    let progress_path = args.path("--progress")?;
+    let every_app: Vec<&str> = registry::all().iter().map(|a| a.abbr()).collect();
+    let apps = args.positional_or(&every_app);
+    let mut spec = campaign::CampaignSpec::clean_grid(apps, seed);
+    if args.has("--chaos") {
+        spec.plans = campaign::chaos_plan_set(seed);
     }
-    if let Some(rate) = opts.rate {
+    if let Some(rate) = rate {
         spec.rates = vec![rate];
     }
-    let pool = campaign::PoolOptions {
-        workers: opts.workers,
-        shuffle: None,
-        snapshot_path: opts.snapshot.clone(),
-        snapshot_every: opts.snapshot_every,
-        resume: opts.resume,
-        limit: opts.limit,
-    };
     eprintln!(
         "[campaign: {} apps x {} policies x {} rates x {} plans = {} cells, {} worker(s), seed {}]",
         spec.apps.len(),
@@ -334,16 +282,20 @@ fn cmd_campaign(opts: &CampaignOpts) -> Result<(), CliError> {
         spec.seed,
     );
 
-    let mut progress_file = match &opts.progress {
-        Some(path) => {
-            Some(fs::File::create(path).map_err(|e| CliError::Usage(format!("--progress: {e}")))?)
-        }
-        None => None,
-    };
+    let mut progress_file = progress_path
+        .map(fs::File::create)
+        .transpose()
+        .map_err(|e| CliError::Usage(format!("--progress: {e}")))?;
     let progress = progress_file.as_mut().map(|f| f as &mut dyn std::io::Write);
 
-    let outcome = campaign::run_campaign(&bench_config(), &spec, &pool, progress)
-        .map_err(|e| CliError::Run(e.to_string()))?;
+    // A malformed snapshot or an unknown app is bad input, not a failed run.
+    let outcome =
+        campaign::run_campaign(&bench_config(), &spec, &pool, progress).map_err(|e| match e {
+            CampaignError::SnapshotMalformed(_) | CampaignError::UnknownApp(_) => {
+                CliError::Usage(e.to_string())
+            }
+            _ => CliError::Run(e.to_string()),
+        })?;
     if !outcome.is_complete() {
         println!(
             "campaign stopped at --limit: {}/{} cells done ({} resumed, {} executed); \
@@ -426,45 +378,6 @@ fn cmd_campaign(opts: &CampaignOpts) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Pairs up `--flag value` arguments, rejecting any flag not in `known`:
-/// each command names only the flags it reads.
-fn parse_flags<'a>(args: &'a [String], known: &[&str]) -> Result<Vec<(&'a str, &'a str)>, String> {
-    let mut pairs = Vec::new();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        if !known.contains(&flag.as_str()) {
-            return Err(format!("unknown option {flag:?}"));
-        }
-        let value = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
-        pairs.push((flag.as_str(), value.as_str()));
-    }
-    Ok(pairs)
-}
-
-fn parse_num<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
-    value.parse().map_err(|_| format!("bad {flag} {value:?}"))
-}
-
-/// Flags of the `bench-snapshot` subcommand.
-struct SnapshotOpts {
-    workers: usize,
-    dir: PathBuf,
-}
-
-fn parse_snapshot_opts(args: &[String]) -> Result<SnapshotOpts, String> {
-    let mut opts = SnapshotOpts {
-        workers: 1,
-        dir: perf::bench_dir(),
-    };
-    for (flag, value) in parse_flags(args, &["--workers", "--dir"])? {
-        match flag {
-            "--workers" => opts.workers = parse_num(flag, value)?,
-            _ => opts.dir = PathBuf::from(value),
-        }
-    }
-    Ok(opts)
-}
-
 fn print_snapshot(snap: &perf::BenchSnapshot) {
     let mut t = Table::new(
         format!("{} (seed {}, {} apps)", snap.id, snap.seed, snap.apps.len()),
@@ -477,37 +390,19 @@ fn print_snapshot(snap: &perf::BenchSnapshot) {
 }
 
 /// `bench-snapshot`: collect and record the next `BENCH_NNNN.json`.
-fn cmd_bench_snapshot(opts: &SnapshotOpts) -> Result<(), CliError> {
-    fs::create_dir_all(&opts.dir).map_err(|e| CliError::Run(e.to_string()))?;
-    let id = perf::next_id(&opts.dir);
+fn cmd_bench_snapshot(args: &Args) -> Result<(), CliError> {
+    let workers = args.num("--workers")?.unwrap_or(1);
+    let dir = args.path("--dir")?.unwrap_or_else(perf::bench_dir);
+    fs::create_dir_all(&dir).map_err(|e| CliError::Run(e.to_string()))?;
+    let id = perf::next_id(&dir);
     eprintln!("[collecting {} over the clean full grid ...]", id);
-    let snap = perf::collect(&id, opts.workers).map_err(CliError::Run)?;
+    let snap = perf::collect(&id, workers).map_err(CliError::Run)?;
     snap.validate().map_err(CliError::Run)?;
-    let path = opts.dir.join(format!("{id}.json"));
+    let path = dir.join(format!("{id}.json"));
     fs::write(&path, snap.to_json().pretty()).map_err(|e| CliError::Run(e.to_string()))?;
     print_snapshot(&snap);
     println!("[saved {}]", path.display());
     Ok(())
-}
-
-/// Flags of the `fairness` subcommand.
-struct FairnessOpts {
-    workers: usize,
-    seed: u64,
-}
-
-fn parse_fairness_opts(args: &[String]) -> Result<FairnessOpts, String> {
-    let mut opts = FairnessOpts {
-        workers: 1,
-        seed: 2019,
-    };
-    for (flag, value) in parse_flags(args, &["--workers", "--seed"])? {
-        match flag {
-            "--workers" => opts.workers = parse_num(flag, value)?,
-            _ => opts.seed = parse_num(flag, value)?,
-        }
-    }
-    Ok(opts)
 }
 
 /// The fairness grid's app mixes: a heterogeneous trio, a homogeneous
@@ -528,23 +423,19 @@ const FAIRNESS_QUOTAS: [u64; 2] = [50, 75];
 /// per-tenant slowdown against aggregate throughput over several app
 /// mixes and quota rates (the data behind the EXPERIMENTS.md fairness
 /// table).
-fn cmd_fairness(opts: &FairnessOpts) -> Result<(), CliError> {
+fn cmd_fairness(args: &Args) -> Result<(), CliError> {
+    let workers = args.num("--workers")?.unwrap_or(1);
+    let seed = args.seed()?;
     let mixes: Vec<Vec<&str>> = FAIRNESS_MIXES.iter().map(|m| m.to_vec()).collect();
     eprintln!(
         "[fairness grid: {} mixes x {} quotas x 2 HIR modes, seed {}, {} worker(s)]",
         mixes.len(),
         FAIRNESS_QUOTAS.len(),
-        opts.seed,
-        opts.workers.max(1),
+        seed,
+        workers.max(1),
     );
-    let rows = fairness_grid(
-        &bench_config(),
-        &mixes,
-        &FAIRNESS_QUOTAS,
-        opts.seed,
-        opts.workers,
-    )
-    .map_err(|e| CliError::Run(e.to_string()))?;
+    let rows = fairness_grid(&bench_config(), &mixes, &FAIRNESS_QUOTAS, seed, workers)
+        .map_err(|e| CliError::Run(e.to_string()))?;
     let mut t = Table::new(
         "fairness vs throughput (HPE, fault-free mixes)",
         &[
@@ -590,71 +481,7 @@ fn cmd_fairness(opts: &FairnessOpts) -> Result<(), CliError> {
     Ok(())
 }
 
-/// How a command failed, mapped onto the process exit code (1 run
-/// failure, 2 usage).
-enum CliError {
-    Usage(String),
-    Run(String),
-}
-
-fn usage() -> String {
-    "usage: hpe-lab <list|run|compare|sweep|profile|campaign|bench-snapshot|fairness> \
-     [APP ...] [options]\n\
-     exit codes: 0 ok, 1 run failure, 2 usage error"
-        .to_string()
-}
-
-fn main() {
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let result: Result<(), CliError> = match args.split_first() {
-        Some((cmd, rest)) => match cmd.as_str() {
-            "list" => {
-                cmd_list();
-                Ok(())
-            }
-            "profile" => match rest.first() {
-                Some(abbr) => cmd_profile(abbr).map_err(CliError::Usage),
-                None => Err(CliError::Usage(
-                    "profile needs an application abbreviation".to_string(),
-                )),
-            },
-            "run" | "compare" | "sweep" => match rest.split_first() {
-                Some((abbr, flags)) => {
-                    parse_opts(flags)
-                        .map_err(CliError::Usage)
-                        .and_then(|opts| match cmd.as_str() {
-                            "run" => cmd_run(abbr, &opts),
-                            "compare" => cmd_compare(abbr, &opts),
-                            _ => cmd_sweep(abbr, &opts),
-                        })
-                }
-                None => Err(CliError::Usage(format!(
-                    "{cmd} needs an application abbreviation"
-                ))),
-            },
-            "campaign" => parse_campaign_opts(rest)
-                .map_err(CliError::Usage)
-                .and_then(|opts| cmd_campaign(&opts)),
-            "bench-snapshot" => parse_snapshot_opts(rest)
-                .map_err(CliError::Usage)
-                .and_then(|opts| cmd_bench_snapshot(&opts)),
-            "fairness" => parse_fairness_opts(rest)
-                .map_err(CliError::Usage)
-                .and_then(|opts| cmd_fairness(&opts)),
-            other => Err(CliError::Usage(format!("unknown command {other:?}"))),
-        },
-        None => Err(CliError::Usage(usage())),
-    };
-    match result {
-        Ok(()) => {}
-        Err(CliError::Usage(msg)) => {
-            eprintln!("error: {msg}");
-            eprintln!("{}", usage());
-            std::process::exit(2);
-        }
-        Err(CliError::Run(msg)) => {
-            eprintln!("error: {msg}");
-            std::process::exit(1);
-        }
-    }
+    cli::run("hpe-lab", COMMANDS, &args)
 }

@@ -22,222 +22,148 @@
 //! violation, failed tenants), 2 usage error (bad arguments or input
 //! files).
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::ExitCode;
 
+use hpe_bench::cli::{self, Args, CliError, Command};
 use hpe_bench::{
-    bench_config, run, run_policy_traced, traces_dir, write_jsonl, PolicyKind, RecoveryOptions,
-    RunSpec, Table,
+    bench_config, run, run_policy_traced, traces_dir, write_jsonl, RecoveryOptions, RunSpec, Table,
 };
 use uvm_sim::{
     parse_jsonl, EventCounters, Instrument, IntervalCollector, IntervalKey, ProfileReport,
     SimEvent, TenantReport, TraceHistograms, DEFAULT_PROFILE_CADENCE,
 };
-use uvm_types::Oversubscription;
 use uvm_util::{FromJson, Json, ToJson};
 use uvm_workloads::registry;
 
-/// How a command failed, mapped onto the process exit code (the same
-/// 0/1/2 convention `hpe-chaos` and `hpe-lab` use).
-enum CmdError {
-    /// Bad arguments or unreadable/malformed input files: exit 2.
-    Usage(String),
-    /// A live run failed: exit 1.
-    Run(String),
-}
+/// The command table.
+static COMMANDS: &[Command] = &[
+    Command {
+        name: "record",
+        about: "run APP and write its event stream as JSONL (default: \
+                target/paper-results/traces/<app>-<policy>-<rate>.jsonl)",
+        args: "<APP>",
+        flags: &["--policy P --rate PCT --out FILE"],
+        run: cmd_record,
+    },
+    Command {
+        name: "summarize",
+        about: "event counters, interval series and histograms",
+        args: "<FILE|APP>",
+        flags: &["--policy P --rate PCT --window N"],
+        run: cmd_summarize,
+    },
+    Command {
+        name: "timeline",
+        about: "fault-windowed series plus marker events",
+        args: "<FILE|APP>",
+        flags: &["--policy P --rate PCT --window N"],
+        run: cmd_timeline,
+    },
+    Command {
+        name: "diff",
+        about: "compare two streams; exit 1 if they differ",
+        args: "<FILE|APP> <FILE|APP>",
+        flags: &["--policy P --rate PCT"],
+        run: cmd_diff,
+    },
+    Command {
+        name: "shape",
+        about: "stable shape of a figure's JSON series",
+        args: "<FIG.json>",
+        flags: &[],
+        run: cmd_shape,
+    },
+    Command {
+        name: "campaign",
+        about: "summarize a campaign progress stream (written by `hpe-lab campaign \
+                --progress FILE`); exit 1 if any recorded run failed",
+        args: "<FILE.jsonl>",
+        flags: &[],
+        run: cmd_campaign,
+    },
+    Command {
+        name: "profile",
+        about: "cycle-attribution breakdown + metrics time series; --out writes the series \
+                (.csv/.jsonl) or the full report (.json); exit 1 if the timeline accounts \
+                fail to conserve total cycles",
+        args: "<APP>",
+        flags: &["--policy P --rate PCT --cadence N --out FILE"],
+        run: cmd_profile,
+    },
+    Command {
+        name: "spans",
+        about: "fault-lifecycle span summary + stage latency percentiles \
+                (queue/service/total/retry)",
+        args: "<APP>",
+        flags: &["--policy P --rate PCT"],
+        run: cmd_spans,
+    },
+    Command {
+        name: "flame",
+        about: "folded-stack (component;account cycles) output for flamegraph tools",
+        args: "<APP>",
+        flags: &["--policy P --rate PCT --out FILE"],
+        run: cmd_flame,
+    },
+    Command {
+        name: "explore",
+        about: "summarize a fault-space exploration coverage report (written by \
+                `hpe-chaos explore`); exit 1 if it recorded any counterexample",
+        args: "<REPORT.json>",
+        flags: &[],
+        run: cmd_explore,
+    },
+    Command {
+        name: "tenants",
+        about: "per-tenant summary of a multi-tenant mix report (written by `hpe-chaos \
+                tenants`): admission outcomes, per-tenant slowdowns and fairness metrics; \
+                exit 1 if any tenant failed",
+        args: "<REPORT.json>",
+        flags: &[],
+        run: cmd_tenants,
+    },
+];
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: hpe-trace <command> [args]\n\
-         \n\
-         commands:\n\
-         \x20 record    <APP> [--policy P] [--rate 75|50] [--out FILE]\n\
-         \x20           run APP and write its event stream as JSONL\n\
-         \x20           (default: target/paper-results/traces/<app>-<policy>-<rate>.jsonl)\n\
-         \x20 summarize <FILE|APP> [--window N] [--policy P] [--rate 75|50]\n\
-         \x20           event counters, interval series and histograms\n\
-         \x20 timeline  <FILE|APP> [--window N] [--policy P] [--rate 75|50]\n\
-         \x20           fault-windowed series plus marker events\n\
-         \x20 diff      <FILE|APP> <FILE|APP> [--policy P] [--rate 75|50]\n\
-         \x20           compare two streams; exit 1 if they differ\n\
-         \x20 shape     <FIG.json>\n\
-         \x20           stable shape of a figure's JSON series\n\
-         \x20 campaign  <FILE.jsonl>\n\
-         \x20           summarize a campaign progress stream (written by\n\
-         \x20           `hpe-lab campaign --progress FILE`); exit 1 if any\n\
-         \x20           recorded run failed\n\
-         \x20 profile   <APP> [--policy P] [--rate 75|50] [--cadence N] [--out FILE]\n\
-         \x20           cycle-attribution breakdown + metrics time series;\n\
-         \x20           --out writes the series (.csv/.jsonl) or the full\n\
-         \x20           report (.json); exit 1 if the timeline accounts\n\
-         \x20           fail to conserve total cycles\n\
-         \x20 spans     <APP> [--policy P] [--rate 75|50]\n\
-         \x20           fault-lifecycle span summary + stage latency\n\
-         \x20           percentiles (queue/service/total/retry)\n\
-         \x20 flame     <APP> [--policy P] [--rate 75|50] [--out FILE]\n\
-         \x20           folded-stack (component;account cycles) output for\n\
-         \x20           flamegraph tools\n\
-         \x20 explore   <REPORT.json>\n\
-         \x20           summarize a fault-space exploration coverage report\n\
-         \x20           (written by `hpe-chaos explore`); exit 1 if it\n\
-         \x20           recorded any counterexample\n\
-         \x20 tenants   <REPORT.json>\n\
-         \x20           per-tenant summary of a multi-tenant mix report\n\
-         \x20           (written by `hpe-chaos tenants`): admission\n\
-         \x20           outcomes, per-tenant slowdowns and fairness\n\
-         \x20           metrics; exit 1 if any tenant failed\n\
-         \n\
-         policies: LRU, Random, LFU, RRIP, CLOCK-Pro, Ideal, HPE (default HPE)\n\
-         exit codes: 0 ok, 1 run failure or failed check, 2 usage error"
-    );
-    ExitCode::from(2)
-}
-
-fn parse_policy(name: &str) -> Option<PolicyKind> {
-    PolicyKind::parse(name)
-}
-
-fn parse_rate(text: &str) -> Option<Oversubscription> {
-    match text.trim_end_matches('%') {
-        "75" => Some(Oversubscription::Rate75),
-        "50" => Some(Oversubscription::Rate50),
-        _ => None,
-    }
-}
-
-/// The `--policy` / `--rate` / `--out` / `--window` / `--cadence` flags
-/// and the positional arguments.
-struct Flags {
-    policy: PolicyKind,
-    rate: Oversubscription,
-    out: Option<PathBuf>,
-    window: Option<u64>,
-    cadence: Option<u64>,
-    positional: Vec<String>,
-}
-
-/// A command's entry point; `Ok(false)` exits 1.
-type Run = fn(&Flags) -> Result<bool, CmdError>;
-
-/// The flags of every command that runs an app live.
-const LIVE_RUN: &str = "--policy --rate";
-
-/// Looks up command `cmd`: its entry point and the flags it reads (in
-/// space-separated groups). Any other flag is a usage error, never
-/// silently dropped; each command checks its own positional arguments.
-fn command(cmd: &str) -> Option<(Run, &'static [&'static str])> {
-    Some(match cmd {
-        "record" => (cmd_record as Run, &[LIVE_RUN, "--out"]),
-        "summarize" => (cmd_summarize, &[LIVE_RUN, "--window"]),
-        "timeline" => (cmd_timeline, &[LIVE_RUN, "--window"]),
-        "diff" => (cmd_diff, &[LIVE_RUN]),
-        "shape" => (cmd_shape, &[]),
-        "campaign" => (cmd_campaign, &[]),
-        "explore" => (cmd_explore, &[]),
-        "profile" => (cmd_profile, &[LIVE_RUN, "--cadence --out"]),
-        "spans" => (cmd_spans, &[LIVE_RUN]),
-        "flame" => (cmd_flame, &[LIVE_RUN, "--out"]),
-        "tenants" => (cmd_tenants, &[]),
-        _ => return None,
-    })
-}
-
-/// Parses `args` for command `cmd`, which reads the flags in `known`.
-fn parse_flags(cmd: &str, known: &[&str], args: &[String]) -> Result<Flags, String> {
-    let mut flags = Flags {
-        policy: PolicyKind::Hpe,
-        rate: Oversubscription::Rate75,
-        out: None,
-        window: None,
-        cadence: None,
-        positional: Vec::new(),
-    };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        if a.starts_with("--") && !known.iter().flat_map(|g| g.split(' ')).any(|k| k == a) {
-            return Err(format!("{cmd} does not take '{a}'"));
-        }
-        match a.as_str() {
-            "--policy" => {
-                let v = value("--policy")?;
-                flags.policy = parse_policy(&v).ok_or_else(|| format!("unknown policy '{v}'"))?;
-            }
-            "--rate" => {
-                let v = value("--rate")?;
-                flags.rate = parse_rate(&v).ok_or_else(|| format!("unknown rate '{v}'"))?;
-            }
-            "--out" => flags.out = Some(PathBuf::from(value("--out")?)),
-            "--window" => {
-                let v = value("--window")?;
-                let w: u64 = v.parse().map_err(|_| format!("bad --window '{v}'"))?;
-                if w == 0 {
-                    return Err("--window must be nonzero".into());
-                }
-                flags.window = Some(w);
-            }
-            "--cadence" => {
-                let v = value("--cadence")?;
-                let c: u64 = v.parse().map_err(|_| format!("bad --cadence '{v}'"))?;
-                if c == 0 {
-                    return Err("--cadence must be nonzero".into());
-                }
-                flags.cadence = Some(c);
-            }
-            other if other.starts_with("--") => return Err(format!("unknown flag '{other}'")),
-            other => flags.positional.push(other.to_string()),
-        }
-    }
-    Ok(flags)
-}
-
-/// Loads events from a JSONL file, or by running a registered app live.
-fn load_events(spec: &str, flags: &Flags) -> Result<Vec<SimEvent>, CmdError> {
+/// Loads events from a JSONL file, or by running a registered app live
+/// at `--policy` and `--rate`.
+fn load_events(spec: &str, args: &Args) -> Result<Vec<SimEvent>, CliError> {
+    let (policy, rate) = (args.policy()?, args.rate()?);
     let path = Path::new(spec);
     if path.exists() {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| CmdError::Usage(format!("cannot read {spec}: {e}")))?;
-        return parse_jsonl(&text).map_err(|e| CmdError::Usage(format!("{spec}: {e}")));
+        return parse_jsonl(&cli::read(spec)?).map_err(|e| CliError::Usage(format!("{spec}: {e}")));
     }
     let Some(app) = registry::by_abbr(spec) else {
-        return Err(CmdError::Usage(format!(
+        return Err(CliError::Usage(format!(
             "'{spec}' is neither a readable file nor a registered app"
         )));
     };
     eprintln!(
         "[running {} under {} at {} ...]",
         app.abbr(),
-        flags.policy.label(),
-        flags.rate.label()
+        policy.label(),
+        rate.label()
     );
-    let (_, capture) = run_policy_traced(&bench_config(), app, flags.rate, flags.policy)
-        .map_err(|e| CmdError::Run(format!("{} run failed: {e}", app.abbr())))?;
+    let (_, capture) = run_policy_traced(&bench_config(), app, rate, policy)
+        .map_err(|e| CliError::Run(format!("{} run failed: {e}", app.abbr())))?;
     Ok(capture.log.events().to_vec())
 }
 
-fn cmd_record(flags: &Flags) -> Result<bool, CmdError> {
-    let [spec] = flags.positional.as_slice() else {
-        return Err(CmdError::Usage("record needs exactly one APP".into()));
-    };
-    let Some(app) = registry::by_abbr(spec) else {
-        return Err(CmdError::Usage(format!("unknown app '{spec}'")));
-    };
-    let (result, capture) = run_policy_traced(&bench_config(), app, flags.rate, flags.policy)
-        .map_err(|e| CmdError::Run(format!("{} run failed: {e}", app.abbr())))?;
-    let path = flags.out.clone().unwrap_or_else(|| {
+fn cmd_record(args: &Args) -> Result<(), CliError> {
+    let (policy, rate, out) = (args.policy()?, args.rate()?, args.path("--out")?);
+    let app = cli::app(&args.positional[0])?;
+    let (result, capture) = run_policy_traced(&bench_config(), app, rate, policy)
+        .map_err(|e| CliError::Run(format!("{} run failed: {e}", app.abbr())))?;
+    let path = out.unwrap_or_else(|| {
         traces_dir().join(format!(
             "{}-{}-{}.jsonl",
             app.abbr().to_lowercase().replace('+', "p"),
-            flags.policy.label().to_lowercase(),
-            flags.rate.label().trim_end_matches('%')
+            policy.label().to_lowercase(),
+            rate.label().trim_end_matches('%')
         ))
     });
     let lines =
-        write_jsonl(&path, capture.log.events()).map_err(|e| CmdError::Run(e.to_string()))?;
+        write_jsonl(&path, capture.log.events()).map_err(|e| CliError::Run(e.to_string()))?;
     println!(
         "{} under {} at {}: {} faults, {} evictions, {} events -> {}",
         result.app,
@@ -248,7 +174,7 @@ fn cmd_record(flags: &Flags) -> Result<bool, CmdError> {
         lines,
         path.display()
     );
-    Ok(true)
+    Ok(())
 }
 
 fn replay<S: Instrument>(sink: &mut S, events: &[SimEvent]) {
@@ -257,13 +183,9 @@ fn replay<S: Instrument>(sink: &mut S, events: &[SimEvent]) {
     }
 }
 
-fn cmd_summarize(flags: &Flags) -> Result<bool, CmdError> {
-    let [spec] = flags.positional.as_slice() else {
-        return Err(CmdError::Usage(
-            "summarize needs exactly one FILE or APP".into(),
-        ));
-    };
-    let events = load_events(spec, flags)?;
+fn cmd_summarize(args: &Args) -> Result<(), CliError> {
+    let (spec, window) = (&args.positional[0], args.nonzero("--window")?);
+    let events = load_events(spec, args)?;
     let mut counters = EventCounters::default();
     replay(&mut counters, &events);
     let mut t = Table::new(format!("event counters ({spec})"), &["event", "count"]);
@@ -286,7 +208,7 @@ fn cmd_summarize(flags: &Flags) -> Result<bool, CmdError> {
     }
     t.print();
 
-    print_timeline_table(spec, &events, flags.window.unwrap_or(256));
+    print_timeline_table(spec, &events, window.unwrap_or(256));
 
     let mut hists = TraceHistograms::new();
     replay(&mut hists, &events);
@@ -299,7 +221,7 @@ fn cmd_summarize(flags: &Flags) -> Result<bool, CmdError> {
     ] {
         println!("{}", h.render());
     }
-    Ok(true)
+    Ok(())
 }
 
 fn print_timeline_table(spec: &str, events: &[SimEvent], window: u64) {
@@ -329,14 +251,10 @@ fn print_timeline_table(spec: &str, events: &[SimEvent], window: u64) {
     t.print();
 }
 
-fn cmd_timeline(flags: &Flags) -> Result<bool, CmdError> {
-    let [spec] = flags.positional.as_slice() else {
-        return Err(CmdError::Usage(
-            "timeline needs exactly one FILE or APP".into(),
-        ));
-    };
-    let events = load_events(spec, flags)?;
-    print_timeline_table(spec, &events, flags.window.unwrap_or(64));
+fn cmd_timeline(args: &Args) -> Result<(), CliError> {
+    let (spec, window) = (&args.positional[0], args.nonzero("--window")?);
+    let events = load_events(spec, args)?;
+    print_timeline_table(spec, &events, window.unwrap_or(64));
     println!("\nmarker events:");
     let mut markers = 0;
     for e in &events {
@@ -361,15 +279,13 @@ fn cmd_timeline(flags: &Flags) -> Result<bool, CmdError> {
     if markers == 0 {
         println!("  (none)");
     }
-    Ok(true)
+    Ok(())
 }
 
-fn cmd_diff(flags: &Flags) -> Result<bool, CmdError> {
-    let [a_spec, b_spec] = flags.positional.as_slice() else {
-        return Err(CmdError::Usage("diff needs exactly two FILEs".into()));
-    };
-    let a = load_events(a_spec, flags)?;
-    let b = load_events(b_spec, flags)?;
+fn cmd_diff(args: &Args) -> Result<(), CliError> {
+    let (a_spec, b_spec) = (&args.positional[0], &args.positional[1]);
+    let a = load_events(a_spec, args)?;
+    let b = load_events(b_spec, args)?;
     let mut ca = EventCounters::default();
     let mut cb = EventCounters::default();
     replay(&mut ca, &a);
@@ -425,27 +341,27 @@ fn cmd_diff(flags: &Flags) -> Result<bool, CmdError> {
         }
         None => println!("\nstreams are identical ({} events)", a.len()),
     }
-    Ok(identical)
+    if identical {
+        Ok(())
+    } else {
+        Err(CliError::Run("the streams differ".into()))
+    }
 }
 
 /// Prints a stable "shape" of a figure's JSON series: the entry count and,
 /// per entry, its identifying fields and sorted key set — but no measured
 /// values, so the shape survives algorithmic tuning while still catching
 /// missing apps, dropped fields, or schema drift.
-fn cmd_shape(flags: &Flags) -> Result<bool, CmdError> {
-    let [file] = flags.positional.as_slice() else {
-        return Err(CmdError::Usage("shape needs exactly one FIG.json".into()));
-    };
-    let text = std::fs::read_to_string(file)
-        .map_err(|e| CmdError::Usage(format!("cannot read {file}: {e}")))?;
-    let v = Json::parse(&text).map_err(|e| CmdError::Usage(format!("{file}: {e}")))?;
+fn cmd_shape(args: &Args) -> Result<(), CliError> {
+    let file = &args.positional[0];
+    let v = cli::read_json(file, "figure", |v| Ok(v.clone()))?;
     let entries = v
         .as_array()
-        .ok_or_else(|| CmdError::Usage(format!("{file}: expected a top-level array")))?;
+        .ok_or_else(|| CliError::Usage(format!("{file}: expected a top-level array")))?;
     println!("entries={}", entries.len());
     for e in entries {
         let Json::Object(fields) = e else {
-            return Err(CmdError::Usage(format!(
+            return Err(CliError::Usage(format!(
                 "{file}: expected an array of objects"
             )));
         };
@@ -455,21 +371,16 @@ fn cmd_shape(flags: &Flags) -> Result<bool, CmdError> {
         let rate = e["rate"].as_str().unwrap_or("-");
         println!("app={app} rate={rate} keys={}", keys.join(","));
     }
-    Ok(true)
+    Ok(())
 }
 
 /// Summarizes a campaign progress JSONL stream: per-policy and per-plan
 /// completion counts, failures, and whether the arrival order was
-/// sequential (serial run) or interleaved (parallel workers). Returns
-/// `Ok(false)` when any recorded run failed.
-fn cmd_campaign(flags: &Flags) -> Result<bool, CmdError> {
-    let [file] = flags.positional.as_slice() else {
-        return Err(CmdError::Usage(
-            "campaign needs exactly one FILE.jsonl".into(),
-        ));
-    };
-    let text = std::fs::read_to_string(file)
-        .map_err(|e| CmdError::Usage(format!("cannot read {file}: {e}")))?;
+/// sequential (serial run) or interleaved (parallel workers). Fails
+/// when any recorded run failed.
+fn cmd_campaign(args: &Args) -> Result<(), CliError> {
+    let file = &args.positional[0];
+    let text = cli::read(file)?;
     let mut indices = Vec::new();
     let mut failures: Vec<(String, String)> = Vec::new();
     let mut by_policy: Vec<(String, u64)> = Vec::new();
@@ -481,17 +392,17 @@ fn cmd_campaign(flags: &Flags) -> Result<bool, CmdError> {
             continue;
         }
         let v = Json::parse(line)
-            .map_err(|e| CmdError::Usage(format!("{file}:{}: {e}", lineno + 1)))?;
+            .map_err(|e| CliError::Usage(format!("{file}:{}: {e}", lineno + 1)))?;
         let field = |name: &str| {
             v.get(name)
                 .and_then(Json::as_str)
                 .map(str::to_string)
                 .ok_or_else(|| {
-                    CmdError::Usage(format!("{file}:{}: missing field `{name}`", lineno + 1))
+                    CliError::Usage(format!("{file}:{}: missing field `{name}`", lineno + 1))
                 })
         };
         let index = v.get("index").and_then(Json::as_u64).ok_or_else(|| {
-            CmdError::Usage(format!("{file}:{}: missing field `index`", lineno + 1))
+            CliError::Usage(format!("{file}:{}: missing field `index`", lineno + 1))
         })?;
         indices.push(index);
         let ok = v.get("ok").and_then(Json::as_bool).unwrap_or(false);
@@ -512,7 +423,7 @@ fn cmd_campaign(flags: &Flags) -> Result<bool, CmdError> {
         }
     }
     if indices.is_empty() {
-        return Err(CmdError::Usage(format!("{file}: no progress lines")));
+        return Err(CliError::Usage(format!("{file}: no progress lines")));
     }
     let sequential = indices.windows(2).all(|w| w[1] > w[0]);
     println!(
@@ -544,25 +455,20 @@ fn cmd_campaign(flags: &Flags) -> Result<bool, CmdError> {
         for (key, error) in &failures {
             println!("  {key}: {error}");
         }
-        return Ok(false);
+        return Err(CliError::Run(format!(
+            "{} recorded run(s) failed",
+            failures.len()
+        )));
     }
-    Ok(true)
+    Ok(())
 }
 
 /// `explore`: summarize a fault-space exploration coverage report written
-/// by `hpe-chaos explore`. Returns `Ok(false)` when the report recorded
-/// any counterexample.
-fn cmd_explore(flags: &Flags) -> Result<bool, CmdError> {
-    let [file] = flags.positional.as_slice() else {
-        return Err(CmdError::Usage(
-            "explore needs exactly one REPORT.json".into(),
-        ));
-    };
-    let text = std::fs::read_to_string(file)
-        .map_err(|e| CmdError::Usage(format!("cannot read {file}: {e}")))?;
-    let json = Json::parse(&text).map_err(|e| CmdError::Usage(format!("{file}: {e}")))?;
-    let report = uvm_sim::ExploreReport::from_json(&json)
-        .map_err(|e| CmdError::Usage(format!("{file}: bad report: {e}")))?;
+/// by `hpe-chaos explore`. Fails when the report recorded any
+/// counterexample.
+fn cmd_explore(args: &Args) -> Result<(), CliError> {
+    let file = &args.positional[0];
+    let report = cli::read_json(file, "report", uvm_sim::ExploreReport::from_json)?;
     println!(
         "{}: {} under {} at {}%, invariants [{}]",
         file,
@@ -589,7 +495,7 @@ fn cmd_explore(flags: &Flags) -> Result<bool, CmdError> {
     t.print();
     if report.counterexamples.is_empty() {
         println!("clean: every run upheld every selected invariant");
-        return Ok(true);
+        return Ok(());
     }
     println!("\ncounterexamples:");
     for cx in &report.counterexamples {
@@ -603,110 +509,99 @@ fn cmd_explore(flags: &Flags) -> Result<bool, CmdError> {
             cx.probes
         );
     }
-    Ok(false)
+    Err(CliError::Run(format!(
+        "{} counterexample(s) recorded",
+        report.counterexamples.len()
+    )))
 }
 
-/// Runs `spec` live with the cycle-attribution profiler attached.
-fn profiled_run(spec: &str, flags: &Flags) -> Result<ProfileReport, CmdError> {
-    let Some(app) = registry::by_abbr(spec) else {
-        return Err(CmdError::Usage(format!("unknown app '{spec}'")));
-    };
-    let cadence = flags.cadence.unwrap_or(DEFAULT_PROFILE_CADENCE);
+/// Runs `spec` live at `--policy` and `--rate` with the
+/// cycle-attribution profiler attached.
+fn profiled_run(spec: &str, args: &Args, cadence: u64) -> Result<ProfileReport, CliError> {
+    let (policy, rate) = (args.policy()?, args.rate()?);
+    let app = cli::app(spec)?;
     eprintln!(
         "[profiling {} under {} at {} (cadence {cadence}) ...]",
         app.abbr(),
-        flags.policy.label(),
-        flags.rate.label()
+        policy.label(),
+        rate.label()
     );
     let run_spec = RunSpec {
         recovery: RecoveryOptions {
             profile: Some(cadence),
             ..RecoveryOptions::default()
         },
-        ..RunSpec::new(app, flags.rate, flags.policy)
+        ..RunSpec::new(app, rate, policy)
     };
     run(&bench_config(), &run_spec)
-        .map_err(|e| CmdError::Run(format!("{} run failed: {e}", app.abbr())))?
+        .map_err(|e| CliError::Run(format!("{} run failed: {e}", app.abbr())))?
         .profile
-        .ok_or_else(|| CmdError::Run(format!("{} run recorded no profile", app.abbr())))
+        .ok_or_else(|| CliError::Run(format!("{} run recorded no profile", app.abbr())))
 }
 
 /// `profile`: per-account cycle breakdown plus the sampled metrics
 /// series. Exit 1 if the timeline accounts fail to conserve.
-fn cmd_profile(flags: &Flags) -> Result<bool, CmdError> {
-    let [spec] = flags.positional.as_slice() else {
-        return Err(CmdError::Usage("profile needs exactly one APP".into()));
-    };
-    let profile = profiled_run(spec, flags)?;
+fn cmd_profile(args: &Args) -> Result<(), CliError> {
+    let out = args.path("--out")?;
+    let cadence = args
+        .nonzero("--cadence")?
+        .unwrap_or(DEFAULT_PROFILE_CADENCE);
+    let profile = profiled_run(&args.positional[0], args, cadence)?;
     println!("{}", profile.render_accounts());
     println!(
         "metrics series: {} samples every {} cycles",
         profile.series.samples.len(),
         profile.series.cadence
     );
-    if let Some(path) = &flags.out {
+    if let Some(path) = &out {
         let text = match path.extension().and_then(|e| e.to_str()) {
             Some("csv") => profile.series.to_csv(),
             Some("jsonl") => profile.series.to_jsonl(),
             _ => profile.to_json().to_string(),
         };
         std::fs::write(path, text)
-            .map_err(|e| CmdError::Run(format!("cannot write {}: {e}", path.display())))?;
+            .map_err(|e| CliError::Run(format!("cannot write {}: {e}", path.display())))?;
         println!("wrote {}", path.display());
     }
     if profile.timeline_sum() != profile.total_cycles {
-        eprintln!(
+        return Err(CliError::Run(format!(
             "CONSERVATION VIOLATED: timeline accounts sum to {} but the run took {} cycles",
             profile.timeline_sum(),
             profile.total_cycles
-        );
-        return Ok(false);
+        )));
     }
-    Ok(true)
+    Ok(())
 }
 
 /// `spans`: fault-lifecycle span summary and stage latency percentiles.
-fn cmd_spans(flags: &Flags) -> Result<bool, CmdError> {
-    let [spec] = flags.positional.as_slice() else {
-        return Err(CmdError::Usage("spans needs exactly one APP".into()));
-    };
-    let profile = profiled_run(spec, flags)?;
+fn cmd_spans(args: &Args) -> Result<(), CliError> {
+    let profile = profiled_run(&args.positional[0], args, DEFAULT_PROFILE_CADENCE)?;
     println!("{}", profile.render_spans());
-    Ok(true)
+    Ok(())
 }
 
 /// `flame`: folded-stack output (`component;account cycles` per line) for
 /// standard flamegraph tooling.
-fn cmd_flame(flags: &Flags) -> Result<bool, CmdError> {
-    let [spec] = flags.positional.as_slice() else {
-        return Err(CmdError::Usage("flame needs exactly one APP".into()));
-    };
-    let profile = profiled_run(spec, flags)?;
+fn cmd_flame(args: &Args) -> Result<(), CliError> {
+    let out = args.path("--out")?;
+    let profile = profiled_run(&args.positional[0], args, DEFAULT_PROFILE_CADENCE)?;
     let folded = profile.folded();
-    match &flags.out {
+    match &out {
         Some(path) => {
             std::fs::write(path, &folded)
-                .map_err(|e| CmdError::Run(format!("cannot write {}: {e}", path.display())))?;
+                .map_err(|e| CliError::Run(format!("cannot write {}: {e}", path.display())))?;
             println!("wrote {}", path.display());
         }
         None => print!("{folded}"),
     }
-    Ok(true)
+    Ok(())
 }
 
 /// `tenants`: per-tenant summary of a multi-tenant mix report written by
-/// `hpe-chaos tenants`. Returns `Ok(false)` when any tenant failed.
-fn cmd_tenants(flags: &Flags) -> Result<bool, CmdError> {
-    let [file] = flags.positional.as_slice() else {
-        return Err(CmdError::Usage(
-            "tenants needs exactly one REPORT.json".into(),
-        ));
-    };
-    let text = std::fs::read_to_string(file)
-        .map_err(|e| CmdError::Usage(format!("cannot read {file}: {e}")))?;
-    let json = Json::parse(&text).map_err(|e| CmdError::Usage(format!("{file}: {e}")))?;
-    let report = TenantReport::from_json_strict(&json)
-        .map_err(|e| CmdError::Usage(format!("{file}: bad tenant report: {e}")))?;
+/// `hpe-chaos tenants`. Fails when any tenant failed.
+fn cmd_tenants(args: &Args) -> Result<(), CliError> {
+    let file = &args.positional[0];
+    let report = cli::read_json(file, "tenant report", TenantReport::from_json_strict)?;
     println!(
         "{}: {} tenant(s) under {} ({} HIR){}, fingerprint {}",
         file,
@@ -760,37 +655,12 @@ fn cmd_tenants(flags: &Flags) -> Result<bool, CmdError> {
     );
     if failed > 0 {
         println!("\n{failed} tenant(s) failed");
-        return Ok(false);
+        return Err(CliError::Run(format!("{failed} tenant(s) failed")));
     }
-    Ok(true)
+    Ok(())
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some((cmd, rest)) = args.split_first() else {
-        return usage();
-    };
-    let Some((run, known)) = command(cmd) else {
-        eprintln!("error: unknown command '{cmd}'");
-        return usage();
-    };
-    let flags = match parse_flags(cmd, known, rest) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return usage();
-        }
-    };
-    match run(&flags) {
-        Ok(true) => ExitCode::SUCCESS,
-        Ok(false) => ExitCode::FAILURE,
-        Err(CmdError::Run(e)) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-        Err(CmdError::Usage(e)) => {
-            eprintln!("error: {e}");
-            usage()
-        }
-    }
+    cli::run("hpe-trace", COMMANDS, &args)
 }

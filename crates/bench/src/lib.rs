@@ -24,6 +24,7 @@
 )]
 
 pub mod campaign;
+pub mod cli;
 pub mod explore;
 pub mod perf;
 pub mod report;

@@ -80,11 +80,16 @@ impl PolicyKind {
         PolicyKind::Hpe,
     ];
 
-    /// Parses a display label case-insensitively ("hpe", "CLOCK-Pro", …).
+    /// Parses a display label case-insensitively ("hpe", "CLOCK-Pro", …),
+    /// or one of the aliases `clockpro`, `belady` and `min`.
     pub fn parse(text: &str) -> Option<PolicyKind> {
-        PolicyKind::ALL
-            .into_iter()
-            .find(|k| k.label().eq_ignore_ascii_case(text))
+        match text.to_ascii_lowercase().as_str() {
+            "clockpro" => Some(PolicyKind::ClockPro),
+            "belady" | "min" => Some(PolicyKind::Ideal),
+            lower => PolicyKind::ALL
+                .into_iter()
+                .find(|k| k.label().eq_ignore_ascii_case(lower)),
+        }
     }
 
     /// Short display label.

@@ -66,6 +66,8 @@ fn read_flags_still_need_their_values() {
     assert_usage_error(&out, "bad --workers 'many'");
     let out = hpe_chaos(&["frob"]);
     assert_usage_error(&out, "unknown command 'frob'");
+    let out = hpe_chaos(&["campaign", "XXX"]);
+    assert_usage_error(&out, "unknown app 'XXX'");
 }
 
 #[test]

@@ -149,3 +149,19 @@ fn listed_flags_are_still_read() {
     let out = hpe_trace(&["timeline", &a, "--window", "1"], &dir);
     assert_eq!(out.status.code(), Some(0), "{out:?}");
 }
+
+#[test]
+fn record_takes_the_shared_policy_and_rate_values() {
+    // `--policy` is `PolicyKind::parse` with its aliases, and `--rate`
+    // any percent in (0, 100], in all three CLIs.
+    let dir = std::env::temp_dir().join("hpe-trace-cli-shared-values");
+    std::fs::create_dir_all(&dir).unwrap();
+    let out_file = dir.join("stn-clockpro-60.jsonl");
+    let out_path = out_file.to_str().unwrap();
+    let args = ["record", "STN", "--policy", "clockpro", "--rate", "60"];
+    let out = hpe_trace(&[&args[..], &["--out", out_path]].concat(), &dir);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(stdout.starts_with("STN under CLOCK-Pro at 60%"), "{stdout}");
+    assert!(std::fs::metadata(&out_file).unwrap().len() > 0);
+}

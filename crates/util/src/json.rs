@@ -238,11 +238,13 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns [`JsonError`] on malformed input or trailing garbage.
+    /// Returns [`JsonError`] on malformed input, trailing garbage, or
+    /// arrays and objects nested deeper than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -550,9 +552,17 @@ impl<A: FromJson, B: FromJson> FromJson for (A, B) {
 // ---------------------------------------------------------------------------
 // Parser.
 
+/// How deeply [`Json::parse`] lets arrays and objects nest. The parser
+/// recurses once per level, so the cap turns a hostile document (say
+/// 50,000 `[`) into a [`JsonError`] instead of a stack overflow. Every
+/// document the workspace writes nests at most 6 levels.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -593,8 +603,20 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => Err(JsonError::new(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ))),
+            Some(open @ (b'{' | b'[')) => {
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') if self.eat_literal("true") => Ok(Json::Bool(true)),
             Some(b'f') if self.eat_literal("false") => Ok(Json::Bool(false)),
@@ -933,6 +955,26 @@ mod tests {
         let arr = crate::json!([1u64, 2u64, 3u64]);
         assert_eq!(arr[1].as_u64(), Some(2));
         assert!(crate::json!(null).is_null());
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |depth: usize, open: &str, close: &str| {
+            format!("{}{}", open.repeat(depth), close.repeat(depth))
+        };
+        for (open, close) in [("[", "]"), ("{\"a\":", "}")] {
+            let at_cap = nested(MAX_DEPTH, open, close).replace("{\"a\":}", "{\"a\":1}");
+            assert!(Json::parse(&at_cap).is_ok(), "{open} x {MAX_DEPTH}");
+            let over = nested(MAX_DEPTH + 1, open, close).replace("{\"a\":}", "{\"a\":1}");
+            let e = Json::parse(&over).unwrap_err();
+            let cap = format!("nesting deeper than {MAX_DEPTH} levels");
+            assert!(e.to_string().contains(&cap), "{e}");
+        }
+        // Far past the cap: an error, not a stack overflow.
+        assert!(Json::parse(&"[".repeat(50_000)).is_err());
+        // Siblings do not add up: depth is per path.
+        let wide = format!("[{}]", vec![nested(MAX_DEPTH - 1, "[", "]"); 3].join(","));
+        assert!(Json::parse(&wide).is_ok());
     }
 
     #[test]
