@@ -1,7 +1,9 @@
 //! `hpe-trace` CLI exit-code contract, driven through the real binary
-//! (`CARGO_BIN_EXE_hpe-trace`): diff exits 1 on divergence and 0 on
-//! identical streams, and the profiler subcommands hold their promises
-//! (conservation check, folded-stack shape).
+//! (`CARGO_BIN_EXE_hpe-trace`): the stdout of `summarize`, `timeline`,
+//! `record` and `diff` is pinned byte for byte (`tests/pins/`), diff
+//! exits 1 on divergence and 0 on identical streams, and the profiler
+//! subcommands hold their promises (conservation check, folded-stack
+//! shape).
 
 use std::path::Path;
 use std::process::{Command, Output};
@@ -23,6 +25,37 @@ fn write(dir: &Path, name: &str, text: &str) -> String {
 const EVENTS_A: &str = "{\"kind\":\"FaultRaised\",\"time\":10,\"page\":1}\n\
                         {\"kind\":\"FaultServiced\",\"time\":40,\"page\":1}\n\
                         {\"kind\":\"MemoryFull\",\"time\":50}\n";
+
+#[test]
+fn stream_tables_print_pinned_stdout() {
+    let dir = std::env::temp_dir().join("hpe-trace-cli-pins");
+    std::fs::create_dir_all(&dir).unwrap();
+    // In order: `record` writes `stn.jsonl` (HPE at 75%), which the two
+    // commands after it read back; `diff` compares it with a live run.
+    for (args, pin) in [
+        (
+            &["summarize", "STN", "--policy", "lru"][..],
+            include_str!("pins/summarize-stn-lru.txt"),
+        ),
+        (&["timeline", "STN"], include_str!("pins/timeline-stn.txt")),
+        (
+            &["record", "STN", "--out", "stn.jsonl"],
+            include_str!("pins/record-stn.txt"),
+        ),
+        (
+            &["summarize", "stn.jsonl"],
+            include_str!("pins/summarize-stn-jsonl.txt"),
+        ),
+        (
+            &["diff", "stn.jsonl", "STN"],
+            include_str!("pins/diff-stn-jsonl.txt"),
+        ),
+    ] {
+        let out = hpe_trace(args, &dir);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {out:?}");
+        assert_eq!(String::from_utf8_lossy(&out.stdout), pin, "{args:?}");
+    }
+}
 
 #[test]
 fn diff_exits_zero_on_identical_and_one_on_mismatch() {
