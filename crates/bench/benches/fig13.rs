@@ -7,8 +7,9 @@
 //! MRU-C throughout; SRD/HSD/DWT/SGM adjust the search point; BFS, SAD,
 //! HIS switch between strategies.
 
-use hpe_bench::{bench_config, run_policy_traced, save_json, PolicyKind, Table};
+use hpe_bench::{bench_config, fault_windows, run_policy_traced, save_json, PolicyKind, Table};
 use hpe_core::StrategyKind;
+use uvm_sim::IntervalSeries;
 use uvm_types::Oversubscription;
 use uvm_util::json;
 use uvm_workloads::registry;
@@ -25,7 +26,7 @@ fn main() {
             &["app", "%LRU", "%MRU-C", "switches", "jumps", "timeline"],
         );
         for app in registry::all() {
-            let (r, capture) =
+            let (r, events) =
                 run_policy_traced(&cfg, app, rate, PolicyKind::Hpe).expect("bench run");
             let total_faults = r.stats.faults().max(1);
             let report = r.hpe.expect("HPE report");
@@ -54,7 +55,8 @@ fn main() {
             // Enriched series from the trace: per fault-window counts of
             // strategy switches and wrong evictions (fig. 13's "over time"
             // axis, windowed by the classification interval length).
-            let rows = capture.by_fault.rows();
+            let by_fault = IntervalSeries::of(&events, fault_windows(&cfg));
+            let rows = by_fault.rows();
             let switch_series: Vec<u64> = rows.iter().map(|w| w.strategy_switches).collect();
             let wrong_series: Vec<u64> = rows.iter().map(|w| w.wrong_evictions).collect();
             json.push(json!({

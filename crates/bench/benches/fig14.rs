@@ -6,6 +6,7 @@
 //! HIS as outliers (irregular#2 apps that adjust during runtime).
 
 use hpe_bench::{bench_config, f2, run_policy_traced, save_json, PolicyKind, Table};
+use uvm_sim::TraceHistograms;
 use uvm_types::Oversubscription;
 use uvm_util::json;
 use uvm_workloads::registry;
@@ -19,7 +20,7 @@ fn main() {
     let mut json = Vec::new();
     for rate in [Oversubscription::Rate75, Oversubscription::Rate50] {
         for app in registry::all() {
-            let (r, capture) =
+            let (r, events) =
                 run_policy_traced(&cfg, app, rate, PolicyKind::Hpe).expect("bench run");
             let report = r.hpe.expect("HPE report");
             if report.mruc_searches == 0 {
@@ -39,7 +40,7 @@ fn main() {
                 "rate": rate.label(),
                 "searches": report.mruc_searches,
                 "avg_comparisons": avg,
-                "comparisons_hist": capture.histograms.search_comparisons(),
+                "comparisons_hist": TraceHistograms::of(&events).search_comparisons(),
             }));
         }
     }

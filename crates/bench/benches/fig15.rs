@@ -5,7 +5,8 @@
 //! (its stride-4 touches waste HIR entry space, so many entries carry only
 //! a few counters each).
 
-use hpe_bench::{bench_config, f2, run_policy_traced, save_json, PolicyKind, Table};
+use hpe_bench::{bench_config, f2, fault_windows, run_policy_traced, save_json, PolicyKind, Table};
+use uvm_sim::{IntervalSeries, TraceHistograms};
 use uvm_types::Oversubscription;
 use uvm_util::json;
 use uvm_workloads::registry;
@@ -19,7 +20,7 @@ fn main() {
     );
     let mut json = Vec::new();
     for app in registry::all() {
-        let (r, capture) = run_policy_traced(&cfg, app, rate, PolicyKind::Hpe).expect("bench run");
+        let (r, events) = run_policy_traced(&cfg, app, rate, PolicyKind::Hpe).expect("bench run");
         let p = &r.stats.policy;
         t.row(vec![
             app.abbr().to_string(),
@@ -30,8 +31,7 @@ fn main() {
         ]);
         // Enriched: flush-size distribution plus HIR entries per fault
         // window (the figure only shows the average).
-        let hir_series: Vec<u64> = capture
-            .by_fault
+        let hir_series: Vec<u64> = IntervalSeries::of(&events, fault_windows(&cfg))
             .rows()
             .iter()
             .map(|w| w.hir_entries)
@@ -42,7 +42,7 @@ fn main() {
             "entries": p.hir_entries_transferred,
             "avg_per_flush": p.avg_hir_entries_per_flush(),
             "conflicts": p.hir_conflict_evictions,
-            "flush_entries_hist": capture.histograms.hir_flush_entries(),
+            "flush_entries_hist": TraceHistograms::of(&events).hir_flush_entries(),
             "hir_series": hir_series,
         }));
     }

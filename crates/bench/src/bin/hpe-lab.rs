@@ -261,6 +261,15 @@ fn cmd_campaign(args: &Args) -> Result<(), CliError> {
         resume: args.has("--resume"),
         limit: args.num("--limit")?,
     };
+    if pool.snapshot_path.is_none() {
+        // Both would act on a snapshot file that was never named.
+        if let Some(flag) = ["--resume", "--snapshot-every"]
+            .into_iter()
+            .find(|f| args.has(f))
+        {
+            return Err(CliError::Usage(format!("{flag} needs --snapshot FILE")));
+        }
+    }
     let progress_path = args.path("--progress")?;
     let every_app: Vec<&str> = registry::all().iter().map(|a| a.abbr()).collect();
     let apps = args.positional_or(&every_app);
@@ -298,12 +307,15 @@ fn cmd_campaign(args: &Args) -> Result<(), CliError> {
         })?;
     if !outcome.is_complete() {
         println!(
-            "campaign stopped at --limit: {}/{} cells done ({} resumed, {} executed); \
-             snapshot holds the completed cells",
+            "campaign stopped at --limit: {}/{} cells done ({} resumed, {} executed){}",
             outcome.runs.len(),
             outcome.total,
             outcome.resumed,
-            outcome.executed
+            outcome.executed,
+            match &pool.snapshot_path {
+                Some(_) => "; snapshot holds the completed cells",
+                None => "",
+            }
         );
         return Ok(());
     }

@@ -1,9 +1,9 @@
 //! `hpe-trace`: inspect simulation event traces.
 //!
-//! Operates on JSONL event streams written by the tracing layer (one
-//! compact JSON object per line, see `uvm_sim::JsonlWriter`), or runs an
+//! Operates on JSONL event streams written by `record` (one compact
+//! JSON object per line, see `uvm_sim::write_jsonl`), or runs an
 //! application live when given a registered abbreviation instead of a
-//! file.
+//! file. Every table is computed from the recorded event stream.
 //!
 //! ```sh
 //! hpe-trace record STN --out stn.jsonl     # run + dump the event stream
@@ -22,16 +22,17 @@
 //! violation, failed tenants), 2 usage error (bad arguments or input
 //! files).
 
+use std::num::NonZeroU64;
 use std::path::Path;
 use std::process::ExitCode;
 
 use hpe_bench::cli::{self, Args, CliError, Command};
 use hpe_bench::{
-    bench_config, run, run_policy_traced, traces_dir, write_jsonl, RecoveryOptions, RunSpec, Table,
+    bench_config, run, run_policy_traced, traces_dir, RecoveryOptions, RunSpec, Table,
 };
 use uvm_sim::{
-    parse_jsonl, EventCounters, Instrument, IntervalCollector, IntervalKey, ProfileReport,
-    SimEvent, TenantReport, TraceHistograms, DEFAULT_PROFILE_CADENCE,
+    parse_jsonl, write_jsonl, EventCounters, IntervalKey, IntervalSeries, ProfileReport, SimEvent,
+    TenantReport, TraceHistograms, DEFAULT_PROFILE_CADENCE,
 };
 use uvm_util::{FromJson, Json, ToJson};
 use uvm_workloads::registry;
@@ -125,6 +126,10 @@ static COMMANDS: &[Command] = &[
     },
 ];
 
+/// Faults per window of `summarize`'s and `timeline`'s interval tables.
+const SUMMARY_WINDOW: NonZeroU64 = NonZeroU64::new(256).expect("nonzero");
+const TIMELINE_WINDOW: NonZeroU64 = NonZeroU64::new(64).expect("nonzero");
+
 /// Loads events from a JSONL file, or by running a registered app live
 /// at `--policy` and `--rate`.
 fn load_events(spec: &str, args: &Args) -> Result<Vec<SimEvent>, CliError> {
@@ -144,15 +149,15 @@ fn load_events(spec: &str, args: &Args) -> Result<Vec<SimEvent>, CliError> {
         policy.label(),
         rate.label()
     );
-    let (_, capture) = run_policy_traced(&bench_config(), app, rate, policy)
+    let (_, events) = run_policy_traced(&bench_config(), app, rate, policy)
         .map_err(|e| CliError::Run(format!("{} run failed: {e}", app.abbr())))?;
-    Ok(capture.log.events().to_vec())
+    Ok(events)
 }
 
 fn cmd_record(args: &Args) -> Result<(), CliError> {
     let (policy, rate, out) = (args.policy()?, args.rate()?, args.path("--out")?);
     let app = cli::app(&args.positional[0])?;
-    let (result, capture) = run_policy_traced(&bench_config(), app, rate, policy)
+    let (result, events) = run_policy_traced(&bench_config(), app, rate, policy)
         .map_err(|e| CliError::Run(format!("{} run failed: {e}", app.abbr())))?;
     let path = out.unwrap_or_else(|| {
         traces_dir().join(format!(
@@ -162,8 +167,9 @@ fn cmd_record(args: &Args) -> Result<(), CliError> {
             rate.label().trim_end_matches('%')
         ))
     });
-    let lines =
-        write_jsonl(&path, capture.log.events()).map_err(|e| CliError::Run(e.to_string()))?;
+    let lines = std::fs::File::create(&path)
+        .and_then(|file| write_jsonl(std::io::BufWriter::new(file), &events))
+        .map_err(|e| CliError::Run(e.to_string()))?;
     println!(
         "{} under {} at {}: {} faults, {} evictions, {} events -> {}",
         result.app,
@@ -177,17 +183,10 @@ fn cmd_record(args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
-fn replay<S: Instrument>(sink: &mut S, events: &[SimEvent]) {
-    for &e in events {
-        sink.on_event(e);
-    }
-}
-
 fn cmd_summarize(args: &Args) -> Result<(), CliError> {
     let (spec, window) = (&args.positional[0], args.nonzero("--window")?);
     let events = load_events(spec, args)?;
-    let mut counters = EventCounters::default();
-    replay(&mut counters, &events);
+    let counters = EventCounters::of(&events);
     let mut t = Table::new(format!("event counters ({spec})"), &["event", "count"]);
     for (name, n) in [
         ("FaultRaised", counters.faults_raised),
@@ -208,10 +207,9 @@ fn cmd_summarize(args: &Args) -> Result<(), CliError> {
     }
     t.print();
 
-    print_timeline_table(spec, &events, window.unwrap_or(256));
+    print_timeline_table(spec, &events, window.unwrap_or(SUMMARY_WINDOW));
 
-    let mut hists = TraceHistograms::new();
-    replay(&mut hists, &events);
+    let hists = TraceHistograms::of(&events);
     for h in [
         hists.inter_fault(),
         hists.residency(),
@@ -224,9 +222,8 @@ fn cmd_summarize(args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
-fn print_timeline_table(spec: &str, events: &[SimEvent], window: u64) {
-    let mut iv = IntervalCollector::new(IntervalKey::Faults(window));
-    replay(&mut iv, events);
+fn print_timeline_table(spec: &str, events: &[SimEvent], window: NonZeroU64) {
+    let iv = IntervalSeries::of(events, IntervalKey::Faults(window));
     let mut t = Table::new(
         format!("interval series ({spec}, {window} faults per window)"),
         &[
@@ -254,7 +251,7 @@ fn print_timeline_table(spec: &str, events: &[SimEvent], window: u64) {
 fn cmd_timeline(args: &Args) -> Result<(), CliError> {
     let (spec, window) = (&args.positional[0], args.nonzero("--window")?);
     let events = load_events(spec, args)?;
-    print_timeline_table(spec, &events, window.unwrap_or(64));
+    print_timeline_table(spec, &events, window.unwrap_or(TIMELINE_WINDOW));
     println!("\nmarker events:");
     let mut markers = 0;
     for e in &events {
@@ -286,10 +283,7 @@ fn cmd_diff(args: &Args) -> Result<(), CliError> {
     let (a_spec, b_spec) = (&args.positional[0], &args.positional[1]);
     let a = load_events(a_spec, args)?;
     let b = load_events(b_spec, args)?;
-    let mut ca = EventCounters::default();
-    let mut cb = EventCounters::default();
-    replay(&mut ca, &a);
-    replay(&mut cb, &b);
+    let (ca, cb) = (EventCounters::of(&a), EventCounters::of(&b));
     let mut identical = true;
     let mut t = Table::new(
         format!("event counts: {a_spec} vs {b_spec}"),
@@ -545,7 +539,7 @@ fn cmd_profile(args: &Args) -> Result<(), CliError> {
     let out = args.path("--out")?;
     let cadence = args
         .nonzero("--cadence")?
-        .unwrap_or(DEFAULT_PROFILE_CADENCE);
+        .map_or(DEFAULT_PROFILE_CADENCE, NonZeroU64::get);
     let profile = profiled_run(&args.positional[0], args, cadence)?;
     println!("{}", profile.render_accounts());
     println!(

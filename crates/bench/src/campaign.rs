@@ -261,7 +261,7 @@ impl CampaignSpec {
     pub fn fingerprint(&self) -> String {
         format!(
             "{:016x}",
-            fnv1a(self.fingerprint_json().to_string().as_bytes())
+            uvm_util::fnv1a(self.fingerprint_json().to_string().as_bytes())
         )
     }
 
@@ -291,18 +291,6 @@ impl CampaignSpec {
         }
         Ok(cells)
     }
-}
-
-/// FNV-1a, 64-bit: a tiny deterministic digest for spec fingerprints
-/// (collision resistance is not a goal; catching accidental spec drift
-/// across a kill/resume is).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// One enumerated grid cell (internal: `&'static App` keeps workers free

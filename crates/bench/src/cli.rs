@@ -12,6 +12,7 @@
 //! [`Args::policy`], [`Args::num`], [`Args::nonzero`], [`Args::path`]);
 //! a value it rejects is `bad <flag> '<value>'`, exit 2.
 
+use std::num::NonZeroU64;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::str::FromStr;
@@ -238,11 +239,12 @@ impl Args {
     /// # Errors
     ///
     /// A non-numeric value is `bad <flag> '<value>'`; zero is a usage error of its own.
-    pub fn nonzero(&self, flag: &str) -> Result<Option<u64>, CliError> {
-        match self.num(flag)? {
-            Some(0) => Err(CliError::Usage(format!("{flag} must be nonzero"))),
-            n => Ok(n),
-        }
+    pub fn nonzero(&self, flag: &str) -> Result<Option<NonZeroU64>, CliError> {
+        self.num(flag)?
+            .map(|n| {
+                NonZeroU64::new(n).ok_or_else(|| CliError::Usage(format!("{flag} must be nonzero")))
+            })
+            .transpose()
     }
 
     /// The path `flag` names.

@@ -38,10 +38,11 @@ pub use campaign::{
 };
 pub use explore::{replay_repro, repro_for, run_explore, ExploreError, RECOVERY_STREAK_FAULTS};
 pub use perf::{BenchSnapshot, PolicyPerf, BENCH_SCHEMA_VERSION};
-pub use report::{f2, f3, geomean, mean, save_json, traces_dir, write_jsonl, Table};
+pub use report::{f2, f3, geomean, mean, save_json, traces_dir, Table};
 pub use runner::{
-    drive, manual_strategy_for, rrip_config_for, run, run_policy, run_policy_traced, Driven,
-    HpeReport, PolicyKind, RecoveryOptions, RunResult, RunSpec, TraceCapture, TRACE_CYCLE_WINDOW,
+    drive, fault_windows, manual_strategy_for, rrip_config_for, run, run_policy, run_policy_traced,
+    summary_json, Driven, HpeReport, PolicyKind, RecoveryOptions, RunResult, RunSpec,
+    TRACE_CYCLE_WINDOW,
 };
 pub use tenant::{
     check_containment, containment_mix, fairness_grid, load_snapshot, run_mix, run_mix_serial,

@@ -127,24 +127,6 @@ pub fn traces_dir() -> PathBuf {
     dir
 }
 
-/// Writes `events` as JSONL to `path` (one compact object per line).
-/// The output is byte-identical for identical event sequences.
-///
-/// # Errors
-///
-/// Returns the underlying I/O error.
-pub fn write_jsonl(path: &std::path::Path, events: &[uvm_sim::SimEvent]) -> std::io::Result<u64> {
-    use std::io::Write as _;
-    let file = fs::File::create(path)?;
-    let mut writer = uvm_sim::JsonlWriter::new(std::io::BufWriter::new(file));
-    for &e in events {
-        uvm_sim::Instrument::on_event(&mut writer, e);
-    }
-    let lines = writer.lines();
-    writer.finish()?.flush()?;
-    Ok(lines)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -7,6 +7,7 @@
 //! profiler knobs — is a field of [`RunSpec`].
 
 use std::any::Any;
+use std::num::NonZeroU64;
 
 use hpe_core::{Classification, Hpe, HpeConfig, StrategyKind};
 use uvm_policies::{
@@ -14,8 +15,8 @@ use uvm_policies::{
 };
 use uvm_sim::{
     ideal_for, trace_for, Checkpoint, EventCounters, EventLog, FallbackVictim, FaultPlan,
-    Instrument, IntervalCollector, IntervalKey, ProfileConfig, ProfileReport, Profiler,
-    RetryPolicy, Sanitizer, SimEvent, Simulation, TraceHistograms,
+    Instrument, IntervalKey, IntervalSeries, ProfileConfig, ProfileReport, Profiler, RetryPolicy,
+    Sanitizer, SimEvent, Simulation, TraceHistograms,
 };
 use uvm_types::{Oversubscription, SimConfig, SimError, SimStats};
 use uvm_util::{json, Json, ToJson};
@@ -367,7 +368,7 @@ impl Attach for Profiler {
     }
 }
 
-impl Attach for TraceCapture {
+impl Attach for EventLog {
     type Dressed<P: EvictionPolicy + 'static> = Traced<P>;
     fn dress<P: EvictionPolicy + 'static>(policy: P) -> Traced<P> {
         Traced::new(policy)
@@ -481,64 +482,31 @@ where
     }
 }
 
-/// Cycle-window width used by [`run_policy_traced`]'s cycle-keyed series
-/// (≈ 9 fault services on the Table I timing).
-pub const TRACE_CYCLE_WINDOW: u64 = 1 << 18;
+/// Cycle-window width of [`summary_json`]'s cycle-keyed series (≈ 9
+/// fault services on the Table I timing).
+pub const TRACE_CYCLE_WINDOW: NonZeroU64 = NonZeroU64::new(1 << 18).expect("nonzero");
 
-/// Everything the standard trace sinks collected during one
-/// [`run_policy_traced`] run.
-#[derive(Debug)]
-pub struct TraceCapture {
-    /// Event totals by kind.
-    pub counters: EventCounters,
-    /// Series bucketed by the policy interval clock (`cfg.interval_len`
-    /// faults per window).
-    pub by_fault: IntervalCollector,
-    /// Series bucketed by [`TRACE_CYCLE_WINDOW`] simulated cycles.
-    pub by_cycle: IntervalCollector,
-    /// Distribution histograms.
-    pub histograms: TraceHistograms,
-    /// The full event log, in simulated-time order.
-    pub log: EventLog,
+/// Windows of `cfg.interval_len` faults: the policy interval clock that
+/// the fault-keyed trace series (fig. 13, fig. 15, [`summary_json`]) use.
+pub fn fault_windows(cfg: &SimConfig) -> IntervalKey {
+    // `SimConfig::validate` rejects a zero interval, so a run never has one.
+    IntervalKey::Faults(NonZeroU64::new(u64::from(cfg.interval_len)).unwrap_or(NonZeroU64::MIN))
 }
 
-impl TraceCapture {
-    /// Empty sinks, the fault-keyed series on `cfg`'s interval clock.
-    pub fn new(cfg: &SimConfig) -> Self {
-        TraceCapture {
-            counters: EventCounters::default(),
-            by_fault: IntervalCollector::new(IntervalKey::Faults(u64::from(cfg.interval_len))),
-            by_cycle: IntervalCollector::new(IntervalKey::Cycles(TRACE_CYCLE_WINDOW)),
-            histograms: TraceHistograms::new(),
-            log: EventLog::new(),
-        }
-    }
-
-    /// The capture as one JSON document (counters + both interval series
-    /// + histograms; the raw log is exported separately as JSONL).
-    pub fn summary_json(&self) -> Json {
-        json!({
-            "counters": self.counters,
-            "intervals_by_fault": self.by_fault.to_json(),
-            "intervals_by_cycle": self.by_cycle.to_json(),
-            "histograms": self.histograms.to_json(),
-        })
-    }
+/// The summaries of a [`run_policy_traced`] stream as one JSON document:
+/// counters, the fault- and cycle-keyed interval series and the
+/// histograms (the stream itself is exported as JSONL).
+pub fn summary_json(cfg: &SimConfig, events: &[SimEvent]) -> Json {
+    json!({
+        "counters": EventCounters::of(events),
+        "intervals_by_fault": IntervalSeries::of(events, fault_windows(cfg)).to_json(),
+        "intervals_by_cycle": IntervalSeries::of(events, IntervalKey::Cycles(TRACE_CYCLE_WINDOW))
+            .to_json(),
+        "histograms": TraceHistograms::of(events).to_json(),
+    })
 }
 
-impl Instrument for TraceCapture {
-    fn on_event(&mut self, event: SimEvent) {
-        self.counters.on_event(event);
-        self.by_fault.on_event(event);
-        self.by_cycle.on_event(event);
-        self.histograms.on_event(event);
-        self.log.on_event(event);
-    }
-}
-
-/// Runs `app` under `kind` at `rate` with the full trace-sink stack
-/// attached: counters, fault- and cycle-keyed interval series,
-/// histograms, and a complete event log.
+/// Runs `app` under `kind` at `rate` and records its event stream.
 ///
 /// Baselines are wrapped in [`Traced`] so their victim selections are
 /// observable; HPE emits its native decision events. Tracing is purely
@@ -553,12 +521,11 @@ pub fn run_policy_traced(
     app: &App,
     rate: Oversubscription,
     kind: PolicyKind,
-) -> Result<(RunResult, TraceCapture), SimError> {
+) -> Result<(RunResult, EventLog), SimError> {
     let trace = trace_for(cfg, app);
     let spec = RunSpec::new(app, rate, kind);
-    let capture = || TraceCapture::new(cfg);
-    let (driven, capture) = drive_with(cfg, &spec, &trace, None, |_, _| {}, capture)?;
-    Ok((driven.result, capture))
+    let (driven, log) = drive_with(cfg, &spec, &trace, None, |_, _| {}, EventLog::new)?;
+    Ok((driven.result, log))
 }
 
 /// The strategy the paper manually assigns per application for the

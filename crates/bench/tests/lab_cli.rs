@@ -116,3 +116,46 @@ fn bare_invocation_prints_usage_once() {
     assert!(!stderr.contains("error:"), "stderr: {stderr}");
     assert_eq!(stderr.matches("usage: hpe-lab").count(), 1, "{stderr}");
 }
+
+#[test]
+fn campaign_snapshot_flags_need_a_snapshot_file() {
+    let dir = std::env::temp_dir().join("hpe-lab-cli-snapshot");
+    std::fs::create_dir_all(&dir).unwrap();
+    // Without `--snapshot` there is no file to resume from or to write.
+    let out = hpe_lab(
+        &[
+            "campaign",
+            "STN",
+            "--resume",
+            "--snapshot-every",
+            "3",
+            "--limit",
+            "1",
+        ],
+        &dir,
+    );
+    assert_usage_error(&out, "--resume needs --snapshot FILE");
+    let out = hpe_lab(&["campaign", "STN", "--snapshot-every", "3"], &dir);
+    assert_usage_error(&out, "--snapshot-every needs --snapshot FILE");
+
+    // The `--limit` stop line mentions a snapshot only when one was written.
+    let out = hpe_lab(&["campaign", "STN", "--limit", "1"], &dir);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("stopped at --limit: 1/14"), "{stdout}");
+    assert!(!stdout.contains("snapshot"), "{stdout}");
+    let snapshot = dir.join("snapshot.json");
+    let _ = std::fs::remove_file(&snapshot);
+    let path = snapshot.to_str().unwrap();
+    let out = hpe_lab(
+        &["campaign", "STN", "--limit", "1", "--snapshot", path],
+        &dir,
+    );
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("snapshot holds the completed cells"),
+        "{stdout}"
+    );
+    assert!(snapshot.exists());
+}

@@ -4,10 +4,10 @@
 //! pins of a full profile and of the traced captures.
 
 use hpe_bench::{
-    bench_config, run, run_policy, run_policy_traced, PolicyKind, RecoveryOptions, RunResult,
-    RunSpec,
+    bench_config, run, run_policy, run_policy_traced, summary_json, PolicyKind, RecoveryOptions,
+    RunResult, RunSpec,
 };
-use uvm_sim::{JsonlWriter, ProfileReport, DEFAULT_PROFILE_CADENCE};
+use uvm_sim::{write_jsonl, ProfileReport, DEFAULT_PROFILE_CADENCE};
 use uvm_types::{CycleAccount, Oversubscription, SpanStage};
 use uvm_util::ToJson;
 use uvm_workloads::{registry, App};
@@ -151,12 +151,7 @@ fn recovery_options_profile_knob_attaches_observation_only() {
 
 /// FNV-1a, 64-bit, as 16 hex digits.
 fn fnv1a(bytes: &[u8]) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    format!("{h:016x}")
+    format!("{:016x}", uvm_util::fnv1a(bytes))
 }
 
 #[test]
@@ -183,13 +178,10 @@ fn profile_report_json_is_pinned() {
 fn traced_digests(kind: PolicyKind) -> (String, String) {
     let cfg = bench_config();
     let app = registry::by_abbr("STN").unwrap();
-    let (_, capture) = run_policy_traced(&cfg, app, Oversubscription::Rate75, kind).unwrap();
-    let mut writer = JsonlWriter::new(Vec::new());
-    for &e in capture.log.events() {
-        uvm_sim::Instrument::on_event(&mut writer, e);
-    }
-    let jsonl = writer.finish().unwrap();
-    let summary = capture.summary_json().to_string();
+    let (_, events) = run_policy_traced(&cfg, app, Oversubscription::Rate75, kind).unwrap();
+    let mut jsonl = Vec::new();
+    write_jsonl(&mut jsonl, &events).unwrap();
+    let summary = summary_json(&cfg, &events).to_string();
     (fnv1a(&jsonl), fnv1a(summary.as_bytes()))
 }
 

@@ -970,7 +970,10 @@ impl<P: EvictionPolicy, I: Instrument> Simulation<P, I> {
 mod tests {
     use super::*;
     use crate::recovery::Backoff;
-    use crate::{ideal_for, trace_for, EventLog, ProfileConfig, Profiler};
+    use crate::{
+        ideal_for, trace_for, EventCounters, EventLog, IntervalKey, IntervalSeries, ProfileConfig,
+        Profiler,
+    };
     use uvm_policies::{Lru, RandomPolicy};
     use uvm_types::Oversubscription;
     use uvm_workloads::registry;
@@ -1149,21 +1152,18 @@ mod tests {
         let sim = Simulation::new(cfg, &trace, Lru::new(), 8).unwrap();
         let outcome = sim.instrument(EventLog::new()).run().unwrap();
         let (stats, log) = (outcome.stats, outcome.instrument);
-        assert_eq!(log.fault_count() as u64, stats.faults());
-        assert_eq!(log.eviction_count() as u64, stats.evictions());
+        let counters = EventCounters::of(&log);
+        assert_eq!(counters.faults_raised, stats.faults());
+        assert_eq!(counters.evictions, stats.evictions());
         // Events are in nondecreasing time order.
-        let times: Vec<u64> = log.events().iter().map(|e| e.time()).collect();
-        assert!(times.windows(2).all(|w| w[0] <= w[1]));
+        assert!(log.windows(2).all(|w| w[0].time() <= w[1].time()));
         // MemoryFull appears exactly once.
-        let fulls = log
-            .events()
-            .iter()
-            .filter(|e| matches!(e, crate::SimEvent::MemoryFull { .. }))
-            .count();
-        assert_eq!(fulls, 1);
+        assert_eq!(counters.memory_full, 1);
         // The fault-rate series accounts for every fault.
-        let series = log.fault_rate_series(28_000);
-        assert_eq!(series.iter().sum::<u64>(), stats.faults());
+        let key = IntervalKey::Cycles(std::num::NonZeroU64::new(28_000).unwrap());
+        let series = IntervalSeries::of(&log, key);
+        let faults: u64 = series.rows().iter().map(|r| r.faults).sum();
+        assert_eq!(faults, stats.faults());
     }
 
     #[test]
@@ -1180,7 +1180,7 @@ mod tests {
         // the same page.
         let mut pending_victim = None;
         let mut victims = 0u64;
-        for e in log.events() {
+        for e in &log {
             match *e {
                 SimEvent::VictimSelected { page, .. } => {
                     pending_victim = Some(page);
@@ -1194,15 +1194,9 @@ mod tests {
         }
         assert_eq!(victims, stats.evictions());
         // Page walks were reported, including the faulting ones.
-        let walks = log
-            .events()
-            .iter()
-            .filter(|e| matches!(e, SimEvent::PageWalk { .. }))
-            .count() as u64;
-        assert_eq!(walks, stats.walks);
+        assert_eq!(EventCounters::of(&log).page_walks, stats.walks);
         // Wrong evictions carry a distance within the window.
         let wrong: Vec<u64> = log
-            .events()
             .iter()
             .filter_map(|e| match *e {
                 SimEvent::WrongEviction {

@@ -6,8 +6,8 @@
 //! profiler reads (cycle charges, warp stalls, retries, metric samples).
 //! `()` is the no-op instrument: the engine is generic over the hook,
 //! so an uninstrumented run compiles the stream away. Pairs fan the
-//! stream out to each member in order. [`EventLog`] is a ready-made
-//! recording instrument.
+//! stream out to each member in order. [`EventLog`] records the
+//! events; every trace summary is computed from that recording.
 
 use uvm_types::{CycleAccount, PageId, PolicyEvent, StrategyTag};
 use uvm_util::{FromJson, Json, JsonError, ToJson};
@@ -25,7 +25,7 @@ use crate::profile::MetricsSample;
 ///
 /// ```
 /// use uvm_policies::Lru;
-/// use uvm_sim::{EventLog, ProfileConfig, Profiler, Simulation};
+/// use uvm_sim::{EventCounters, EventLog, ProfileConfig, Profiler, Simulation};
 /// use uvm_types::SimConfig;
 /// use uvm_workloads::Trace;
 ///
@@ -37,7 +37,7 @@ use crate::profile::MetricsSample;
 ///     .run()?;
 /// let (log, profiler) = outcome.instrument;
 /// let profile = profiler.finalize(outcome.stats.cycles, 2);
-/// assert_eq!(log.fault_count() as u64, profile.spans.opened);
+/// assert_eq!(EventCounters::of(&log).faults_raised, profile.spans.opened);
 /// # Ok::<(), uvm_types::SimError>(())
 /// ```
 pub trait Instrument {
@@ -441,13 +441,16 @@ impl FromJson for SimEvent {
     }
 }
 
-/// An instrument that records every event.
+/// The recording instrument: a run with an `EventLog` attached hands
+/// back every event in engine order. The trace summaries
+/// ([`crate::EventCounters`], [`crate::IntervalSeries`],
+/// [`crate::TraceHistograms`]) are computed from it.
 ///
 /// # Examples
 ///
 /// ```
 /// use uvm_policies::Lru;
-/// use uvm_sim::{EventLog, Simulation};
+/// use uvm_sim::{EventCounters, EventLog, Simulation};
 /// use uvm_types::SimConfig;
 /// use uvm_workloads::Trace;
 ///
@@ -455,126 +458,20 @@ impl FromJson for SimEvent {
 /// let trace = Trace::from_global(&[0, 1, 0], 2, 0, 1, 1);
 /// let sim = Simulation::new(cfg, &trace, Lru::new(), 4)?.instrument(EventLog::new());
 /// let log = sim.run()?.instrument;
-/// assert_eq!(log.fault_count(), 2);
+/// assert_eq!(EventCounters::of(&log).faults_raised, 2);
 /// # Ok::<(), uvm_types::SimError>(())
 /// ```
-#[derive(Debug, Default)]
-pub struct EventLog {
-    events: Vec<SimEvent>,
-}
+pub type EventLog = Vec<SimEvent>;
 
-impl EventLog {
-    /// Creates an empty log.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// All recorded events in order.
-    pub fn events(&self) -> &[SimEvent] {
-        &self.events
-    }
-
-    /// Number of `FaultRaised` events.
-    pub fn fault_count(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| matches!(e, SimEvent::FaultRaised { .. }))
-            .count()
-    }
-
-    /// Number of `Eviction` events.
-    pub fn eviction_count(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| matches!(e, SimEvent::Eviction { .. }))
-            .count()
-    }
-
-    /// Number of `FaultServiced` events (demand + prefetched pages made
-    /// resident).
-    pub fn serviced_count(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| matches!(e, SimEvent::FaultServiced { .. }))
-            .count()
-    }
-
-    /// Per-fault service latency: for every `FaultServiced` whose page has
-    /// a pending `FaultRaised`, the cycles between the two, in service
-    /// order. Prefetched pages (serviced without a raise) are skipped; a
-    /// page that faults again after eviction matches its latest raise.
-    pub fn service_latency_series(&self) -> Vec<(PageId, u64)> {
-        let mut raised_at: std::collections::HashMap<PageId, u64> =
-            std::collections::HashMap::new();
-        let mut series = Vec::new();
-        for e in &self.events {
-            match *e {
-                SimEvent::FaultRaised { time, page } => {
-                    raised_at.insert(page, time);
-                }
-                SimEvent::FaultServiced { time, page } => {
-                    if let Some(start) = raised_at.remove(&page) {
-                        series.push((page, time.saturating_sub(start)));
-                    }
-                }
-                _ => {}
-            }
-        }
-        series
-    }
-
-    /// Fault counts per time bucket of `bucket_cycles` (fault-rate series).
-    pub fn fault_rate_series(&self, bucket_cycles: u64) -> Vec<u64> {
-        assert!(bucket_cycles > 0, "bucket_cycles must be nonzero");
-        let mut series = Vec::new();
-        for e in &self.events {
-            if let SimEvent::FaultRaised { time, .. } = e {
-                let bucket = (time / bucket_cycles) as usize;
-                if bucket >= series.len() {
-                    series.resize(bucket + 1, 0);
-                }
-                series[bucket] += 1;
-            }
-        }
-        series
-    }
-}
-
-impl Instrument for EventLog {
+impl Instrument for Vec<SimEvent> {
     fn on_event(&mut self, event: SimEvent) {
-        self.events.push(event);
+        self.push(event);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn event_log_counts_and_series() {
-        let mut log = EventLog::new();
-        log.on_event(SimEvent::FaultRaised {
-            time: 5,
-            page: PageId(1),
-        });
-        log.on_event(SimEvent::FaultServiced {
-            time: 10,
-            page: PageId(1),
-        });
-        log.on_event(SimEvent::Eviction {
-            time: 12,
-            page: PageId(0),
-        });
-        log.on_event(SimEvent::FaultRaised {
-            time: 25,
-            page: PageId(2),
-        });
-        assert_eq!(log.fault_count(), 2);
-        assert_eq!(log.eviction_count(), 1);
-        assert_eq!(log.fault_rate_series(10), vec![1, 0, 1]);
-        assert_eq!(log.events().len(), 4);
-        assert_eq!(log.events()[0].time(), 5);
-    }
 
     #[test]
     fn pairs_fan_the_stream_out_in_order() {
@@ -586,54 +483,8 @@ mod tests {
         const { assert!(<(EventLog, ())>::ENABLED && !<((), ())>::ENABLED) };
         fan.on_event(raised);
         fan.on_event(SimEvent::MemoryFull { time: 6 });
-        assert_eq!(fan.0.events(), fan.1 .1.events());
-        assert_eq!(fan.0.events()[0], raised);
-    }
-
-    #[test]
-    #[should_panic(expected = "bucket_cycles must be nonzero")]
-    fn zero_bucket_rejected() {
-        EventLog::new().fault_rate_series(0);
-    }
-
-    #[test]
-    fn service_latency_pairs_raise_with_service() {
-        let mut log = EventLog::new();
-        log.on_event(SimEvent::FaultRaised {
-            time: 5,
-            page: PageId(1),
-        });
-        log.on_event(SimEvent::FaultRaised {
-            time: 7,
-            page: PageId(2),
-        });
-        log.on_event(SimEvent::FaultServiced {
-            time: 30,
-            page: PageId(1),
-        });
-        // Prefetched page: serviced without a raise -> skipped.
-        log.on_event(SimEvent::FaultServiced {
-            time: 30,
-            page: PageId(3),
-        });
-        log.on_event(SimEvent::FaultServiced {
-            time: 55,
-            page: PageId(2),
-        });
-        // Page 1 faults again after eviction: new raise, new latency.
-        log.on_event(SimEvent::FaultRaised {
-            time: 60,
-            page: PageId(1),
-        });
-        log.on_event(SimEvent::FaultServiced {
-            time: 90,
-            page: PageId(1),
-        });
-        assert_eq!(log.serviced_count(), 4);
-        assert_eq!(
-            log.service_latency_series(),
-            vec![(PageId(1), 25), (PageId(2), 48), (PageId(1), 30)]
-        );
+        assert_eq!(fan.0, fan.1 .1);
+        assert_eq!(fan.0[0], raised);
     }
 
     #[test]

@@ -27,7 +27,10 @@
 //!   phase account, threading a span through each fault's lifecycle and
 //!   sampling a metrics time series (see [`ProfileReport`]), is one such
 //!   instrument; with any instrument attached the engine's
-//!   [`uvm_types::SimStats`] stay byte-identical.
+//!   [`uvm_types::SimStats`] stay byte-identical. [`EventLog`] records
+//!   the events; the trace summaries ([`EventCounters`],
+//!   [`IntervalSeries`], [`TraceHistograms`], [`write_jsonl`]) are
+//!   computed from that recording.
 //!
 //! # Examples
 //!
@@ -94,7 +97,7 @@ pub use tenant::{
 };
 pub use tlb::Tlb;
 pub use trace::{
-    parse_jsonl, EventCounters, IntervalCollector, IntervalKey, IntervalRow, JsonlWriter,
+    parse_jsonl, write_jsonl, EventCounters, IntervalKey, IntervalRow, IntervalSeries,
     TraceHistograms,
 };
 

@@ -707,6 +707,11 @@ mod tests {
         p.on_probe(360, Probe::Retry { page, delay: 40 });
         p.on_event(SimEvent::FaultServiced { time: 400, page });
         p.on_probe(400, Probe::WarpResumed { warp: 0 });
+        // A prefetched page lands without a raise: no span.
+        p.on_event(SimEvent::FaultServiced {
+            time: 400,
+            page: PageId(8),
+        });
         // The page is evicted and re-faults: the new span points back.
         p.on_event(SimEvent::FaultRaised { time: 900, page });
         p.on_event(SimEvent::WrongEviction {
@@ -727,6 +732,9 @@ mod tests {
         assert_eq!(report.records[0].queue_cycles(), Some(50));
         assert_eq!(report.records[0].service_cycles(), Some(250));
         assert_eq!(report.records[0].retry_cycles, 40);
+        // Raise to landing, each raise matched with its own landing.
+        assert_eq!(report.records[0].total_cycles(), Some(300));
+        assert_eq!(report.records[1].total_cycles(), Some(100));
         assert_eq!(report.account(CycleAccount::RetryBackoff), 40);
         assert_eq!(report.account(CycleAccount::SmStall), 300);
         assert_eq!(report.stage_histogram(SpanStage::Total).count(), 2);

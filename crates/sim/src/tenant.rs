@@ -372,19 +372,11 @@ impl TenantMix {
     /// same fingerprint resolve the same tenants and the same admission
     /// timeline. Snapshots refuse to resume across fingerprints.
     pub fn fingerprint(&self) -> String {
-        format!("{:016x}", fnv1a(self.to_json().to_string().as_bytes()))
+        format!(
+            "{:016x}",
+            uvm_util::fnv1a(self.to_json().to_string().as_bytes())
+        )
     }
-}
-
-/// FNV-1a, 64-bit (same digest the campaign engine uses for spec drift
-/// detection; collision resistance is not a goal).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 // ---------------------------------------------------------------------------

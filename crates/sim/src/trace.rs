@@ -1,34 +1,31 @@
-//! Trace sinks: composable instruments over the simulation event stream.
+//! Trace summaries: values computed from a recorded event stream.
 //!
-//! Everything here implements [`Instrument`] and can be attached to a
-//! [`Simulation`](crate::Simulation) directly or fanned out in a tuple:
+//! A run records its [`SimEvent`]s with an [`EventLog`](crate::EventLog)
+//! attached (or reads them back with [`parse_jsonl`]); every summary here
+//! is a fold over that slice:
 //!
-//! * [`EventCounters`] — counters only, one `u64` increment per event;
-//!   the cheapest way to answer "how many of each kind".
-//! * [`IntervalCollector`] — windowed time series (faults, evictions,
-//!   wrong evictions, ... per cycle- or fault-count bucket).
+//! * [`EventCounters`] — one total per event kind;
+//! * [`IntervalSeries`] — windowed time series (faults, evictions,
+//!   wrong evictions, ... per cycle- or fault-count bucket);
 //! * [`TraceHistograms`] — fixed-bucket distributions (inter-fault gap,
 //!   page residency lifetime, victim age, search comparisons, HIR flush
 //!   sizes) built on [`uvm_util::Histogram`].
-//! * [`JsonlWriter`] — one compact JSON object per event, newline
-//!   delimited; [`parse_jsonl`] reads the stream back.
 //!
-//! All sinks serialize through [`uvm_util::json`], so their output is
-//! deterministic for a deterministic simulation.
+//! [`write_jsonl`] writes the stream as one compact JSON object per line
+//! and [`parse_jsonl`] reads it back. Everything serializes through
+//! [`uvm_util::json`], so the output is deterministic for a
+//! deterministic simulation.
 
 use std::collections::HashMap;
 use std::io;
+use std::num::NonZeroU64;
 
 use uvm_types::PageId;
 use uvm_util::{json, Histogram, Json, JsonError, ToJson};
 
-use crate::instrument::{Instrument, SimEvent};
+use crate::instrument::SimEvent;
 
-/// A counters-only sink: one integer increment per event, no allocation.
-///
-/// This is the near-zero-cost way to watch a run; attach it when only
-/// totals matter and the full [`EventLog`](crate::EventLog) would be
-/// wasteful.
+/// The number of events of each kind in a stream.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct EventCounters {
     /// `FaultRaised` events.
@@ -76,6 +73,35 @@ uvm_util::impl_json_struct!(EventCounters {
 });
 
 impl EventCounters {
+    /// Counts `events`.
+    pub fn of(events: &[SimEvent]) -> Self {
+        let mut c = EventCounters::default();
+        for &event in events {
+            match event {
+                SimEvent::FaultRaised { .. } => c.faults_raised += 1,
+                SimEvent::FaultServiced { .. } => c.faults_serviced += 1,
+                SimEvent::Eviction { .. } => c.evictions += 1,
+                SimEvent::MemoryFull { .. } => c.memory_full += 1,
+                SimEvent::PageWalk { hit, .. } => {
+                    c.page_walks += 1;
+                    c.walk_hits += u64::from(hit);
+                }
+                SimEvent::PrefetchIssued { .. } => c.prefetches += 1,
+                SimEvent::WrongEviction { .. } => c.wrong_evictions += 1,
+                SimEvent::VictimSelected { .. } => c.victims_selected += 1,
+                SimEvent::StrategySwitch { .. } => c.strategy_switches += 1,
+                SimEvent::HirFlush {
+                    entries, dropped, ..
+                } => {
+                    c.hir_flushes += 1;
+                    c.hir_entries += entries;
+                    c.hir_dropped += dropped;
+                }
+            }
+        }
+        c
+    }
+
     /// Total events observed.
     pub fn total(&self) -> u64 {
         self.faults_raised
@@ -91,47 +117,20 @@ impl EventCounters {
     }
 }
 
-impl Instrument for EventCounters {
-    fn on_event(&mut self, event: SimEvent) {
-        match event {
-            SimEvent::FaultRaised { .. } => self.faults_raised += 1,
-            SimEvent::FaultServiced { .. } => self.faults_serviced += 1,
-            SimEvent::Eviction { .. } => self.evictions += 1,
-            SimEvent::MemoryFull { .. } => self.memory_full += 1,
-            SimEvent::PageWalk { hit, .. } => {
-                self.page_walks += 1;
-                if hit {
-                    self.walk_hits += 1;
-                }
-            }
-            SimEvent::PrefetchIssued { .. } => self.prefetches += 1,
-            SimEvent::WrongEviction { .. } => self.wrong_evictions += 1,
-            SimEvent::VictimSelected { .. } => self.victims_selected += 1,
-            SimEvent::StrategySwitch { .. } => self.strategy_switches += 1,
-            SimEvent::HirFlush {
-                entries, dropped, ..
-            } => {
-                self.hir_flushes += 1;
-                self.hir_entries += entries;
-                self.hir_dropped += dropped;
-            }
-        }
-    }
-}
-
-/// How an [`IntervalCollector`] assigns events to windows.
+/// How an [`IntervalSeries`] assigns events to windows. The width is a
+/// [`NonZeroU64`], so a zero-wide window cannot be asked for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IntervalKey {
     /// Fixed windows of this many simulated cycles.
-    Cycles(u64),
+    Cycles(NonZeroU64),
     /// Fixed windows of this many raised faults (the paper's interval
     /// clock: HPE rotates partitions every `interval_len` faults, so
     /// fault-indexed series line up with policy phases).
-    Faults(u64),
+    Faults(NonZeroU64),
 }
 
 impl IntervalKey {
-    fn width(self) -> u64 {
+    fn width(self) -> NonZeroU64 {
         match self {
             IntervalKey::Cycles(w) | IntervalKey::Faults(w) => w,
         }
@@ -145,7 +144,7 @@ impl IntervalKey {
     }
 }
 
-/// One window of an [`IntervalCollector`] series.
+/// One window of an [`IntervalSeries`].
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct IntervalRow {
     /// Faults raised in the window.
@@ -168,7 +167,7 @@ pub struct IntervalRow {
     pub strategy_switches: u64,
 }
 
-/// Windowed time series over the event stream.
+/// Windowed time series over an event stream.
 ///
 /// Events fall into fixed-width buckets keyed by simulated cycle or by
 /// running fault count ([`IntervalKey`]); each bucket accumulates an
@@ -178,52 +177,67 @@ pub struct IntervalRow {
 /// # Examples
 ///
 /// ```
-/// use uvm_sim::{Instrument, IntervalCollector, IntervalKey, SimEvent};
+/// use std::num::NonZeroU64;
+/// use uvm_sim::{IntervalKey, IntervalSeries, SimEvent};
 /// use uvm_types::PageId;
 ///
-/// let mut iv = IntervalCollector::new(IntervalKey::Cycles(100));
-/// iv.on_event(SimEvent::FaultRaised { time: 10, page: PageId(1) });
-/// iv.on_event(SimEvent::FaultRaised { time: 250, page: PageId(2) });
+/// let events = [
+///     SimEvent::FaultRaised { time: 10, page: PageId(1) },
+///     SimEvent::FaultRaised { time: 250, page: PageId(2) },
+/// ];
+/// let width = NonZeroU64::new(100).unwrap();
+/// let iv = IntervalSeries::of(&events, IntervalKey::Cycles(width));
 /// let faults: Vec<u64> = iv.rows().iter().map(|r| r.faults).collect();
 /// assert_eq!(faults, vec![1, 0, 1]);
 /// ```
 #[derive(Debug)]
-pub struct IntervalCollector {
+pub struct IntervalSeries {
     key: IntervalKey,
     rows: Vec<IntervalRow>,
-    faults_seen: u64,
 }
 
-impl IntervalCollector {
-    /// Creates a collector with the given bucketing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window width is zero.
-    pub fn new(key: IntervalKey) -> Self {
-        assert!(key.width() > 0, "interval width must be nonzero");
-        IntervalCollector {
+impl IntervalSeries {
+    /// Buckets `events` by `key`.
+    pub fn of(events: &[SimEvent], key: IntervalKey) -> Self {
+        let mut series = IntervalSeries {
             key,
             rows: Vec::new(),
-            faults_seen: 0,
+        };
+        let mut faults_seen = 0;
+        for &event in events {
+            let pos = match key {
+                IntervalKey::Cycles(w) => event.time() / w,
+                IntervalKey::Faults(w) => faults_seen / w,
+            };
+            match event {
+                SimEvent::FaultRaised { .. } => {
+                    series.row(pos).faults += 1;
+                    faults_seen += 1;
+                }
+                SimEvent::FaultServiced { .. } => series.row(pos).serviced += 1,
+                SimEvent::Eviction { .. } => series.row(pos).evictions += 1,
+                SimEvent::MemoryFull { .. } | SimEvent::VictimSelected { .. } => {}
+                SimEvent::PageWalk { hit, .. } => {
+                    let row = series.row(pos);
+                    row.walks += 1;
+                    row.walk_hits += u64::from(hit);
+                }
+                SimEvent::PrefetchIssued { .. } => series.row(pos).prefetches += 1,
+                SimEvent::WrongEviction { .. } => series.row(pos).wrong_evictions += 1,
+                SimEvent::StrategySwitch { .. } => series.row(pos).strategy_switches += 1,
+                SimEvent::HirFlush { entries, .. } => series.row(pos).hir_entries += entries,
+            }
         }
+        series
     }
 
-    /// The bucketing in use.
-    pub fn key(&self) -> IntervalKey {
-        self.key
-    }
-
-    /// The accumulated windows, oldest first.
+    /// The windows, oldest first.
     pub fn rows(&self) -> &[IntervalRow] {
         &self.rows
     }
 
-    fn row(&mut self, time: u64) -> &mut IntervalRow {
-        let pos = match self.key {
-            IntervalKey::Cycles(w) => time / w,
-            IntervalKey::Faults(w) => self.faults_seen / w,
-        } as usize;
+    fn row(&mut self, pos: u64) -> &mut IntervalRow {
+        let pos = pos as usize;
         if pos >= self.rows.len() {
             self.rows.resize(pos + 1, IntervalRow::default());
         }
@@ -231,34 +245,7 @@ impl IntervalCollector {
     }
 }
 
-impl Instrument for IntervalCollector {
-    fn on_event(&mut self, event: SimEvent) {
-        let time = event.time();
-        match event {
-            SimEvent::FaultRaised { .. } => {
-                self.row(time).faults += 1;
-                self.faults_seen += 1;
-            }
-            SimEvent::FaultServiced { .. } => self.row(time).serviced += 1,
-            SimEvent::Eviction { .. } => self.row(time).evictions += 1,
-            SimEvent::MemoryFull { .. } => {}
-            SimEvent::PageWalk { hit, .. } => {
-                let row = self.row(time);
-                row.walks += 1;
-                if hit {
-                    row.walk_hits += 1;
-                }
-            }
-            SimEvent::PrefetchIssued { .. } => self.row(time).prefetches += 1,
-            SimEvent::WrongEviction { .. } => self.row(time).wrong_evictions += 1,
-            SimEvent::VictimSelected { .. } => {}
-            SimEvent::StrategySwitch { .. } => self.row(time).strategy_switches += 1,
-            SimEvent::HirFlush { entries, .. } => self.row(time).hir_entries += entries,
-        }
-    }
-}
-
-impl ToJson for IntervalCollector {
+impl ToJson for IntervalSeries {
     fn to_json(&self) -> Json {
         macro_rules! column {
             ($field:ident) => {
@@ -272,7 +259,7 @@ impl ToJson for IntervalCollector {
         }
         json!({
             "key": self.key.name(),
-            "width": self.key.width(),
+            "width": self.key.width().get(),
             "intervals": self.rows.len() as u64,
             "series": json!({
                 "faults": column!(faults),
@@ -289,7 +276,7 @@ impl ToJson for IntervalCollector {
     }
 }
 
-/// Distribution sink: fixed-bucket histograms over the event stream.
+/// Fixed-bucket histograms over an event stream.
 ///
 /// Records five distributions:
 ///
@@ -299,6 +286,9 @@ impl ToJson for IntervalCollector {
 /// * `victim_age_faults` — `victim_age` of each `VictimSelected`,
 /// * `search_comparisons` — comparisons of each `VictimSelected`,
 /// * `hir_flush_entries` — `entries` of each `HirFlush`.
+///
+/// The bucket geometry is sized for the scaled paper workloads (fault
+/// service ≈ 28 k cycles).
 #[derive(Debug)]
 pub struct TraceHistograms {
     inter_fault: Histogram,
@@ -306,23 +296,49 @@ pub struct TraceHistograms {
     victim_age: Histogram,
     search_comparisons: Histogram,
     hir_flush_entries: Histogram,
-    last_fault_time: Option<u64>,
-    serviced_at: HashMap<PageId, u64>,
 }
 
 impl TraceHistograms {
-    /// Creates the sink with bucket geometry sized for the scaled paper
-    /// workloads (fault service ≈ 28 k cycles).
-    pub fn new() -> Self {
-        TraceHistograms {
+    /// The distributions of `events`.
+    pub fn of(events: &[SimEvent]) -> Self {
+        let mut h = TraceHistograms {
             inter_fault: Histogram::new("inter_fault_cycles", 4_096, 64),
             residency: Histogram::new("residency_cycles", 65_536, 64),
             victim_age: Histogram::new("victim_age_faults", 16, 64),
             search_comparisons: Histogram::new("search_comparisons", 4, 64),
             hir_flush_entries: Histogram::new("hir_flush_entries", 4, 64),
-            last_fault_time: None,
-            serviced_at: HashMap::new(),
+        };
+        let mut last_fault_time = None;
+        let mut serviced_at: HashMap<PageId, u64> = HashMap::new();
+        for &event in events {
+            match event {
+                SimEvent::FaultRaised { time, .. } => {
+                    if let Some(last) = last_fault_time {
+                        h.inter_fault.record(time.saturating_sub(last));
+                    }
+                    last_fault_time = Some(time);
+                }
+                SimEvent::FaultServiced { time, page } => {
+                    serviced_at.insert(page, time);
+                }
+                SimEvent::Eviction { time, page } => {
+                    if let Some(at) = serviced_at.remove(&page) {
+                        h.residency.record(time.saturating_sub(at));
+                    }
+                }
+                SimEvent::VictimSelected {
+                    search_comparisons,
+                    victim_age,
+                    ..
+                } => {
+                    h.victim_age.record(victim_age);
+                    h.search_comparisons.record(search_comparisons);
+                }
+                SimEvent::HirFlush { entries, .. } => h.hir_flush_entries.record(entries),
+                _ => {}
+            }
         }
+        h
     }
 
     /// Gap between consecutive raised faults, in cycles.
@@ -351,45 +367,6 @@ impl TraceHistograms {
     }
 }
 
-impl Default for TraceHistograms {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Instrument for TraceHistograms {
-    fn on_event(&mut self, event: SimEvent) {
-        match event {
-            SimEvent::FaultRaised { time, .. } => {
-                if let Some(last) = self.last_fault_time {
-                    self.inter_fault.record(time.saturating_sub(last));
-                }
-                self.last_fault_time = Some(time);
-            }
-            SimEvent::FaultServiced { time, page } => {
-                self.serviced_at.insert(page, time);
-            }
-            SimEvent::Eviction { time, page } => {
-                if let Some(at) = self.serviced_at.remove(&page) {
-                    self.residency.record(time.saturating_sub(at));
-                }
-            }
-            SimEvent::VictimSelected {
-                search_comparisons,
-                victim_age,
-                ..
-            } => {
-                self.victim_age.record(victim_age);
-                self.search_comparisons.record(search_comparisons);
-            }
-            SimEvent::HirFlush { entries, .. } => {
-                self.hir_flush_entries.record(entries);
-            }
-            _ => {}
-        }
-    }
-}
-
 impl ToJson for TraceHistograms {
     fn to_json(&self) -> Json {
         json!({
@@ -402,76 +379,22 @@ impl ToJson for TraceHistograms {
     }
 }
 
-/// Streams every event as one compact JSON object per line (JSONL).
+/// Writes `events` to `out` as JSONL, one compact JSON object per line,
+/// and flushes it; returns the number of lines. Identical streams give
+/// byte-identical output.
 ///
-/// Output is deterministic: a deterministic simulation produces
-/// byte-identical files across runs. Write errors are held and reported
-/// through [`JsonlWriter::take_error`] (the instrument callback cannot
-/// fail); once an error occurs, further events are dropped.
-pub struct JsonlWriter<W: io::Write> {
-    out: W,
-    lines: u64,
-    error: Option<io::Error>,
+/// # Errors
+///
+/// The first write or flush error.
+pub fn write_jsonl(mut out: impl io::Write, events: &[SimEvent]) -> io::Result<u64> {
+    for event in events {
+        writeln!(out, "{}", event.to_json())?;
+    }
+    out.flush()?;
+    Ok(events.len() as u64)
 }
 
-impl<W: io::Write> JsonlWriter<W> {
-    /// Wraps `out`.
-    pub fn new(out: W) -> Self {
-        JsonlWriter {
-            out,
-            lines: 0,
-            error: None,
-        }
-    }
-
-    /// Lines written so far.
-    pub fn lines(&self) -> u64 {
-        self.lines
-    }
-
-    /// The first write error, if any (taking it clears the fuse).
-    pub fn take_error(&mut self) -> Option<io::Error> {
-        self.error.take()
-    }
-
-    /// Flushes and unwraps the underlying writer.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first deferred write error or the flush error.
-    pub fn finish(mut self) -> io::Result<W> {
-        if let Some(e) = self.error.take() {
-            return Err(e);
-        }
-        self.out.flush()?;
-        Ok(self.out)
-    }
-}
-
-impl<W: io::Write> std::fmt::Debug for JsonlWriter<W> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("JsonlWriter")
-            .field("lines", &self.lines)
-            .field("error", &self.error)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<W: io::Write> Instrument for JsonlWriter<W> {
-    fn on_event(&mut self, event: SimEvent) {
-        if self.error.is_some() {
-            return;
-        }
-        let line = event.to_json().to_string();
-        if let Err(e) = writeln!(self.out, "{line}") {
-            self.error = Some(e);
-            return;
-        }
-        self.lines += 1;
-    }
-}
-
-/// Parses a JSONL event stream produced by [`JsonlWriter`]. Blank lines
+/// Parses a JSONL event stream produced by [`write_jsonl`]. Blank lines
 /// are skipped.
 ///
 /// # Errors
@@ -494,8 +417,13 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<SimEvent>, JsonError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Instrument;
     use uvm_types::StrategyTag;
     use uvm_util::FromJson;
+
+    fn width(w: u64) -> NonZeroU64 {
+        NonZeroU64::new(w).unwrap()
+    }
 
     fn sample_events() -> Vec<SimEvent> {
         vec![
@@ -555,10 +483,7 @@ mod tests {
 
     #[test]
     fn counters_count_every_kind() {
-        let mut c = EventCounters::default();
-        for e in sample_events() {
-            c.on_event(e);
-        }
+        let c = EventCounters::of(&sample_events());
         assert_eq!(c.faults_raised, 2);
         assert_eq!(c.faults_serviced, 1);
         assert_eq!(c.evictions, 1);
@@ -578,11 +503,38 @@ mod tests {
     }
 
     #[test]
-    fn interval_collector_buckets_by_cycles() {
-        let mut iv = IntervalCollector::new(IntervalKey::Cycles(100));
-        for e in sample_events() {
-            iv.on_event(e);
-        }
+    fn event_log_counts_and_series() {
+        // The recording instrument keeps the stream in order; counts and
+        // the per-cycle fault series are computed from it.
+        let mut log = crate::EventLog::new();
+        log.on_event(SimEvent::FaultRaised {
+            time: 5,
+            page: PageId(1),
+        });
+        log.on_event(SimEvent::FaultServiced {
+            time: 10,
+            page: PageId(1),
+        });
+        log.on_event(SimEvent::Eviction {
+            time: 12,
+            page: PageId(0),
+        });
+        log.on_event(SimEvent::FaultRaised {
+            time: 25,
+            page: PageId(2),
+        });
+        assert_eq!(log.len(), 4);
+        assert_eq!(log[0].time(), 5);
+        let c = EventCounters::of(&log);
+        assert_eq!((c.faults_raised, c.evictions, c.faults_serviced), (2, 1, 1));
+        let iv = IntervalSeries::of(&log, IntervalKey::Cycles(width(10)));
+        let faults: Vec<u64> = iv.rows().iter().map(|r| r.faults).collect();
+        assert_eq!(faults, vec![1, 0, 1]);
+    }
+
+    #[test]
+    fn interval_series_buckets_by_cycles() {
+        let iv = IntervalSeries::of(&sample_events(), IntervalKey::Cycles(width(100)));
         // Buckets: [0,100) [100,200) [200,300).
         assert_eq!(iv.rows().len(), 3);
         assert_eq!(iv.rows()[0].faults, 1);
@@ -600,18 +552,22 @@ mod tests {
     }
 
     #[test]
-    fn interval_collector_buckets_by_faults() {
-        let mut iv = IntervalCollector::new(IntervalKey::Faults(2));
-        for n in 0..5u64 {
-            iv.on_event(SimEvent::FaultRaised {
-                time: n * 1000,
-                page: PageId(n),
-            });
-            iv.on_event(SimEvent::Eviction {
-                time: n * 1000 + 1,
-                page: PageId(n),
-            });
-        }
+    fn interval_series_buckets_by_faults() {
+        let events: Vec<SimEvent> = (0..5u64)
+            .flat_map(|n| {
+                [
+                    SimEvent::FaultRaised {
+                        time: n * 1000,
+                        page: PageId(n),
+                    },
+                    SimEvent::Eviction {
+                        time: n * 1000 + 1,
+                        page: PageId(n),
+                    },
+                ]
+            })
+            .collect();
+        let iv = IntervalSeries::of(&events, IntervalKey::Faults(width(2)));
         // 5 faults in windows of 2 -> 3 windows; evictions follow the
         // fault clock, with eviction n landing after fault n advanced it.
         let faults: Vec<u64> = iv.rows().iter().map(|r| r.faults).collect();
@@ -621,17 +577,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "interval width must be nonzero")]
-    fn interval_collector_rejects_zero_width() {
-        IntervalCollector::new(IntervalKey::Faults(0));
-    }
-
-    #[test]
     fn histograms_record_distributions() {
-        let mut h = TraceHistograms::new();
-        for e in sample_events() {
-            h.on_event(e);
-        }
+        let h = TraceHistograms::of(&sample_events());
         assert_eq!(h.inter_fault().count(), 1); // one gap between two faults
         assert_eq!(h.inter_fault().sum(), 110);
         assert_eq!(h.residency().count(), 1); // page 1: serviced 40, evicted 150
@@ -646,12 +593,9 @@ mod tests {
     #[test]
     fn jsonl_roundtrips_and_is_deterministic() {
         let write = || {
-            let mut w = JsonlWriter::new(Vec::new());
-            for e in sample_events() {
-                w.on_event(e);
-            }
-            assert_eq!(w.lines(), 11);
-            w.finish().unwrap()
+            let mut bytes = Vec::new();
+            assert_eq!(write_jsonl(&mut bytes, &sample_events()).unwrap(), 11);
+            bytes
         };
         let bytes = write();
         assert_eq!(bytes, write(), "same events -> byte-identical JSONL");
@@ -671,7 +615,7 @@ mod tests {
     fn empty_run_histograms_are_well_formed() {
         // A run that raises no events must still summarize and export
         // cleanly: zero counts, no quantiles, valid JSON and rendering.
-        let h = TraceHistograms::new();
+        let h = TraceHistograms::of(&[]);
         assert_eq!(h.inter_fault().count(), 0);
         assert_eq!(h.residency().count(), 0);
         assert_eq!(h.victim_age().quantile(0.99), None);

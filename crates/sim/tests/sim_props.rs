@@ -1,11 +1,11 @@
 //! Property-based tests of the simulation engine's accounting invariants.
 
 use std::collections::HashSet;
-use uvm_policies::Lru;
-use uvm_sim::Simulation;
-use uvm_types::{SimConfig, TlbConfig};
+use uvm_policies::{Lru, Traced};
+use uvm_sim::{parse_jsonl, trace_for, write_jsonl, EventLog, Simulation};
+use uvm_types::{Oversubscription, SimConfig, TlbConfig};
 use uvm_util::prop::Checker;
-use uvm_workloads::Trace;
+use uvm_workloads::{registry, Trace};
 
 fn small_cfg(n_sms: u32, warps: u32) -> SimConfig {
     SimConfig::builder()
@@ -118,6 +118,89 @@ fn ample_capacity_faults_compulsory_only() {
             assert_eq!(stats.faults(), distinct);
             assert_eq!(stats.evictions(), 0);
             assert_eq!(stats.driver.wrong_evictions, 0);
+        },
+    );
+}
+
+/// A recorded STN stream (LRU at 75%, victims traced) as JSONL lines.
+fn recorded_stn_jsonl() -> String {
+    let cfg = SimConfig::scaled_default();
+    let app = registry::by_abbr("STN").expect("registered app");
+    let trace = trace_for(&cfg, app);
+    let capacity = Oversubscription::Rate75.capacity_pages(app.footprint_pages());
+    let sim = Simulation::new(cfg, &trace, Traced::new(Lru::new()), capacity).expect("valid sim");
+    let log = sim
+        .instrument(EventLog::new())
+        .run()
+        .expect("run completes");
+    let mut jsonl = Vec::new();
+    write_jsonl(&mut jsonl, &log.instrument).expect("in-memory write");
+    String::from_utf8(jsonl).expect("JSONL is UTF-8")
+}
+
+#[test]
+fn parse_jsonl_survives_mutated_streams() {
+    // A 32-line window of a recorded stream, truncated, byte-flipped,
+    // spliced or nested: `parse_jsonl` never panics, an `Err` names the
+    // first line that does not parse, and an `Ok` stream round-trips
+    // through `write_jsonl` unchanged.
+    let recorded = recorded_stn_jsonl();
+    let lines: Vec<&str> = recorded.lines().collect();
+    Checker::new().run(
+        |rng| {
+            let start = rng.gen_range(0..lines.len() - 32);
+            let mut text = lines[start..start + 32].join("\n").into_bytes();
+            let at = rng.gen_range(0..text.len());
+            match rng.gen_range(0u32..4) {
+                0 => text.truncate(at),
+                1 => {
+                    for _ in 0..rng.gen_range(1u32..4) {
+                        let i = rng.gen_range(0..text.len());
+                        text[i] = rng.gen_range(0u32..128) as u8;
+                    }
+                }
+                2 => {
+                    let from = rng.gen_range(0..text.len());
+                    let to = rng.gen_range(from..=text.len());
+                    let piece = text[from..to].to_vec();
+                    text.splice(at..at, piece);
+                }
+                _ => {
+                    let depth = rng.gen_range(1usize..300);
+                    let (open, close) = if rng.gen_bool(0.5) {
+                        ("[", "]")
+                    } else {
+                        ("{\"e\":", "}")
+                    };
+                    let nested = format!("{}{}", open.repeat(depth), close.repeat(depth));
+                    let (head, tail) = nested.split_at(open.len() * depth);
+                    text.splice(at..at, head.bytes().chain(tail.bytes()));
+                }
+            }
+            String::from_utf8(text).expect("ASCII mutations keep UTF-8")
+        },
+        |text| match parse_jsonl(text) {
+            Ok(events) => {
+                let mut written = Vec::new();
+                write_jsonl(&mut written, &events).unwrap();
+                let again = parse_jsonl(std::str::from_utf8(&written).unwrap()).unwrap();
+                assert_eq!(again, events);
+            }
+            Err(e) => {
+                let message = e.to_string();
+                let line: usize = message
+                    .split_once("line ")
+                    .and_then(|(_, rest)| rest.split_once(':'))
+                    .and_then(|(n, _)| n.parse().ok())
+                    .unwrap_or_else(|| panic!("no line number in {message:?}"));
+                let lines: Vec<&str> = text.lines().collect();
+                assert!((1..=lines.len()).contains(&line), "{message}");
+                assert!(parse_jsonl(lines[line - 1]).is_err(), "{message}");
+                assert!(
+                    parse_jsonl(&lines[..line - 1].join("\n")).is_ok(),
+                    "{message}"
+                );
+            }
         },
     );
 }

@@ -46,3 +46,23 @@ pub use hist::Histogram;
 pub use json::{FromJson, Json, JsonError, ToJson};
 pub use rng::Rng;
 pub use strict::check_unknown_fields;
+
+/// 64-bit FNV-1a: the workspace's digest for fingerprints and pins.
+/// It catches accidental drift; collision resistance is not a goal.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::fnv1a;
+
+    #[test]
+    fn fnv1a_matches_the_reference_vectors() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
+    }
+}

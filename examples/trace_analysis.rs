@@ -1,20 +1,23 @@
-//! Analyze a simulation's event stream with the tracing layer: run one
-//! application under HPE with an [`EventLog`] attached, then replay the
-//! stream through the interval and histogram sinks.
+//! Analyze a simulation's event stream: run one application under HPE
+//! with an [`EventLog`] and a [`Profiler`] attached, compute the trace
+//! summaries (counters, a fault-windowed series, histograms) from the
+//! recorded events, and read fault latencies off the profiler's spans.
 //!
 //! ```sh
 //! cargo run --release --example trace_analysis           # STN
 //! cargo run --release --example trace_analysis -- BFS    # any registered app
 //! ```
 //!
-//! The same sinks accept a stream loaded from a JSONL file (see
-//! `hpe-trace` in the bench crate); this example drives them in-process
-//! through the facade only.
+//! The same summaries work on a stream loaded from a JSONL file (see
+//! `hpe-trace` in the bench crate); this example computes them
+//! in-process through the facade only.
+
+use std::num::NonZeroU64;
 
 use hpe::core::{Hpe, HpeConfig};
 use hpe::sim::{
-    trace_for, EventCounters, EventLog, Instrument, IntervalCollector, IntervalKey, Simulation,
-    TraceHistograms,
+    trace_for, EventCounters, EventLog, IntervalKey, IntervalSeries, ProfileConfig, Profiler,
+    Simulation, TraceHistograms,
 };
 use hpe::types::{Oversubscription, SimConfig};
 use hpe::workloads::registry;
@@ -29,36 +32,32 @@ fn main() {
         std::process::exit(2);
     };
 
-    // Run the app under HPE at 75% oversubscription with an event log.
+    // Run the app under HPE at 75% oversubscription, recording the event
+    // stream and profiling the fault lifecycles.
     let cfg = SimConfig::scaled_default();
     let trace = trace_for(&cfg, app);
     let capacity = Oversubscription::Rate75.capacity_pages(app.footprint_pages());
     let policy = Hpe::new(HpeConfig::from_sim(&cfg)).expect("valid HPE");
     let sim = Simulation::new(cfg, &trace, Box::new(policy), capacity).expect("valid sim");
     let outcome = sim
-        .instrument(EventLog::new())
+        .instrument((EventLog::new(), Profiler::new(ProfileConfig::default())))
         .run()
         .expect("run completes");
-    let log = &outcome.instrument;
+    let (log, profiler) = outcome.instrument;
     println!(
         "{}: {} events over {} cycles ({} faults, {} evictions)",
         app.abbr(),
-        log.events().len(),
+        log.len(),
         outcome.stats.cycles,
         outcome.stats.faults(),
         outcome.stats.evictions(),
     );
 
-    // Replay the stream through the analysis sinks. Any instrument works
-    // on a recorded stream, not just on a live simulation.
-    let mut counters = EventCounters::default();
-    let mut by_fault = IntervalCollector::new(IntervalKey::Faults(512));
-    let mut hists = TraceHistograms::new();
-    for &e in log.events() {
-        counters.on_event(e);
-        by_fault.on_event(e);
-        hists.on_event(e);
-    }
+    // Every summary is a function of the recorded stream.
+    let counters = EventCounters::of(&log);
+    let window = NonZeroU64::new(512).expect("nonzero");
+    let by_fault = IntervalSeries::of(&log, IntervalKey::Faults(window));
+    let hists = TraceHistograms::of(&log);
 
     println!(
         "\ncounters: {} faults raised / {} serviced, {} evictions ({} wrong), \
@@ -88,14 +87,18 @@ fn main() {
     println!("{}", hists.search_comparisons().render());
     println!("{}", hists.hir_flush_entries().render());
 
-    // First-fault-to-service latency pairs come straight off the log.
-    let latencies = log.service_latency_series();
-    if let Some((page, lat)) = latencies.first() {
+    // Raise-to-service latencies come from the profiler's fault spans.
+    let profile = profiler.finalize(outcome.stats.cycles, capacity);
+    let first = profile
+        .records
+        .iter()
+        .find_map(|s| Some((s.page, s.total_cycles()?)));
+    if let Some((page, cycles)) = first {
         println!(
-            "service latencies: {} pairs, first page {:?} took {} cycles",
-            latencies.len(),
+            "service latencies: {} spans, first page {:?} took {} cycles",
+            profile.records.len(),
             page,
-            lat
+            cycles
         );
     }
 }

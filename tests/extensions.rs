@@ -3,10 +3,11 @@
 //! through the full public API.
 
 use std::collections::HashMap;
+use std::num::NonZeroU64;
 
 use hpe::core::{Hpe, HpeConfig};
 use hpe::policies::{Lru, Traced};
-use hpe::sim::{EventLog, SimEvent, Simulation};
+use hpe::sim::{EventCounters, EventLog, IntervalKey, IntervalSeries, SimEvent, Simulation};
 use hpe::types::{Oversubscription, SimConfig};
 use hpe::workloads::{registry, WorkloadBuilder};
 
@@ -66,11 +67,11 @@ fn observer_timeline_matches_statistics_for_hpe() {
         .run()
         .expect("run completes");
     let log = &outcome.instrument;
-    assert_eq!(log.fault_count() as u64, outcome.stats.faults());
-    assert_eq!(log.eviction_count() as u64, outcome.stats.evictions());
+    let counters = EventCounters::of(log);
+    assert_eq!(counters.faults_raised, outcome.stats.faults());
+    assert_eq!(counters.evictions, outcome.stats.evictions());
     // MemoryFull is recorded once, before the first eviction.
     let full_at = log
-        .events()
         .iter()
         .find_map(|e| match e {
             SimEvent::MemoryFull { time } => Some(*time),
@@ -78,7 +79,6 @@ fn observer_timeline_matches_statistics_for_hpe() {
         })
         .expect("memory fills");
     let first_eviction = log
-        .events()
         .iter()
         .find_map(|e| match e {
             SimEvent::Eviction { time, .. } => Some(*time),
@@ -88,8 +88,9 @@ fn observer_timeline_matches_statistics_for_hpe() {
     assert!(full_at <= first_eviction);
     // The fault-rate series is front-loaded for a thrashing app at 75%:
     // some faults happen in every phase of execution.
-    let series = log.fault_rate_series(outcome.stats.cycles / 10 + 1);
-    assert!(series.iter().filter(|&&n| n > 0).count() >= 8);
+    let tenth = NonZeroU64::new(outcome.stats.cycles / 10 + 1).unwrap();
+    let series = IntervalSeries::of(log, IntervalKey::Cycles(tenth));
+    assert!(series.rows().iter().filter(|r| r.faults > 0).count() >= 8);
 }
 
 #[test]
@@ -125,7 +126,7 @@ fn traced_victim_ages_follow_service_order_under_prefetch() {
     let log = sim.instrument(EventLog::new()).run().unwrap().instrument;
     let (mut landed, mut landed_at) = (0u64, HashMap::new());
     let mut victims = 0;
-    for e in log.events() {
+    for e in &log {
         match *e {
             SimEvent::FaultServiced { page, .. } => {
                 landed_at.insert(page, landed);
@@ -140,7 +141,8 @@ fn traced_victim_ages_follow_service_order_under_prefetch() {
             _ => {}
         }
     }
-    assert!(victims > 0 && log.serviced_count() as u64 > log.fault_count() as u64);
+    let counters = EventCounters::of(&log);
+    assert!(victims > 0 && counters.faults_serviced > counters.faults_raised);
 }
 
 #[test]

@@ -55,7 +55,7 @@ fn run_digest(
         .instrument(EventLog::new())
         .run()
         .expect("run completes");
-    digest(log.instrument.events())
+    digest(&log.instrument)
 }
 
 fn golden_with_plan(
@@ -160,7 +160,7 @@ fn degraded_run_emits_degraded_strategy_switches() {
         .instrument;
     let mut into_degraded = 0u32;
     let mut out_of_degraded = 0u32;
-    for e in events.events() {
+    for e in &events {
         if let SimEvent::StrategySwitch { from, to, .. } = *e {
             into_degraded += u32::from(to == StrategyTag::Degraded);
             out_of_degraded += u32::from(from == StrategyTag::Degraded);
