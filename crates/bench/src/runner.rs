@@ -11,7 +11,7 @@ use std::num::NonZeroU64;
 
 use hpe_core::{Classification, Hpe, HpeConfig, StrategyKind};
 use uvm_policies::{
-    ClockPro, ClockProConfig, EvictionPolicy, Lfu, Lru, RandomPolicy, Rrip, RripConfig, Traced,
+    ClockPro, ClockProConfig, EvictionPolicy, Lfu, Lru, RandomPolicy, Rrip, RripConfig,
 };
 use uvm_sim::{
     ideal_for, trace_for, Checkpoint, EventCounters, EventLog, FallbackVictim, FaultPlan,
@@ -344,40 +344,9 @@ pub fn drive(
     Ok(driven)
 }
 
-/// An instrument [`drive_with`] attaches, and how it dresses a baseline
-/// policy: as is, or in [`Traced`] so the baseline's victim selections
-/// reach the stream. HPE is never dressed; it emits its own.
-trait Attach: Instrument {
-    /// The dressed form of baseline policy `P`.
-    type Dressed<P: EvictionPolicy + 'static>: EvictionPolicy + 'static;
-    /// Dresses `policy`.
-    fn dress<P: EvictionPolicy + 'static>(policy: P) -> Self::Dressed<P>;
-}
-
-impl Attach for () {
-    type Dressed<P: EvictionPolicy + 'static> = P;
-    fn dress<P: EvictionPolicy + 'static>(policy: P) -> P {
-        policy
-    }
-}
-
-impl Attach for Profiler {
-    type Dressed<P: EvictionPolicy + 'static> = P;
-    fn dress<P: EvictionPolicy + 'static>(policy: P) -> P {
-        policy
-    }
-}
-
-impl Attach for EventLog {
-    type Dressed<P: EvictionPolicy + 'static> = Traced<P>;
-    fn dress<P: EvictionPolicy + 'static>(policy: P) -> Traced<P> {
-        Traced::new(policy)
-    }
-}
-
 /// [`drive`] with the instrument `instrument()` builds attached to each
 /// simulation; returns the instrument of the simulation that finished.
-fn drive_with<I: Attach>(
+fn drive_with<I: Instrument>(
     cfg: &SimConfig,
     spec: &RunSpec,
     trace: &Trace,
@@ -409,7 +378,7 @@ struct Drive<'a, F, G> {
 impl<F, I, G> WithPolicy for Drive<'_, F, G>
 where
     F: FnOnce(&Checkpoint, bool),
-    I: Attach,
+    I: Instrument,
     G: Fn() -> I,
 {
     type Output = (Driven, I);
@@ -419,24 +388,6 @@ where
         P: EvictionPolicy + 'static,
         M: Fn() -> Result<P, SimError>,
     {
-        if self.spec.kind == PolicyKind::Hpe {
-            self.run(make)
-        } else {
-            self.run(|| Ok(I::dress(make()?)))
-        }
-    }
-}
-
-impl<F, I, G> Drive<'_, F, G>
-where
-    F: FnOnce(&Checkpoint, bool),
-    I: Instrument,
-    G: Fn() -> I,
-{
-    fn run<P: EvictionPolicy + 'static>(
-        self,
-        make: impl Fn() -> Result<P, SimError>,
-    ) -> Result<(Driven, I), SimError> {
         let spec = self.spec;
         let capacity = spec.rate.capacity_pages(spec.app.footprint_pages());
         let build = || -> Result<Simulation<P, I>, SimError> {
@@ -508,8 +459,8 @@ pub fn summary_json(cfg: &SimConfig, events: &[SimEvent]) -> Json {
 
 /// Runs `app` under `kind` at `rate` and records its event stream.
 ///
-/// Baselines are wrapped in [`Traced`] so their victim selections are
-/// observable; HPE emits its native decision events. Tracing is purely
+/// The engine records every policy's victim selections, and HPE adds
+/// its strategy switches and HIR flushes. Tracing is purely
 /// observational — `RunResult.stats` is identical to [`run_policy`]'s.
 ///
 /// # Errors

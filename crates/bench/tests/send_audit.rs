@@ -16,7 +16,7 @@ use hpe_bench::{
 use hpe_core::Hpe;
 use uvm_policies::{
     ArcPolicy, Bip, Car, Clock, ClockPro, Dip, EvictionPolicy, Ideal, Lfu, Lru, RandomPolicy, Rrip,
-    SetLru, Traced, WsClock,
+    SetLru, WsClock,
 };
 use uvm_sim::{FaultPlan, Simulation};
 use uvm_types::{Oversubscription, SimConfig, SimStats};
@@ -83,8 +83,6 @@ fn every_policy_boxes_as_send() {
     assert_policy_send::<Bip>();
     assert_policy_send::<Dip>();
     assert_policy_send::<ArcPolicy>();
-    assert_policy_send::<Traced<Lru>>();
-    assert_policy_send::<Traced<Hpe>>();
     assert_policy_send::<Hpe>();
 }
 

@@ -4,9 +4,7 @@
 use std::collections::VecDeque;
 
 use uvm_policies::{EvictionPolicy, FaultOutcome};
-use uvm_types::{
-    ConfigError, PageId, PageMap, PolicyEvent, PolicyStats, SignalDisruption, StrategyTag,
-};
+use uvm_types::{ConfigError, PageId, PolicyEvent, PolicyStats, SignalDisruption, StrategyTag};
 
 use crate::adjust::Adjuster;
 use crate::chain::PageSetChain;
@@ -80,9 +78,6 @@ pub struct Hpe {
     /// observational: no decision may read these fields.
     tracing: bool,
     trace_events: Vec<PolicyEvent>,
-    /// Fault count at which each resident page was inserted (tracing
-    /// only; empty otherwise).
-    resident_since: PageMap<PageId, u64>,
     /// HIR conflict evictions already attributed to a flush event.
     conflicts_reported: u64,
     /// The GPU→driver HIR channel is currently down (injected outage).
@@ -139,7 +134,6 @@ impl Hpe {
             hir_entries_transferred: 0,
             tracing: false,
             trace_events: Vec::new(),
-            resident_since: PageMap::new(),
             conflicts_reported: 0,
             hir_channel_down: false,
             missed_flushes: 0,
@@ -361,9 +355,6 @@ impl EvictionPolicy for Hpe {
             self.adjuster.on_fault(page, fault_num);
             self.note_adjuster_switch(switches_before);
         }
-        if self.tracing {
-            self.resident_since.insert(page, self.fault_count);
-        }
         // Faults update the chain (and the bit vector) immediately.
         self.chain.touch(page, 1, true);
         self.fault_count += 1;
@@ -486,18 +477,6 @@ impl EvictionPolicy for Hpe {
             // wrong-eviction accounting with fallback decisions).
             let sel = self.chain.select_victim(StrategyKind::Lru, 0)?;
             self.lru_comparisons += sel.comparisons;
-            if self.tracing {
-                let victim_age = self
-                    .resident_since
-                    .remove(sel.page)
-                    .map_or(0, |at| self.fault_count.saturating_sub(at));
-                self.trace_events.push(PolicyEvent::VictimSelected {
-                    page: sel.page,
-                    strategy: StrategyTag::Degraded,
-                    search_comparisons: sel.comparisons,
-                    victim_age,
-                });
-            }
             return Some(sel.page);
         }
         let strategy = self.adjuster.strategy();
@@ -512,18 +491,6 @@ impl EvictionPolicy for Hpe {
             }
         }
         self.adjuster.on_eviction(sel.page);
-        if self.tracing {
-            let victim_age = self
-                .resident_since
-                .remove(sel.page)
-                .map_or(0, |at| self.fault_count.saturating_sub(at));
-            self.trace_events.push(PolicyEvent::VictimSelected {
-                page: sel.page,
-                strategy: strategy.into(),
-                search_comparisons: sel.comparisons,
-                victim_age,
-            });
-        }
         Some(sel.page)
     }
 
@@ -541,14 +508,9 @@ impl EvictionPolicy for Hpe {
                     self.note_adjuster_switch(switches_before);
                 }
             }
-            SignalDisruption::ForcedEviction { page } => {
-                // The engine evicted behind our back; only the tracing
-                // bookkeeping knows the page (the chain is consulted on the
-                // next selection and tolerates stale entries).
-                if self.tracing {
-                    self.resident_since.remove(page);
-                }
-            }
+            // The engine evicted behind our back; the chain is consulted
+            // on the next selection and tolerates stale entries.
+            SignalDisruption::ForcedEviction { .. } => {}
             SignalDisruption::HirCircuitOpen => {
                 // The driver stopped receiving our flushes long enough for
                 // its circuit breaker to trip: stop paying PCIe cycles for
@@ -575,13 +537,22 @@ impl EvictionPolicy for Hpe {
         self.tracing = enabled;
         if !enabled {
             self.trace_events.clear();
-            self.resident_since.clear();
         }
     }
 
     fn drain_events(&mut self, sink: &mut dyn FnMut(PolicyEvent)) {
         for e in self.trace_events.drain(..) {
             sink(e);
+        }
+    }
+
+    /// Selecting a victim never switches the strategy, so the current
+    /// one is the one the last selection used.
+    fn victim_strategy(&self) -> StrategyTag {
+        if self.degraded {
+            StrategyTag::Degraded
+        } else {
+            self.adjuster.strategy().into()
         }
     }
 
@@ -859,42 +830,29 @@ mod tests {
     }
 
     #[test]
-    fn tracing_emits_victim_and_flush_events() {
-        use uvm_types::StrategyTag;
-
+    fn tracing_emits_flush_events_and_victims_name_their_strategy() {
         let mut h = hpe();
         h.set_tracing(true);
         fault_range(&mut h, 0, 8, 0);
         h.on_walk_hit(PageId(0));
         fault_range(&mut h, 100, 24, 8);
         h.on_memory_full();
-        let v = h.select_victim().unwrap();
+        h.select_victim().unwrap();
+        assert_eq!(h.victim_strategy(), h.strategy().into());
+        assert_ne!(h.victim_strategy(), StrategyTag::Native);
         let mut events = Vec::new();
         h.drain_events(&mut |e| events.push(e));
         assert!(events
             .iter()
             .any(|e| matches!(e, PolicyEvent::HirFlush { entries, .. } if *entries > 0)));
-        let victim = events
-            .iter()
-            .find_map(|e| match *e {
-                PolicyEvent::VictimSelected {
-                    page,
-                    strategy,
-                    victim_age,
-                    ..
-                } => Some((page, strategy, victim_age)),
-                _ => None,
-            })
-            .expect("victim event present");
-        assert_eq!(victim.0, v);
-        assert_ne!(victim.1, StrategyTag::Native);
-        assert!(victim.2 <= 32);
-        // Buffer drained; disabling clears bookkeeping.
+        // Buffer drained; disabling drops anything buffered since.
         let mut n = 0;
         h.drain_events(&mut |_| n += 1);
         assert_eq!(n, 0);
+        fault_range(&mut h, 200, 16, 32);
         h.set_tracing(false);
-        assert!(h.resident_since.is_empty());
+        h.drain_events(&mut |_| n += 1);
+        assert_eq!(n, 0);
     }
 
     #[test]
@@ -937,6 +895,7 @@ mod tests {
         // Victims while degraded come from the LRU path and are tagged.
         let v = h.select_victim().expect("resident pages exist");
         assert!(v.0 < 11_000);
+        assert_eq!(h.victim_strategy(), StrategyTag::Degraded);
 
         // Faults during the outage are counted but do not feed adjustment.
         fault_range(&mut h, 20_000, 16, 288);
@@ -965,19 +924,7 @@ mod tests {
             .collect();
         assert!(switches.contains(&(StrategyTag::MruC, StrategyTag::Degraded)));
         assert!(switches.contains(&(StrategyTag::Degraded, StrategyTag::MruC)));
-        let degraded_victims = events
-            .iter()
-            .filter(|e| {
-                matches!(
-                    e,
-                    PolicyEvent::VictimSelected {
-                        strategy: StrategyTag::Degraded,
-                        ..
-                    }
-                )
-            })
-            .count();
-        assert_eq!(degraded_victims, 1);
+        assert_eq!(h.victim_strategy(), StrategyTag::MruC);
         assert_eq!(h.stats().degraded_entries, 1);
         assert_eq!(h.stats().degraded_faults, 32);
     }

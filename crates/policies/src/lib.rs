@@ -70,7 +70,6 @@ mod lru;
 mod random;
 mod rrip;
 mod setlru;
-mod traced;
 mod window;
 mod wsclock;
 
@@ -85,11 +84,10 @@ pub use lru::Lru;
 pub use random::RandomPolicy;
 pub use rrip::{Rrip, RripConfig, RripInsertion};
 pub use setlru::SetLru;
-pub use traced::Traced;
 pub use window::EvictionWindow;
 pub use wsclock::{WsClock, WsClockConfig};
 
-use uvm_types::{PageId, PolicyEvent, PolicyStats, SignalDisruption};
+use uvm_types::{PageId, PolicyEvent, PolicyStats, SignalDisruption, StrategyTag};
 
 /// Side effects of servicing a page fault, reported by the policy to the
 /// simulator.
@@ -154,13 +152,21 @@ pub trait EvictionPolicy {
         PolicyStats::default()
     }
 
+    /// The strategy behind the victim [`Self::select_victim`] just
+    /// returned. The simulator reads it right after each selection it
+    /// records; it must be read-only. The default is
+    /// [`StrategyTag::Native`], the policy's own replacement logic.
+    fn victim_strategy(&self) -> StrategyTag {
+        StrategyTag::Native
+    }
+
     /// Enables or disables decision-event buffering.
     ///
-    /// The simulator turns tracing on exactly when an observer is
-    /// attached, so policies that implement it pay nothing on untraced
-    /// runs. Tracing must be purely observational: enabling it must not
-    /// change any decision or statistic. The default ignores the request
-    /// (the policy emits no events).
+    /// The simulator turns tracing on exactly while an enabled
+    /// instrument is attached, so policies that implement it pay nothing
+    /// on untraced runs. Tracing must be purely observational: enabling
+    /// it must not change any decision or statistic. The default ignores
+    /// the request (the policy emits no events).
     fn set_tracing(&mut self, _enabled: bool) {}
 
     /// Drains buffered decision events, oldest first, into `sink`.
@@ -223,6 +229,9 @@ impl<P: EvictionPolicy + ?Sized> EvictionPolicy for Box<P> {
     }
     fn stats(&self) -> PolicyStats {
         (**self).stats()
+    }
+    fn victim_strategy(&self) -> StrategyTag {
+        (**self).victim_strategy()
     }
     fn set_tracing(&mut self, enabled: bool) {
         (**self).set_tracing(enabled);

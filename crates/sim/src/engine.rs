@@ -142,6 +142,15 @@ pub struct Simulation<P, I = ()> {
     /// Opt-in runtime invariant checker; `None` (the default) costs one
     /// branch per event and nothing else.
     sanitizer: Option<Sanitizer>,
+    /// `on_fault` calls so far: the clock `VictimSelected` ages are
+    /// measured on (not `fault_num`, which prefetched pages share with
+    /// their demand fault). This field and the next two move only on an
+    /// instrumented run.
+    fault_clock: u64,
+    /// `fault_clock` at each resident page's last `on_fault`.
+    faulted_at: PageMap<PageId, u64>,
+    /// The policy's `search_comparisons` at the last `VictimSelected`.
+    comparisons_seen: u64,
     instrument: I,
 }
 
@@ -214,6 +223,9 @@ impl<P: EvictionPolicy> Simulation<P> {
             resilience: None,
             paused_at: None,
             sanitizer: None,
+            fault_clock: 0,
+            faulted_at: PageMap::new(),
+            comparisons_seen: 0,
             instrument: (),
         };
         for w in 0..sim.warps.len() {
@@ -229,17 +241,15 @@ impl<P: EvictionPolicy> Simulation<P> {
 impl<P: EvictionPolicy, I: Instrument> Simulation<P, I> {
     /// Moves the simulation onto `instrument`, which from now on
     /// receives the event stream (the current instrument is dropped).
-    /// An enabled instrument also turns on the policy's decision tracing
-    /// (see [`EvictionPolicy::set_tracing`]). Instruments observe only:
-    /// the run's [`SimStats`] stay byte-identical.
+    /// The policy's decision tracing (see [`EvictionPolicy::set_tracing`])
+    /// is on exactly while the instrument is enabled. Instruments observe
+    /// only: the run's [`SimStats`] stay byte-identical.
     ///
     /// Instrument state is not captured by [`Self::checkpoint`]; a run
     /// continued with [`Self::resume`] replays from the start, so its
     /// instrument sees the whole run again.
     pub fn instrument<J: Instrument>(mut self, instrument: J) -> Simulation<P, J> {
-        if J::ENABLED {
-            self.policy.set_tracing(true);
-        }
+        self.policy.set_tracing(J::ENABLED);
         Simulation {
             cfg: self.cfg,
             policy: self.policy,
@@ -264,6 +274,9 @@ impl<P: EvictionPolicy, I: Instrument> Simulation<P, I> {
             resilience: self.resilience,
             paused_at: self.paused_at,
             sanitizer: self.sanitizer,
+            fault_clock: self.fault_clock,
+            faulted_at: self.faulted_at,
+            comparisons_seen: self.comparisons_seen,
             instrument,
         }
     }
@@ -511,6 +524,25 @@ impl<P: EvictionPolicy, I: Instrument> Simulation<P, I> {
             .drain_events(&mut |e| instrument.on_event(SimEvent::from_policy(e, now)));
     }
 
+    /// The `VictimSelected` event for the policy's offer `page`, read
+    /// right after `select_victim` (instrumented runs only).
+    fn victim_selected(&mut self, page: PageId) -> SimEvent {
+        let comparisons = self.policy.stats().search_comparisons;
+        let search_comparisons = comparisons.saturating_sub(self.comparisons_seen);
+        self.comparisons_seen = comparisons;
+        let victim_age = self
+            .faulted_at
+            .remove(page)
+            .map_or(0, |at| self.fault_clock - at);
+        SimEvent::VictimSelected {
+            time: self.now,
+            page,
+            strategy: self.policy.victim_strategy(),
+            search_comparisons,
+            victim_age,
+        }
+    }
+
     fn schedule(&mut self, time: u64, kind: EventKind) {
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -738,6 +770,10 @@ impl<P: EvictionPolicy, I: Instrument> Simulation<P, I> {
             .saturating_sub(self.memory.capacity());
         for _ in 0..needed {
             let offer = self.policy.select_victim();
+            let selected = match offer {
+                Some(page) if I::ENABLED => Some(self.victim_selected(page)),
+                _ => None,
+            };
             let (offer, stale_ok) = match &mut self.resilience {
                 Some(r) => r.victim_offer(offer, self.now, &mut self.stats.resilience),
                 None => (offer, false),
@@ -766,9 +802,12 @@ impl<P: EvictionPolicy, I: Instrument> Simulation<P, I> {
             self.l2.invalidate(victim);
             self.stats.driver.evictions += 1;
             self.recent_evictions.push(victim);
-            // VictimSelected (from the policy's buffer) precedes the
+            // Decision events buffered so far, then the offer, then the
             // Eviction it caused.
             self.drain_policy_events();
+            if let Some(event) = selected {
+                self.emit(event);
+            }
             self.emit(SimEvent::Eviction {
                 time: self.now,
                 page: victim,
@@ -782,6 +821,10 @@ impl<P: EvictionPolicy, I: Instrument> Simulation<P, I> {
             let p = self.in_flight[i];
             let n = fault_num + (i as u64).min(demand_count - 1);
             let o = self.policy.on_fault(p, n);
+            if I::ENABLED {
+                self.faulted_at.insert(p, self.fault_clock);
+                self.fault_clock += 1;
+            }
             outcome.transfer_bytes += o.transfer_bytes;
             outcome.driver_busy_cycles += o.driver_busy_cycles;
             outcome.lost_flushes += o.lost_flushes;
@@ -905,6 +948,9 @@ impl<P: EvictionPolicy, I: Instrument> Simulation<P, I> {
             return Err(SimError::NoVictimAvailable { cycle: self.now });
         };
         self.memory.remove(v);
+        if I::ENABLED {
+            self.faulted_at.remove(v);
+        }
         self.stats.resilience.fallback_victims += 1;
         self.policy
             .on_disruption(SignalDisruption::ForcedEviction { page: v });
@@ -1168,16 +1214,14 @@ mod tests {
 
     #[test]
     fn instrument_sees_policy_decision_events() {
-        use uvm_policies::Traced;
-
         let global: Vec<u64> = (0..24u64).cycle().take(96).collect();
         let cfg = tiny_cfg(2, 1);
         let trace = Trace::from_global(&global, 24, 0, 2, 3);
-        let sim = Simulation::new(cfg, &trace, Traced::new(Lru::new()), 12).unwrap();
+        let sim = Simulation::new(cfg, &trace, Lru::new(), 12).unwrap();
         let outcome = sim.instrument(EventLog::new()).run().unwrap();
         let (stats, log) = (outcome.stats, outcome.instrument);
-        // Every eviction is preceded by the policy's VictimSelected for
-        // the same page.
+        // Every eviction is preceded by a VictimSelected for the same
+        // page, recorded by the engine for a bare baseline.
         let mut pending_victim = None;
         let mut victims = 0u64;
         for e in &log {
@@ -1209,6 +1253,55 @@ mod tests {
         assert!(wrong
             .iter()
             .all(|&d| d >= 1 && d <= WRONG_EVICTION_WINDOW as u64));
+    }
+
+    #[test]
+    fn victim_events_carry_comparisons_and_fault_clock_ages() {
+        use std::collections::HashMap;
+        use uvm_policies::{Rrip, RripConfig};
+        use uvm_types::StrategyTag;
+
+        // Prefetched pages ride on their demand fault's number; a victim's
+        // age counts the `on_fault` calls (pages landed) since its own.
+        let global: Vec<u64> = (0..24u64).cycle().take(96).collect();
+        let mut cfg = tiny_cfg(2, 1);
+        cfg.prefetch_pages = 2;
+        let trace = Trace::from_global(&global, 24, 0, 2, 3);
+        let rrip = Rrip::new(RripConfig::default());
+        let outcome = Simulation::new(cfg, &trace, rrip, 12)
+            .unwrap()
+            .instrument(EventLog::new())
+            .run()
+            .unwrap();
+        let (mut landed, mut landed_at) = (0u64, HashMap::new());
+        let (mut victims, mut comparisons) = (0u64, 0u64);
+        for e in &outcome.instrument {
+            match *e {
+                SimEvent::FaultServiced { page, .. } => {
+                    landed_at.insert(page, landed);
+                    landed += 1;
+                }
+                SimEvent::VictimSelected {
+                    page,
+                    strategy,
+                    search_comparisons,
+                    victim_age,
+                    ..
+                } => {
+                    assert_eq!(strategy, StrategyTag::Native);
+                    assert!(search_comparisons > 0, "RRIP compares per victim");
+                    assert_eq!(victim_age, landed - landed_at[&page], "victim {page}");
+                    victims += 1;
+                    comparisons += search_comparisons;
+                }
+                _ => {}
+            }
+        }
+        let stats = outcome.stats;
+        assert!(stats.driver.prefetched_pages > 0);
+        assert_eq!(victims, stats.evictions());
+        // The per-victim deltas add up to the policy's own count.
+        assert_eq!(comparisons, stats.policy.search_comparisons);
     }
 
     #[test]

@@ -195,18 +195,21 @@ pub enum SimEvent {
         /// (1 = it was the most recent eviction).
         refault_distance: u64,
     },
-    /// The policy picked an eviction victim
-    /// ([`PolicyEvent::VictimSelected`], stamped).
+    /// The policy offered an eviction victim. The engine records it for
+    /// every policy, just before the [`SimEvent::Eviction`] it causes.
     VictimSelected {
         /// Simulated cycle.
         time: u64,
-        /// The page chosen for eviction.
+        /// The page the policy offered.
         page: PageId,
-        /// Strategy that made the choice.
+        /// Strategy that made the choice
+        /// ([`EvictionPolicy::victim_strategy`](uvm_policies::EvictionPolicy::victim_strategy)).
         strategy: StrategyTag,
-        /// Entry comparisons spent finding this victim.
+        /// Entry comparisons spent finding this victim (the rise of the
+        /// policy's `search_comparisons` since the last victim).
         search_comparisons: u64,
-        /// Faults elapsed since the victim became resident.
+        /// `on_fault` calls since the victim's last one (0 when the engine
+        /// never saw it fault in).
         victim_age: u64,
     },
     /// Dynamic adjustment switched the active eviction strategy
@@ -273,18 +276,6 @@ impl SimEvent {
     /// Stamps a policy decision event with the simulated cycle.
     pub fn from_policy(event: PolicyEvent, time: u64) -> SimEvent {
         match event {
-            PolicyEvent::VictimSelected {
-                page,
-                strategy,
-                search_comparisons,
-                victim_age,
-            } => SimEvent::VictimSelected {
-                time,
-                page,
-                strategy,
-                search_comparisons,
-                victim_age,
-            },
             PolicyEvent::StrategySwitch {
                 from,
                 to,

@@ -82,7 +82,7 @@ impl GpuMemory {
     ///
     /// # Errors
     ///
-    /// Returns [`MemoryFull`] if memory is at capacity and `page` is not
+    /// Returns `MemoryFull` if memory is at capacity and `page` is not
     /// already resident.
     pub fn insert(&mut self, page: PageId) -> Result<(), MemoryFull> {
         if self.resident.contains(page) {

@@ -1,7 +1,7 @@
 //! Property-based tests of the simulation engine's accounting invariants.
 
 use std::collections::HashSet;
-use uvm_policies::{Lru, Traced};
+use uvm_policies::Lru;
 use uvm_sim::{parse_jsonl, trace_for, write_jsonl, EventLog, Simulation};
 use uvm_types::{Oversubscription, SimConfig, TlbConfig};
 use uvm_util::prop::Checker;
@@ -122,13 +122,13 @@ fn ample_capacity_faults_compulsory_only() {
     );
 }
 
-/// A recorded STN stream (LRU at 75%, victims traced) as JSONL lines.
+/// A recorded STN stream (LRU at 75%) as JSONL lines.
 fn recorded_stn_jsonl() -> String {
     let cfg = SimConfig::scaled_default();
     let app = registry::by_abbr("STN").expect("registered app");
     let trace = trace_for(&cfg, app);
     let capacity = Oversubscription::Rate75.capacity_pages(app.footprint_pages());
-    let sim = Simulation::new(cfg, &trace, Traced::new(Lru::new()), capacity).expect("valid sim");
+    let sim = Simulation::new(cfg, &trace, Lru::new(), capacity).expect("valid sim");
     let log = sim
         .instrument(EventLog::new())
         .run()

@@ -6,9 +6,11 @@
 //! types live here in the shared vocabulary. A policy buffers
 //! [`PolicyEvent`]s while tracing is enabled; the engine drains the buffer
 //! after each policy call, stamps each event with the simulated cycle, and
-//! forwards it to the attached observer (see `uvm-sim`).
+//! forwards it to the attached observer (see `uvm-sim`). Victim
+//! selections are not among them: the engine records those itself, for
+//! every policy, tagged with the policy's [`StrategyTag`].
 
-use uvm_util::{impl_json_enum, Json, JsonError, ToJson};
+use uvm_util::impl_json_enum;
 
 use crate::PageId;
 
@@ -86,22 +88,10 @@ pub enum SignalDisruption {
     },
 }
 
-/// One policy-internal decision, without a timestamp (the engine stamps
-/// it on drain).
+/// One policy-internal decision the engine cannot see from outside,
+/// without a timestamp (the engine stamps it on drain).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PolicyEvent {
-    /// The policy picked an eviction victim.
-    VictimSelected {
-        /// The page chosen for eviction.
-        page: PageId,
-        /// Strategy that made the choice.
-        strategy: StrategyTag,
-        /// Entry comparisons spent finding this victim.
-        search_comparisons: u64,
-        /// Faults elapsed since the victim became resident (0 when the
-        /// policy cannot tell).
-        victim_age: u64,
-    },
     /// Dynamic adjustment switched the active eviction strategy.
     StrategySwitch {
         /// Strategy before the switch.
@@ -125,86 +115,10 @@ pub enum PolicyEvent {
     },
 }
 
-impl ToJson for PolicyEvent {
-    fn to_json(&self) -> Json {
-        match *self {
-            PolicyEvent::VictimSelected {
-                page,
-                strategy,
-                search_comparisons,
-                victim_age,
-            } => uvm_util::json!({
-                "kind": "VictimSelected",
-                "page": page.0,
-                "strategy": strategy,
-                "search_comparisons": search_comparisons,
-                "victim_age": victim_age,
-            }),
-            PolicyEvent::StrategySwitch {
-                from,
-                to,
-                ratio1,
-                ratio2,
-                fault_num,
-            } => uvm_util::json!({
-                "kind": "StrategySwitch",
-                "from": from,
-                "to": to,
-                "ratio1": ratio1,
-                "ratio2": ratio2,
-                "fault_num": fault_num,
-            }),
-            PolicyEvent::HirFlush { entries, dropped } => uvm_util::json!({
-                "kind": "HirFlush",
-                "entries": entries,
-                "dropped": dropped,
-            }),
-        }
-    }
-}
-
-impl uvm_util::FromJson for PolicyEvent {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let field = |k: &str| {
-            v.get(k)
-                .ok_or_else(|| JsonError::new(format!("missing field `{k}`")))
-        };
-        let num = |k: &str| {
-            field(k)?
-                .as_u64()
-                .ok_or_else(|| JsonError::new(format!("field `{k}` must be an unsigned integer")))
-        };
-        match field("kind")?.as_str() {
-            Some("VictimSelected") => Ok(PolicyEvent::VictimSelected {
-                page: PageId(num("page")?),
-                strategy: StrategyTag::from_json(field("strategy")?)?,
-                search_comparisons: num("search_comparisons")?,
-                victim_age: num("victim_age")?,
-            }),
-            Some("StrategySwitch") => Ok(PolicyEvent::StrategySwitch {
-                from: StrategyTag::from_json(field("from")?)?,
-                to: StrategyTag::from_json(field("to")?)?,
-                ratio1: field("ratio1")?
-                    .as_f64()
-                    .ok_or_else(|| JsonError::new("field `ratio1` must be a number"))?,
-                ratio2: field("ratio2")?
-                    .as_f64()
-                    .ok_or_else(|| JsonError::new("field `ratio2` must be a number"))?,
-                fault_num: num("fault_num")?,
-            }),
-            Some("HirFlush") => Ok(PolicyEvent::HirFlush {
-                entries: num("entries")?,
-                dropped: num("dropped")?,
-            }),
-            _ => Err(JsonError::new("unknown PolicyEvent kind")),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uvm_util::FromJson;
+    use uvm_util::{FromJson, ToJson};
 
     #[test]
     fn strategy_tag_displays_and_roundtrips() {
@@ -220,40 +134,5 @@ mod tests {
         ] {
             assert_eq!(StrategyTag::from_json(&tag.to_json()).unwrap(), tag);
         }
-    }
-
-    #[test]
-    fn policy_events_roundtrip_through_json() {
-        let events = [
-            PolicyEvent::VictimSelected {
-                page: PageId(42),
-                strategy: StrategyTag::MruC,
-                search_comparisons: 7,
-                victim_age: 130,
-            },
-            PolicyEvent::StrategySwitch {
-                from: StrategyTag::Lru,
-                to: StrategyTag::MruC,
-                ratio1: 0.25,
-                ratio2: 3.5,
-                fault_num: 900,
-            },
-            PolicyEvent::HirFlush {
-                entries: 12,
-                dropped: 1,
-            },
-        ];
-        for e in events {
-            let back = PolicyEvent::from_json(&e.to_json()).unwrap();
-            assert_eq!(back, e);
-        }
-    }
-
-    #[test]
-    fn malformed_policy_event_rejected() {
-        let v = Json::parse(r#"{"kind":"Nope"}"#).unwrap();
-        assert!(PolicyEvent::from_json(&v).is_err());
-        let v = Json::parse(r#"{"kind":"HirFlush","entries":1}"#).unwrap();
-        assert!(PolicyEvent::from_json(&v).is_err());
     }
 }

@@ -2,8 +2,9 @@
 //!
 //! Replaces `criterion` for `crates/bench/benches/*`: the same
 //! [`Criterion::bench_function`] / [`Bencher::iter`] /
-//! [`Bencher::iter_batched`] surface and the [`criterion_group!`] /
-//! [`criterion_main!`] macros, backed by a plain wall-clock sampler. Each
+//! [`Bencher::iter_batched`] surface and the
+//! [`criterion_group!`](crate::criterion_group) /
+//! [`criterion_main!`](crate::criterion_main) macros, backed by a plain wall-clock sampler. Each
 //! benchmark warms up briefly, then takes timed samples and prints the
 //! median ns/iteration — enough to confirm the paper's "well under the
 //! 20 µs fault penalty" claims without a statistics engine.

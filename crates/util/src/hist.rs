@@ -4,7 +4,7 @@
 //! Buckets are uniform: value `v` lands in bucket `v / bucket_width`,
 //! with everything past the last bucket accumulated in an overflow
 //! bucket. The summary statistics (count/sum/min/max) are exact even for
-//! overflowed samples, and serialization goes through [`crate::json`] so
+//! overflowed samples, and serialization goes through [`crate::json`](mod@crate::json) so
 //! histograms drop straight into bench reports and JSONL traces.
 //!
 //! # Examples

@@ -6,11 +6,11 @@
 //! for what the seed previously pulled from crates.io:
 //!
 //! - [`rng`] — a seeded SplitMix64/xoshiro256** PRNG (replaces `rand`).
-//! - [`json`] — a JSON value type, serializer, parser and derive-style
+//! - [`json`](mod@json) — a JSON value type, serializer, parser and derive-style
 //!   macros (replaces `serde`/`serde_json`).
 //! - [`prop`] — a deterministic, seed-reporting property-test harness
 //!   (replaces `proptest`).
-//! - [`bench`] — a micro-benchmark timer with a criterion-shaped API
+//! - [`bench`](mod@bench) — a micro-benchmark timer with a criterion-shaped API
 //!   (replaces `criterion`).
 //! - [`hist`] — a fixed-bucket [`Histogram`] for the tracing layer's
 //!   distribution series (no external dependency ever existed for this;

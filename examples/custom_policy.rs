@@ -2,7 +2,9 @@
 //!
 //! Implements a tiny FIFO policy through `EvictionPolicy` and races it
 //! against LRU and HPE on a region-moving workload — demonstrating the
-//! trait surface a downstream experiment would use.
+//! trait surface a downstream experiment would use. Run with an
+//! `EventLog`, the FIFO's victims are recorded as it stands: the engine
+//! emits `VictimSelected` for every policy.
 //!
 //! ```sh
 //! cargo run --release --example custom_policy

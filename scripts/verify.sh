@@ -3,7 +3,7 @@
 # complete workspace test suite (tier-1 is the build + root-package
 # tests; this script is a superset), smokes, the benchmark/ smoke (which
 # also pins the simulation metrics against the latest
-# benchmarks/BENCH_*.json) and clippy. Each check runs once.
+# benchmarks/BENCH_*.json), rustdoc and clippy. Each check runs once.
 #
 # The workspace has zero external dependencies — `--offline` must
 # succeed with an empty registry cache, and the lockfile test
@@ -97,6 +97,11 @@ echo "==> benchmark/ build and smoke (it compiles against the engine's API)"
 CARGO_TARGET_DIR=target/benchmark-build \
     cargo build -q --release --offline --manifest-path benchmark/Cargo.toml
 target/benchmark-build/release/hpe-benchmark --smoke > /dev/null
+
+echo "==> cargo doc --workspace --no-deps (rustdoc warnings are errors)"
+# A dangling or ambiguous intra-doc link fails here, not in a reader's
+# browser.
+RUSTDOCFLAGS="-D warnings" cargo doc -q --offline --workspace --no-deps
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 # Also the workspace's static rules (DESIGN.md §10): the library roots

@@ -19,3 +19,8 @@ pub use uvm_workloads as workloads;
 
 pub use hpe_core::{Hpe, HpeConfig};
 pub use uvm_types::{Oversubscription, PageId, PageSetId, SimConfig, SimStats};
+
+/// The Rust snippets of `README.md`, compiled and run as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;
