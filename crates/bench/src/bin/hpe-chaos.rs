@@ -44,7 +44,7 @@ use uvm_sim::{
     DEFAULT_PROFILE_CADENCE, DEFAULT_SANITIZER_CADENCE,
 };
 use uvm_types::{Oversubscription, ResilienceStats, SimError, SimStats};
-use uvm_util::{json, Json, ToJson};
+use uvm_util::{json, FromJson, Json, ToJson};
 use uvm_workloads::registry;
 
 /// Default pause cycle for `resume` (well inside every campaign run).
@@ -677,7 +677,7 @@ fn cmd_profile(args: &Args) -> Result<(), CliError> {
 fn cmd_explore(args: &Args) -> Result<(), CliError> {
     let workers = args.num("--workers")?.unwrap_or(1);
     let path = &args.positional[0];
-    let spec: ExploreSpec = cli::read_json(path, "explore spec", ExploreSpec::from_json_strict)?;
+    let spec: ExploreSpec = cli::read_json(path, "explore spec", ExploreSpec::from_json)?;
     eprintln!(
         "[explore: {} under {} at {}%, invariants [{}], {} worker(s)]",
         spec.app,
@@ -736,7 +736,7 @@ fn cmd_explore(args: &Args) -> Result<(), CliError> {
 /// recorded violation byte-for-byte.
 fn cmd_replay(args: &Args) -> Result<(), CliError> {
     let path = &args.positional[0];
-    let repro: ReproCase = cli::read_json(path, "repro case", ReproCase::from_json_strict)?;
+    let repro: ReproCase = cli::read_json(path, "repro case", ReproCase::from_json)?;
     eprintln!(
         "[replay: {} under {} at {}%, expecting `{}` violation]",
         repro.app, repro.policy, repro.rate, repro.invariant
@@ -868,7 +868,6 @@ fn cmd_tenants(args: &Args) -> Result<(), CliError> {
         plan_name: plan_name.clone(),
         fault_tenant: Some(target),
         workers,
-        ..MixOptions::default()
     };
     let faulted = run_mix(&cfg, &mix, &faulted_opts).map_err(|e| CliError::Run(e.to_string()))?;
     save_json("tenant-mix-faulted", &faulted);

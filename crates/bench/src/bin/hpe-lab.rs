@@ -257,7 +257,10 @@ fn cmd_campaign(args: &Args) -> Result<(), CliError> {
         workers: args.num("--workers")?.unwrap_or(1),
         shuffle: None,
         snapshot_path: args.path("--snapshot")?,
-        snapshot_every: args.num("--snapshot-every")?.unwrap_or(0),
+        // 0 asks the library for its default; the flag itself must be nonzero.
+        snapshot_every: args
+            .nonzero("--snapshot-every")?
+            .map_or(0, |n| n.get() as usize),
         resume: args.has("--resume"),
         limit: args.num("--limit")?,
     };

@@ -595,7 +595,7 @@ fn cmd_flame(args: &Args) -> Result<(), CliError> {
 /// `hpe-chaos tenants`. Fails when any tenant failed.
 fn cmd_tenants(args: &Args) -> Result<(), CliError> {
     let file = &args.positional[0];
-    let report = cli::read_json(file, "tenant report", TenantReport::from_json_strict)?;
+    let report = cli::read_json(file, "tenant report", TenantReport::from_json)?;
     println!(
         "{}: {} tenant(s) under {} ({} HIR){}, fingerprint {}",
         file,

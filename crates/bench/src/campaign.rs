@@ -42,7 +42,7 @@ use std::path::{Path, PathBuf};
 use uvm_sim::FaultPlan;
 use uvm_types::{Oversubscription, SimConfig, SimStats};
 use uvm_util::pool::Pool;
-use uvm_util::{check_unknown_fields, json, FromJson, Json, JsonError, Rng, ToJson};
+use uvm_util::{json, FromJson, Json, Rng, ToJson};
 use uvm_workloads::{registry, App};
 
 use crate::runner::{run, PolicyKind, RecoveryOptions, RunSpec};
@@ -487,31 +487,17 @@ impl CampaignSnapshot {
         Ok(())
     }
 
-    /// Writes the snapshot atomically to `path`.
+    /// Writes the snapshot atomically to `path`: to `path` plus `.tmp`
+    /// first, then renamed over it.
     ///
     /// # Errors
     ///
     /// Returns [`CampaignError::Io`] on any filesystem failure.
     pub fn save(&self, path: &Path) -> Result<(), CampaignError> {
-        let tmp = path.with_extension("tmp");
+        let tmp = snapshot_temp_path(path);
         fs::write(&tmp, self.to_json().pretty())?;
         fs::rename(&tmp, path)?;
         Ok(())
-    }
-
-    /// Parses a snapshot, rejecting unknown fields (a truncated or
-    /// hand-edited snapshot should fail loudly at load, not resume a
-    /// half-wrong campaign).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`JsonError`] on unknown or malformed fields.
-    pub fn from_json_strict(v: &Json) -> Result<Self, JsonError> {
-        // One array exemplar so the run fields join the known set.
-        let mut template = CampaignSnapshot::default();
-        template.completed.push(CampaignRun::default());
-        check_unknown_fields(v, &template.to_json(), "campaign snapshot")?;
-        CampaignSnapshot::from_json(v)
     }
 
     /// Loads and validates a snapshot from `path`.
@@ -525,11 +511,21 @@ impl CampaignSnapshot {
         let text = fs::read_to_string(path)?;
         let value =
             Json::parse(&text).map_err(|e| CampaignError::SnapshotMalformed(e.to_string()))?;
-        let snap = CampaignSnapshot::from_json_strict(&value)
+        let snap = CampaignSnapshot::from_json(&value)
             .map_err(|e| CampaignError::SnapshotMalformed(e.to_string()))?;
         snap.validate()?;
         Ok(snap)
     }
+}
+
+/// The file [`CampaignSnapshot::save`] writes before renaming it over
+/// `path`: the full file name plus `.tmp`, so it is never the snapshot
+/// itself (`run.tmp` saves through `run.tmp.tmp`) and two snapshots
+/// that differ only in extension never share one.
+fn snapshot_temp_path(path: &Path) -> PathBuf {
+    let mut name = path.as_os_str().to_os_string();
+    name.push(".tmp");
+    PathBuf::from(name)
 }
 
 // ---------------------------------------------------------------------------
@@ -890,16 +886,12 @@ mod tests {
         // A misspelled top-level field names itself and the nearest
         // known key.
         let v = Json::parse(r#"{"schema": 1, "fingerprnt": "x"}"#).unwrap();
-        let err = CampaignSnapshot::from_json_strict(&v)
-            .unwrap_err()
-            .to_string();
+        let err = CampaignSnapshot::from_json(&v).unwrap_err().to_string();
         assert!(err.contains("fingerprnt"), "{err}");
         assert!(err.contains("fingerprint"), "{err}");
         // Unknown fields nested in a completed run are located by path.
         let v = Json::parse(r#"{"schema": 1, "completed": [{"index": 0, "kye": "a"}]}"#).unwrap();
-        let err = CampaignSnapshot::from_json_strict(&v)
-            .unwrap_err()
-            .to_string();
+        let err = CampaignSnapshot::from_json(&v).unwrap_err().to_string();
         assert!(err.contains("completed[0].kye"), "{err}");
         // A truncated snapshot file fails at load with a parse error,
         // not a silent partial resume.
@@ -919,6 +911,30 @@ mod tests {
             CampaignSnapshot::load(&path),
             Err(CampaignError::SnapshotMalformed(_))
         ));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn snapshot_temp_file_is_never_the_snapshot_and_never_shared() {
+        let tmp = |p: &str| snapshot_temp_path(Path::new(p));
+        assert_eq!(tmp("run.tmp"), PathBuf::from("run.tmp.tmp"));
+        assert_ne!(tmp("out/run.json"), tmp("out/run.snap"));
+        assert_eq!(tmp("snap"), PathBuf::from("snap.tmp"));
+
+        // Saving over `run.tmp` replaces it whole, leaving no temp file.
+        let dir = std::env::temp_dir().join(format!("hpe-snap-tmp-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("run.tmp");
+        let snap = CampaignSnapshot {
+            schema: CAMPAIGN_SNAPSHOT_SCHEMA,
+            fingerprint: "x".into(),
+            total: 1,
+            completed: vec![CampaignRun::default()],
+        };
+        snap.save(&path).unwrap();
+        snap.save(&path).unwrap();
+        assert_eq!(CampaignSnapshot::load(&path).unwrap(), snap);
+        assert!(!snapshot_temp_path(&path).exists());
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -45,9 +45,8 @@ pub use runner::{
     TRACE_CYCLE_WINDOW,
 };
 pub use tenant::{
-    check_containment, containment_mix, fairness_grid, load_snapshot, run_mix, run_mix_serial,
-    shared_hir_geometry, FairnessRow, MixOptions, TenantRunError, CONTAINMENT_APPS,
-    DEFAULT_TENANT_SNAPSHOT_EVERY, FAIRNESS_HIR_SCALE,
+    check_containment, containment_mix, fairness_grid, run_mix, run_mix_serial,
+    shared_hir_geometry, FairnessRow, MixOptions, CONTAINMENT_APPS, FAIRNESS_HIR_SCALE,
 };
 
 use uvm_types::SimConfig;

@@ -11,7 +11,8 @@
 //!
 //! Snapshots live in-repo under `benchmarks/BENCH_NNNN.json`, one per
 //! PR (`hpe-lab bench-snapshot`). Snapshots up to BENCH_0005 also carry
-//! a `wall_clocks` array from an earlier schema; parsing ignores it.
+//! a `wall_clocks` array from an earlier schema; parsing ignores it
+//! (`BenchSnapshot` is the one derived type whose field list ends in `..`).
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -74,12 +75,15 @@ pub struct BenchSnapshot {
     pub policies: Vec<PolicyPerf>,
 }
 
+// Lenient at its own level (`..`): committed points carry keys this
+// reader does not model, such as `wall_clocks`. `PolicyPerf` is strict.
 uvm_util::impl_json_struct!(BenchSnapshot {
     schema = 0,
     id = String::new(),
     seed = 0,
     apps = Vec::new(),
     policies = Vec::new(),
+    ..
 });
 
 impl BenchSnapshot {

@@ -22,89 +22,31 @@
 //!    deterministic insertion-ordered JSON writer.
 //!
 //! Tenant state (the per-slot results) lives in the pool's private slot
-//! vector: a slot is written once, by its own tenant's job or the resume
-//! prefill, and this module can only read it — so the blast-radius
-//! argument ("one tenant's result cannot clobber another's") is a
-//! privacy fact the compiler checks.
+//! vector: a slot is written once, by its own tenant's job, and this
+//! module can only read it — so the blast-radius argument ("one
+//! tenant's result cannot clobber another's") is a privacy fact the
+//! compiler checks.
 //!
-//! Long mixes checkpoint themselves at tenant boundaries: every
-//! `snapshot_every` completions the collector writes a
-//! [`TenantSnapshot`] (atomic write-then-rename) with every completed
-//! row plus the mix fingerprint. A killed run relaunched with `resume`
-//! skips the completed tenants; the merged report is byte-identical to
-//! an uninterrupted run.
+//! A mix runs in one invocation: it keeps no snapshot and has no resume
+//! (a mix is a handful of tenants, and the campaign's
+//! [`crate::campaign::CampaignSnapshot`] is the one snapshot).
 
-use std::fmt;
-use std::fs;
-use std::io;
-use std::path::{Path, PathBuf};
+use std::convert::Infallible;
 
 use hpe_core::HpeConfig;
 use uvm_sim::{
     schedule, AdmissionOutcome, FaultPlan, HirMode, TenantAdmission, TenantMix, TenantReport,
-    TenantSnapshot, TENANT_SNAPSHOT_SCHEMA,
 };
-use uvm_types::{HirGeometry, Oversubscription, SimConfig, TenantStats};
+use uvm_types::{ConfigError, HirGeometry, Oversubscription, SimConfig, SimError, TenantStats};
 use uvm_util::pool::Pool;
-use uvm_util::{Json, ToJson};
+use uvm_util::ToJson;
 use uvm_workloads::registry;
 
 use crate::runner::{run, PolicyKind, RunSpec};
 
-/// Default completions between auto-snapshots.
-pub const DEFAULT_TENANT_SNAPSHOT_EVERY: usize = 8;
-
-/// A mix-level failure (distinct from per-tenant run failures, which are
-/// contained on the tenant's report row).
-#[derive(Debug)]
-pub enum TenantRunError {
-    /// The mix failed validation or the admission ledger caught an
-    /// accounting bug.
-    Sim(uvm_types::SimError),
-    /// A resume snapshot belongs to a different mix.
-    SnapshotMismatch {
-        /// Fingerprint of the current mix.
-        expected: String,
-        /// Fingerprint recorded in the snapshot.
-        found: String,
-    },
-    /// A resume snapshot failed to parse or validate.
-    SnapshotMalformed(String),
-    /// Snapshot I/O failed.
-    Io(String),
-}
-
-impl fmt::Display for TenantRunError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TenantRunError::Sim(e) => e.fmt(f),
-            TenantRunError::SnapshotMismatch { expected, found } => write!(
-                f,
-                "tenant snapshot fingerprint {found} does not match the mix ({expected})"
-            ),
-            TenantRunError::SnapshotMalformed(m) => write!(f, "malformed tenant snapshot: {m}"),
-            TenantRunError::Io(m) => write!(f, "tenant snapshot I/O error: {m}"),
-        }
-    }
-}
-
-impl std::error::Error for TenantRunError {}
-
-impl From<uvm_types::SimError> for TenantRunError {
-    fn from(e: uvm_types::SimError) -> Self {
-        TenantRunError::Sim(e)
-    }
-}
-
-impl From<io::Error> for TenantRunError {
-    fn from(e: io::Error) -> Self {
-        TenantRunError::Io(e.to_string())
-    }
-}
-
 /// How to run a mix: the policy, the (optionally tenant-scoped) fault
-/// plan, and the worker-pool / checkpointing knobs. Pool knobs are never
-/// part of the result by construction.
+/// plan, and the worker count. The worker count is never part of the
+/// result by construction.
 #[derive(Debug, Clone, Default)]
 pub struct MixOptions {
     /// Eviction policy every tenant runs under.
@@ -115,18 +57,11 @@ pub struct MixOptions {
     /// Report label of the plan ("" = fault-free).
     pub plan_name: String,
     /// Tenant id the plan is scoped to. A plan with no target is a spec
-    /// error ([`TenantRunError::Sim`]), not a silent broadcast — the
+    /// error ([`SimError::Config`]), not a silent broadcast — the
     /// whole point of the tenant layer is that faults have an owner.
     pub fault_tenant: Option<u64>,
     /// Worker threads (0 and 1 both mean one worker).
     pub workers: usize,
-    /// Auto-snapshot file. `None` disables checkpointing.
-    pub snapshot_path: Option<PathBuf>,
-    /// Completions between auto-snapshots
-    /// (0 = [`DEFAULT_TENANT_SNAPSHOT_EVERY`]).
-    pub snapshot_every: usize,
-    /// Resume from `snapshot_path` if it exists (fingerprint-checked).
-    pub resume: bool,
 }
 
 /// Runs one tenant's admission row to a report row. Pure: same row +
@@ -204,19 +139,19 @@ pub fn shared_hir_geometry(base: HirGeometry, concurrent: u64) -> HirGeometry {
     }
 }
 
-/// Runs the mix serially, in schedule order, with no pool and no
-/// snapshots: the reference implementation the parallel-equivalence
-/// suite compares the pool against.
+/// Runs the mix serially, in schedule order, with no pool: the
+/// reference implementation the parallel-equivalence suite compares
+/// the pool against.
 ///
 /// # Errors
 ///
-/// Returns [`TenantRunError`] if the mix is invalid or a plan has no
-/// target tenant.
+/// Returns [`SimError`] if the mix is invalid or a plan has no target
+/// tenant.
 pub fn run_mix_serial(
     cfg: &SimConfig,
     mix: &TenantMix,
     opts: &MixOptions,
-) -> Result<TenantReport, TenantRunError> {
+) -> Result<TenantReport, SimError> {
     validate_options(mix, opts)?;
     let sched = schedule(mix)?;
     let rows: Vec<TenantStats> = sched
@@ -243,69 +178,25 @@ pub fn run_mix_serial(
     ))
 }
 
-/// Runs the mix on the ordered worker pool: workers claim pending
-/// tenants in schedule order, rows merge by schedule index, and the
-/// collector auto-snapshots at tenant boundaries.
+/// Runs the mix on the ordered worker pool: workers claim tenants in
+/// schedule order and rows merge by schedule index.
 ///
 /// # Errors
 ///
-/// Returns [`TenantRunError`] if the mix is invalid, a plan has no
-/// target tenant, a resume snapshot mismatches, or snapshot I/O fails.
-/// Individual tenant failures do **not** abort the mix — they are
-/// contained on the tenant's row (`ok = false`).
+/// Returns [`SimError`] if the mix is invalid or a plan has no target
+/// tenant. Individual tenant failures do **not** abort the mix — they
+/// are contained on the tenant's row (`ok = false`).
 pub fn run_mix(
     cfg: &SimConfig,
     mix: &TenantMix,
     opts: &MixOptions,
-) -> Result<TenantReport, TenantRunError> {
+) -> Result<TenantReport, SimError> {
     validate_options(mix, opts)?;
     let sched = schedule(mix)?;
-    let fingerprint = sched.fingerprint.clone();
     let total = sched.admissions.len();
-    let snapshot_every = if opts.snapshot_every == 0 {
-        DEFAULT_TENANT_SNAPSHOT_EVERY
-    } else {
-        opts.snapshot_every
-    };
-
-    // Resume: prefill completed slots from the snapshot, if any.
-    let mut state = Pool::new(total);
-    if opts.resume {
-        if let Some(path) = &opts.snapshot_path {
-            if path.exists() {
-                let snap = load_snapshot(path)?;
-                if snap.fingerprint != fingerprint {
-                    return Err(TenantRunError::SnapshotMismatch {
-                        expected: fingerprint,
-                        found: snap.fingerprint,
-                    });
-                }
-                if snap.total != total as u64 {
-                    return Err(TenantRunError::SnapshotMalformed(format!(
-                        "snapshot mix size {} != schedule size {total}",
-                        snap.total
-                    )));
-                }
-                for row in snap.completed {
-                    let Some(idx) = sched
-                        .admissions
-                        .iter()
-                        .position(|a| a.spec.id == row.tenant.0)
-                    else {
-                        return Err(TenantRunError::SnapshotMalformed(format!(
-                            "snapshot row for unknown tenant {}",
-                            row.tenant
-                        )));
-                    };
-                    state.prefill(idx, row);
-                }
-            }
-        }
-    }
-
     let order: Vec<usize> = (0..total).collect();
-    let mut completions = 0usize;
-    state.run(
+    let mut state = Pool::new(total);
+    let Ok(_) = state.run(
         &order,
         opts.workers,
         None,
@@ -319,48 +210,31 @@ pub fn run_mix(
                 opts.fault_tenant,
             )
         },
-        |_, slots| {
-            completions += 1;
-            match &opts.snapshot_path {
-                Some(path) if completions.is_multiple_of(snapshot_every) => {
-                    write_snapshot(path, &fingerprint, slots)
-                }
-                _ => Ok(()),
-            }
-        },
-    )?;
-
-    if let Some(path) = &opts.snapshot_path {
-        write_snapshot(path, &fingerprint, &state)?;
-    }
-    let rows = state.into_completed();
+        |_, _| Ok::<(), Infallible>(()),
+    );
     Ok(assemble_report(
         mix,
         opts,
-        &fingerprint,
+        &sched.fingerprint,
         sched.rejected,
         sched.delayed,
-        rows,
+        state.into_completed(),
     ))
 }
 
-fn validate_options(mix: &TenantMix, opts: &MixOptions) -> Result<(), TenantRunError> {
+fn validate_options(mix: &TenantMix, opts: &MixOptions) -> Result<(), SimError> {
     if let Some(plan) = &opts.plan {
-        plan.validate().map_err(uvm_types::SimError::from)?;
+        plan.validate()?;
         let Some(target) = opts.fault_tenant else {
-            return Err(TenantRunError::Sim(uvm_types::SimError::Config(
-                uvm_types::ConfigError::invalid(
-                    "fault_tenant",
-                    "a mix-level fault plan must be scoped to one tenant",
-                ),
+            return Err(SimError::Config(ConfigError::invalid(
+                "fault_tenant",
+                "a mix-level fault plan must be scoped to one tenant",
             )));
         };
         if !mix.resolved_tenants().iter().any(|t| t.id == target) {
-            return Err(TenantRunError::Sim(uvm_types::SimError::Config(
-                uvm_types::ConfigError::invalid(
-                    "fault_tenant",
-                    format!("tenant {target} is not part of the mix"),
-                ),
+            return Err(SimError::Config(ConfigError::invalid(
+                "fault_tenant",
+                format!("tenant {target} is not part of the mix"),
             )));
         }
     }
@@ -387,41 +261,6 @@ fn assemble_report(
         makespan,
         tenants: rows,
     }
-}
-
-fn write_snapshot(
-    path: &Path,
-    fingerprint: &str,
-    state: &Pool<TenantStats>,
-) -> Result<(), TenantRunError> {
-    let snap = TenantSnapshot {
-        schema: TENANT_SNAPSHOT_SCHEMA,
-        fingerprint: fingerprint.to_string(),
-        total: state.len() as u64,
-        completed: state.completed().cloned().collect(),
-    };
-    let tmp = path.with_extension("tmp");
-    fs::write(&tmp, snap.to_json().pretty())?;
-    fs::rename(&tmp, path)?;
-    Ok(())
-}
-
-/// Loads and validates a tenant snapshot (strict: unknown fields are
-/// rejected with an actionable message).
-///
-/// # Errors
-///
-/// Returns [`TenantRunError::Io`] if the file cannot be read and
-/// [`TenantRunError::SnapshotMalformed`] if it fails to parse, has
-/// unknown fields, or fails structural validation.
-pub fn load_snapshot(path: &Path) -> Result<TenantSnapshot, TenantRunError> {
-    let text = fs::read_to_string(path)?;
-    let value = Json::parse(&text).map_err(|e| TenantRunError::SnapshotMalformed(e.to_string()))?;
-    let snap = TenantSnapshot::from_json_strict(&value)
-        .map_err(|e| TenantRunError::SnapshotMalformed(e.to_string()))?;
-    snap.validate()
-        .map_err(|e| TenantRunError::SnapshotMalformed(e.to_string()))?;
-    Ok(snap)
 }
 
 // ---------------------------------------------------------------------------
@@ -567,14 +406,14 @@ pub struct FairnessRow {
 ///
 /// # Errors
 ///
-/// Returns [`TenantRunError`] if any mix is invalid.
+/// Returns [`SimError`] if any mix is invalid.
 pub fn fairness_grid(
     cfg: &SimConfig,
     mixes: &[Vec<&str>],
     quota_pcts: &[u64],
     seed: u64,
     workers: usize,
-) -> Result<Vec<FairnessRow>, TenantRunError> {
+) -> Result<Vec<FairnessRow>, SimError> {
     let mut cfg = cfg.clone();
     cfg.hir.entries = (cfg.hir.entries / FAIRNESS_HIR_SCALE).max(cfg.hir.ways);
     let cfg = &cfg;
@@ -788,71 +627,6 @@ mod tests {
             assert!(r.throughput > 0.0, "{r:?}");
             assert_eq!(r.rejected + r.delayed, 0, "{r:?}");
         }
-    }
-
-    #[test]
-    fn snapshot_resume_is_byte_identical() {
-        let cfg = bench_config();
-        let mix = TenantMix::uniform(&["STN", "MVT", "CUT"], 75, 1_000, 7);
-        let dir = std::env::temp_dir().join("hpe-tenant-snapshot-test");
-        fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("snap.json");
-        let _ = fs::remove_file(&path);
-
-        let straight = run_mix_serial(&cfg, &mix, &MixOptions::default()).unwrap();
-
-        // First pass: snapshot after every tenant, then truncate the
-        // snapshot to one completed row to simulate a mid-mix kill.
-        let opts = MixOptions {
-            snapshot_path: Some(path.clone()),
-            snapshot_every: 1,
-            ..MixOptions::default()
-        };
-        run_mix(&cfg, &mix, &opts).unwrap();
-        let mut snap = load_snapshot(&path).unwrap();
-        snap.completed.truncate(1);
-        fs::write(&path, snap.to_json().pretty()).unwrap();
-
-        // Resume completes the remaining tenants; the merged report is
-        // byte-identical to the uninterrupted run.
-        let opts = MixOptions {
-            snapshot_path: Some(path.clone()),
-            resume: true,
-            ..MixOptions::default()
-        };
-        let resumed = run_mix(&cfg, &mix, &opts).unwrap();
-        assert_eq!(
-            resumed.to_json().to_string(),
-            straight.to_json().to_string()
-        );
-        let _ = fs::remove_file(&path);
-    }
-
-    #[test]
-    fn snapshot_fingerprint_mismatch_is_refused() {
-        let cfg = bench_config();
-        let mix = small_mix();
-        let dir = std::env::temp_dir().join("hpe-tenant-snapshot-mismatch");
-        fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("snap.json");
-        let opts = MixOptions {
-            snapshot_path: Some(path.clone()),
-            ..MixOptions::default()
-        };
-        run_mix(&cfg, &mix, &opts).unwrap();
-        let mut other = small_mix();
-        other.seed = 99;
-        let opts = MixOptions {
-            snapshot_path: Some(path.clone()),
-            resume: true,
-            ..MixOptions::default()
-        };
-        let err = run_mix(&cfg, &other, &opts).unwrap_err();
-        assert!(
-            matches!(err, TenantRunError::SnapshotMismatch { .. }),
-            "{err}"
-        );
-        let _ = fs::remove_file(&path);
     }
 
     #[test]

@@ -137,6 +137,21 @@ fn campaign_snapshot_flags_need_a_snapshot_file() {
     assert_usage_error(&out, "--resume needs --snapshot FILE");
     let out = hpe_lab(&["campaign", "STN", "--snapshot-every", "3"], &dir);
     assert_usage_error(&out, "--snapshot-every needs --snapshot FILE");
+    // Zero is not a cadence: the flag must not fall back to the default.
+    let out = hpe_lab(
+        &[
+            "campaign",
+            "STN",
+            "--snapshot",
+            "s.json",
+            "--snapshot-every",
+            "0",
+            "--limit",
+            "1",
+        ],
+        &dir,
+    );
+    assert_usage_error(&out, "--snapshot-every must be nonzero");
 
     // The `--limit` stop line mentions a snapshot only when one was written.
     let out = hpe_lab(&["campaign", "STN", "--limit", "1"], &dir);

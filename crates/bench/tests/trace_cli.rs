@@ -173,6 +173,24 @@ fn commands_reject_flags_they_never_read() {
 }
 
 #[test]
+fn explore_rejects_a_report_with_an_unknown_key() {
+    // `explore`'s exit code gates on counterexamples, so a report whose
+    // counterexamples it cannot see must not pass as clean.
+    let dir = std::env::temp_dir().join("hpe-trace-cli-explore");
+    std::fs::create_dir_all(&dir).unwrap();
+    let report = write(
+        &dir,
+        "report.json",
+        r#"{"app":"STN","policy":"hpe","rate":75,"cases":3,"counterexampels":[{"id":1}]}"#,
+    );
+    let out = hpe_trace(&["explore", &report], &dir);
+    assert_usage_error(
+        &out,
+        "unknown field `counterexampels` (did you mean `counterexamples`?)",
+    );
+}
+
+#[test]
 fn listed_flags_are_still_read() {
     let dir = std::env::temp_dir().join("hpe-trace-cli-listed");
     std::fs::create_dir_all(&dir).unwrap();

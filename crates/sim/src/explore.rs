@@ -28,7 +28,7 @@
 //! ```
 
 use uvm_types::ConfigError;
-use uvm_util::{check_unknown_fields, impl_json_struct, FromJson, Json, JsonError, ToJson};
+use uvm_util::impl_json_struct;
 
 use crate::faults::{FaultFamily, FaultPlan, FaultWindow};
 use crate::recovery::RetryPolicy;
@@ -285,23 +285,6 @@ impl ExploreSpec {
             ));
         }
         Ok(())
-    }
-
-    /// Parses a spec document, rejecting unknown fields with an
-    /// actionable message (see [`uvm_util::check_unknown_fields`]). The
-    /// template carries a windowed base plan, one fixture exemplar, and
-    /// the adaptive retry shape, so nested typos are caught too.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`JsonError`] on unknown or malformed fields.
-    pub fn from_json_strict(v: &Json) -> Result<Self, JsonError> {
-        let mut template = ExploreSpec::default();
-        template.base_plan = FaultPlan::template();
-        template.fixtures.push(FaultPlan::template());
-        template.retry = Some(RetryPolicy::adaptive());
-        check_unknown_fields(v, &template.to_json(), "explore spec")?;
-        ExploreSpec::from_json(v)
     }
 
     /// Grafts a window of `family` onto the base plan, supplying the
@@ -595,36 +578,6 @@ impl_json_struct!(ReproCase {
     plan = FaultPlan::none(),
 });
 
-impl ReproCase {
-    /// Parses a repro case, rejecting unknown fields with an actionable
-    /// error (nearest-match suggestion) instead of silently ignoring them.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`JsonError`] naming the unknown field, or the underlying
-    /// decode error.
-    pub fn from_json_strict(v: &Json) -> Result<Self, JsonError> {
-        // Optional fields are populated in the template so their inner
-        // keys join the known set; the values themselves are irrelevant.
-        let template = ReproCase {
-            app: String::new(),
-            policy: String::new(),
-            rate: 0,
-            invariant: String::new(),
-            error: String::new(),
-            retry: Some(RetryPolicy::adaptive()),
-            sanitize_cadence: 0,
-            checkpoint_at: 0,
-            tenants: 0,
-            tenant_target: 0,
-            tenant_quota_pct: 0,
-            plan: FaultPlan::template(),
-        };
-        check_unknown_fields(v, &template.to_json(), "repro case")?;
-        ReproCase::from_json(v)
-    }
-}
-
 /// The merged coverage report of one exploration — byte-identical for
 /// any worker count (cases are merged by enumeration id and shrinking
 /// runs serially in id order).
@@ -865,22 +818,25 @@ mod tests {
     #[test]
     fn spec_strict_parse_rejects_unknown_fields() {
         // A misspelled top-level key names itself and suggests the fix.
-        let err = ExploreSpec::from_json_strict(&Json::parse(r#"{"tenats": 2}"#).unwrap())
+        let err = ExploreSpec::from_json(&Json::parse(r#"{"tenats": 2}"#).unwrap())
             .unwrap_err()
             .to_string();
         assert!(err.contains("tenats"), "{err}");
         assert!(err.contains("tenants"), "{err}");
         // Unknown keys nested inside fixture plans are caught too.
         let nested = Json::parse(r#"{"fixtures": [{"seed": 1, "windoes": []}]}"#).unwrap();
-        let err = ExploreSpec::from_json_strict(&nested)
-            .unwrap_err()
-            .to_string();
+        let err = ExploreSpec::from_json(&nested).unwrap_err().to_string();
         assert!(err.contains("fixtures[0].windoes"), "{err}");
+        // ...and inside the retry policy's flat object.
+        let retry = Json::parse(r#"{"retry": {"mode": "adaptive", "los_window": 3}}"#).unwrap();
+        let err = ExploreSpec::from_json(&retry).unwrap_err().to_string();
+        assert!(err.contains("`retry.los_window`"), "{err}");
+        assert!(err.contains("did you mean `loss_window`?"), "{err}");
         // A valid sparse spec still parses to defaults.
-        let ok = ExploreSpec::from_json_strict(&Json::parse("{}").unwrap()).unwrap();
+        let ok = ExploreSpec::from_json(&Json::parse("{}").unwrap()).unwrap();
         assert_eq!(ok, ExploreSpec::default());
         // Tenant knobs round-trip through the strict path.
-        let spec = ExploreSpec::from_json_strict(
+        let spec = ExploreSpec::from_json(
             &Json::parse(r#"{"tenants": 3, "tenant_target": 1, "tenant_quota_pct": 50}"#).unwrap(),
         )
         .unwrap();

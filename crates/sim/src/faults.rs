@@ -25,9 +25,7 @@
 //! ```
 
 use uvm_types::{ConfigError, ResilienceStats};
-use uvm_util::{
-    check_unknown_fields, impl_json_enum, impl_json_struct, FromJson, Json, JsonError, Rng, ToJson,
-};
+use uvm_util::{impl_json_enum, impl_json_struct, Rng};
 
 /// The fault mechanism a deterministic [`FaultWindow`] activates.
 ///
@@ -232,31 +230,6 @@ impl FaultPlan {
             victim_drop_probability: 0.0,
             windows: Vec::new(),
         }
-    }
-
-    /// The strict-parsing template: the inert plan with one exemplar
-    /// window, so [`FaultPlan::from_json_strict`] knows the full field
-    /// set including the nested window shape.
-    pub fn template() -> Self {
-        let mut plan = Self::none();
-        plan.windows.push(FaultWindow {
-            family: FaultFamily::Congestion,
-            start: 0,
-            width: 0,
-        });
-        plan
-    }
-
-    /// Parses a plan document, rejecting unknown fields with an
-    /// actionable message instead of silently defaulting a misspelled
-    /// knob (see [`uvm_util::check_unknown_fields`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`JsonError`] on unknown or malformed fields.
-    pub fn from_json_strict(v: &Json) -> Result<Self, JsonError> {
-        check_unknown_fields(v, &Self::template().to_json(), "fault plan")?;
-        Self::from_json(v)
     }
 
     /// Latency chaos: ±25% service jitter with a 1-in-50 8x tail.
@@ -1112,7 +1085,7 @@ mod tests {
     fn strict_parse_flags_unknown_and_misspelled_fields() {
         // Top-level misspelling gets a suggestion.
         let v = uvm_util::Json::parse(r#"{"seeed": 9}"#).unwrap();
-        let err = FaultPlan::from_json_strict(&v).unwrap_err().to_string();
+        let err = FaultPlan::from_json(&v).unwrap_err().to_string();
         assert!(err.contains("seeed"), "{err}");
         assert!(err.contains("seed"), "{err}");
         // Misspellings inside window entries name the exact element.
@@ -1120,11 +1093,11 @@ mod tests {
             r#"{"windows": [{"family": "Congestion", "start": 0, "widht": 5}]}"#,
         )
         .unwrap();
-        let err = FaultPlan::from_json_strict(&v).unwrap_err().to_string();
+        let err = FaultPlan::from_json(&v).unwrap_err().to_string();
         assert!(err.contains("windows[0].widht"), "{err}");
         assert!(err.contains("width"), "{err}");
         // Valid sparse input still parses.
         let v = uvm_util::Json::parse(r#"{"seed": 9}"#).unwrap();
-        assert_eq!(FaultPlan::from_json_strict(&v).unwrap().seed, 9);
+        assert_eq!(FaultPlan::from_json(&v).unwrap().seed, 9);
     }
 }

@@ -37,6 +37,7 @@
 
 use uvm_policies::EvictionPolicy;
 use uvm_types::{ConfigError, PageId, PageMap, ResilienceStats, SignalDisruption, SimError};
+use uvm_util::strict::reject_unknown_keys;
 use uvm_util::{impl_json_struct, json, FromJson, Json, JsonError, ToJson};
 
 use crate::checkpoint::Checkpoint;
@@ -294,7 +295,24 @@ impl ToJson for RetryPolicy {
 
 impl FromJson for RetryPolicy {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let backoff = Backoff::from_json(v)?;
+        // One flat object: the tag, the backoff's fields and the
+        // adaptive window.
+        reject_unknown_keys(
+            v,
+            &[
+                "mode",
+                "base_delay_cycles",
+                "multiplier",
+                "max_delay_cycles",
+                "max_attempts",
+                "loss_window",
+            ],
+        )?;
+        let mut fields = v.clone();
+        if let Json::Object(entries) = &mut fields {
+            entries.retain(|(k, _)| k != "mode" && k != "loss_window");
+        }
+        let backoff = Backoff::from_json(&fields)?;
         match v.get("mode").map(Json::as_str) {
             // Pre-adaptive documents carried no tag: they were all fixed.
             None | Some(Some("fixed")) => Ok(RetryPolicy::Fixed(backoff)),
@@ -941,6 +959,18 @@ mod tests {
 
         let bad_mode = Json::parse(r#"{"mode": "frantic"}"#).unwrap();
         assert!(RetryPolicy::from_json(&bad_mode).is_err());
+
+        // The flat object is checked as a whole: a misspelt window is
+        // named, and so is a misspelt backoff field.
+        let typo = Json::parse(r#"{"mode": "adaptive", "los_window": 3}"#).unwrap();
+        let err = RetryPolicy::from_json(&typo).unwrap_err().to_string();
+        assert!(
+            err.contains("`los_window` (did you mean `loss_window`?)"),
+            "{err}"
+        );
+        let typo = Json::parse(r#"{"max_atempts": 3}"#).unwrap();
+        let err = RetryPolicy::from_json(&typo).unwrap_err().to_string();
+        assert!(err.contains("did you mean `max_attempts`?"), "{err}");
     }
 
     #[test]

@@ -27,13 +27,8 @@
 use std::collections::BinaryHeap;
 
 use uvm_types::{ConfigError, SimError, TenantId, TenantStats};
-use uvm_util::{
-    check_unknown_fields, impl_json_enum, impl_json_struct, FromJson, Json, JsonError, Rng, ToJson,
-};
+use uvm_util::{impl_json_enum, impl_json_struct, Rng, ToJson};
 use uvm_workloads::registry;
-
-/// Version tag of the [`TenantSnapshot`] schema.
-pub const TENANT_SNAPSHOT_SCHEMA: u64 = 1;
 
 /// Default declared lease length (cycles): generous enough that every
 /// registered workload finishes a scaled run inside one lease.
@@ -256,19 +251,6 @@ impl TenantMix {
         }
     }
 
-    /// Parses a mix document, rejecting unknown fields with an
-    /// actionable message (see [`uvm_util::check_unknown_fields`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`JsonError`] on unknown or malformed fields.
-    pub fn from_json_strict(v: &Json) -> Result<Self, JsonError> {
-        let mut template = TenantMix::default();
-        template.tenants.push(TenantSpec::default());
-        check_unknown_fields(v, &template.to_json(), "tenant mix")?;
-        TenantMix::from_json(v)
-    }
-
     /// Structural validation: nonzero pool, known apps, unique ids,
     /// sane admission bounds.
     ///
@@ -370,7 +352,7 @@ impl TenantMix {
 
     /// A 64-bit FNV-1a hex digest over the mix JSON: two mixes with the
     /// same fingerprint resolve the same tenants and the same admission
-    /// timeline. Snapshots refuse to resume across fingerprints.
+    /// timeline; the report records it.
     pub fn fingerprint(&self) -> String {
         format!(
             "{:016x}",
@@ -727,7 +709,7 @@ impl Scheduler<'_> {
 }
 
 // ---------------------------------------------------------------------------
-// Report & snapshot
+// Report
 // ---------------------------------------------------------------------------
 
 /// The merged result of running a whole mix (execution lives in
@@ -767,23 +749,6 @@ impl_json_struct!(TenantReport {
 });
 
 impl TenantReport {
-    /// Parses a report, rejecting unknown fields.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`JsonError`] on unknown or malformed fields.
-    pub fn from_json_strict(v: &Json) -> Result<Self, JsonError> {
-        // Optional fields are populated so their inner keys join the
-        // known set.
-        let mut template = TenantReport {
-            fault_tenant: Some(0),
-            ..TenantReport::default()
-        };
-        template.tenants.push(TenantStats::default());
-        check_unknown_fields(v, &template.to_json(), "tenant report")?;
-        TenantReport::from_json(v)
-    }
-
     /// p99 of per-tenant queueing-inflated slowdown (max for small
     /// mixes), over tenants that actually ran.
     pub fn p99_slowdown(&self) -> f64 {
@@ -812,83 +777,10 @@ impl TenantReport {
     }
 }
 
-/// On-disk snapshot of a mix run in flight: completed tenants plus the
-/// mix fingerprint, written at tenant boundaries. A resumed run
-/// recomputes the schedule from the (fingerprint-checked) mix and skips
-/// the completed tenants, so the merged report is byte-identical to an
-/// uninterrupted run.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct TenantSnapshot {
-    /// Snapshot schema version ([`TENANT_SNAPSHOT_SCHEMA`]).
-    pub schema: u64,
-    /// Fingerprint of the producing mix.
-    pub fingerprint: String,
-    /// Total tenants in the resolved mix.
-    pub total: u64,
-    /// Completed tenants, a prefix of the mix's `(arrival, id)` order.
-    pub completed: Vec<TenantStats>,
-}
-
-impl_json_struct!(TenantSnapshot {
-    schema = 0,
-    fingerprint = String::new(),
-    total = 0,
-    completed = Vec::new(),
-});
-
-impl TenantSnapshot {
-    /// Parses a snapshot, rejecting unknown fields.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`JsonError`] on unknown or malformed fields.
-    pub fn from_json_strict(v: &Json) -> Result<Self, JsonError> {
-        let mut template = TenantSnapshot::default();
-        template.completed.push(TenantStats::default());
-        check_unknown_fields(v, &template.to_json(), "tenant snapshot")?;
-        TenantSnapshot::from_json(v)
-    }
-
-    /// Structural validation beyond JSON well-formedness.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] on a wrong schema version, a completed
-    /// list longer than the mix, or duplicate tenant ids.
-    pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.schema != TENANT_SNAPSHOT_SCHEMA {
-            return Err(ConfigError::invalid(
-                "schema",
-                format!("{} (expected {TENANT_SNAPSHOT_SCHEMA})", self.schema),
-            ));
-        }
-        if self.completed.len() as u64 > self.total {
-            return Err(ConfigError::invalid(
-                "completed",
-                format!(
-                    "{} completed tenants exceed the mix total {}",
-                    self.completed.len(),
-                    self.total
-                ),
-            ));
-        }
-        let mut seen: Vec<u64> = Vec::new();
-        for t in &self.completed {
-            if seen.contains(&t.tenant.0) {
-                return Err(ConfigError::invalid(
-                    "completed",
-                    format!("duplicate tenant id {}", t.tenant),
-                ));
-            }
-            seen.push(t.tenant.0);
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use uvm_util::{FromJson, Json};
 
     fn two_tenant_mix() -> TenantMix {
         TenantMix {
@@ -927,13 +819,13 @@ mod tests {
     #[test]
     fn strict_parse_rejects_misspelled_knobs() {
         let text = r#"{ "pool_pages": 100, "admision": {} }"#;
-        let err = TenantMix::from_json_strict(&Json::parse(text).unwrap()).unwrap_err();
+        let err = TenantMix::from_json(&Json::parse(text).unwrap()).unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("admision"), "{msg}");
         assert!(msg.contains("admission"), "{msg}");
         // Nested tenant field typo, via the array exemplar.
         let text = r#"{ "tenants": [ { "id": 0, "quota": 5 } ] }"#;
-        let err = TenantMix::from_json_strict(&Json::parse(text).unwrap()).unwrap_err();
+        let err = TenantMix::from_json(&Json::parse(text).unwrap()).unwrap_err();
         assert!(err.to_string().contains("tenants[0].quota"), "{err}");
     }
 
@@ -1098,31 +990,6 @@ mod tests {
         assert!((report.throughput() - 3_000.0).abs() < 1e-12);
         assert_eq!(TenantReport::default().p99_slowdown(), 0.0);
         assert_eq!(TenantReport::default().throughput(), 0.0);
-    }
-
-    #[test]
-    fn snapshot_validates_and_strict_parses() {
-        let snap = TenantSnapshot {
-            schema: TENANT_SNAPSHOT_SCHEMA,
-            fingerprint: "x".into(),
-            total: 2,
-            completed: vec![TenantStats::default()],
-        };
-        assert!(snap.validate().is_ok());
-        let wrong = TenantSnapshot {
-            schema: 9,
-            ..snap.clone()
-        };
-        assert_eq!(wrong.validate().unwrap_err().parameter(), "schema");
-        let mut dup = snap.clone();
-        dup.completed.push(TenantStats::default());
-        assert_eq!(dup.validate().unwrap_err().parameter(), "completed");
-        let text = snap.to_json().to_string();
-        let back = TenantSnapshot::from_json_strict(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, snap);
-        let bad = r#"{ "schema": 1, "fingerprnt": "x" }"#;
-        let err = TenantSnapshot::from_json_strict(&Json::parse(bad).unwrap()).unwrap_err();
-        assert!(err.to_string().contains("fingerprint"), "{err}");
     }
 
     #[test]

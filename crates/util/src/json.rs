@@ -48,18 +48,63 @@ pub enum Json {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
     msg: String,
+    /// For an unknown-key error ([`crate::strict::reject_unknown_keys`]),
+    /// the key's path from the document root; `None` for every other
+    /// error.
+    path: Option<String>,
 }
 
 impl JsonError {
     /// Creates an error with the given message.
     pub fn new(msg: impl Into<String>) -> Self {
-        JsonError { msg: msg.into() }
+        JsonError {
+            msg: msg.into(),
+            path: None,
+        }
+    }
+
+    /// The error for an unknown `key`; `hint` follows the key's path.
+    pub(crate) fn unknown_field(key: &str, hint: String) -> Self {
+        JsonError {
+            msg: hint,
+            path: Some(key.to_string()),
+        }
+    }
+
+    /// Prefixes an unknown key's path with the object field `key` it was
+    /// found under (`width` becomes `window.width`). Other errors pass
+    /// through unchanged.
+    #[must_use]
+    pub fn at_key(self, key: &str) -> Self {
+        self.prefixed(key)
+    }
+
+    /// Prefixes an unknown key's path with the array index `i` it was
+    /// found under (`width` becomes `[3].width`). Other errors pass
+    /// through unchanged.
+    #[must_use]
+    pub fn at_index(self, i: usize) -> Self {
+        match self.path {
+            Some(_) => self.prefixed(&format!("[{i}]")),
+            None => self,
+        }
+    }
+
+    fn prefixed(mut self, segment: &str) -> Self {
+        if let Some(path) = &mut self.path {
+            let dot = if path.starts_with('[') { "" } else { "." };
+            *path = format!("{segment}{dot}{path}");
+        }
+        self
     }
 }
 
 impl fmt::Display for JsonError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "json error: {}", self.msg)
+        match &self.path {
+            Some(path) => write!(f, "json error: unknown field `{path}`{}", self.msg),
+            None => write!(f, "json error: {}", self.msg),
+        }
     }
 }
 
@@ -514,7 +559,8 @@ impl<T: FromJson> FromJson for Vec<T> {
         v.as_array()
             .ok_or_else(|| JsonError::new("expected array"))?
             .iter()
-            .map(T::from_json)
+            .enumerate()
+            .map(|(i, x)| T::from_json(x).map_err(|e| e.at_index(i)))
             .collect()
     }
 }
@@ -828,7 +874,11 @@ macro_rules! json {
 /// Derives [`ToJson`] + [`FromJson`] for a plain struct with named fields.
 ///
 /// Fields listed with `= default` fall back to that expression when the
-/// key is absent (the `#[serde(default)]` analogue):
+/// key is absent (the `#[serde(default)]` analogue). Decoding is strict:
+/// a key outside the field list is an error naming its full path and
+/// the nearest field ([`crate::strict`]). A list ending in `..` makes
+/// the type's own level lenient instead, for documents that carry keys
+/// the reader does not model; its nested derived fields stay strict.
 ///
 /// ```
 /// use uvm_util::impl_json_struct;
@@ -843,10 +893,19 @@ macro_rules! json {
 /// assert_eq!(back, p);
 /// let sparse = Json::parse(r#"{"x": 3}"#).unwrap();
 /// assert_eq!(P::from_json(&sparse).unwrap(), P { x: 3, y: 7 });
+/// let typo = Json::parse(r#"{"x": 3, "z": 1}"#).unwrap();
+/// let err = P::from_json(&typo).unwrap_err().to_string();
+/// assert!(err.contains("unknown field `z`"));
 /// ```
 #[macro_export]
 macro_rules! impl_json_struct {
+    ($ty:ident { $($field:ident $(= $default:expr)?),+ , .. $(,)? }) => {
+        $crate::impl_json_struct!(@derive $ty, false, $($field $(= $default)?),+);
+    };
     ($ty:ident { $($field:ident $(= $default:expr)?),+ $(,)? }) => {
+        $crate::impl_json_struct!(@derive $ty, true, $($field $(= $default)?),+);
+    };
+    (@derive $ty:ident, $strict:literal, $($field:ident $(= $default:expr)?),+) => {
         impl $crate::json::ToJson for $ty {
             fn to_json(&self) -> $crate::json::Json {
                 let mut obj = $crate::json::Json::object();
@@ -862,6 +921,9 @@ macro_rules! impl_json_struct {
             fn from_json(
                 v: &$crate::json::Json,
             ) -> Result<Self, $crate::json::JsonError> {
+                if $strict {
+                    $crate::strict::reject_unknown_keys(v, &[$(stringify!($field)),+])?;
+                }
                 Ok($ty {
                     $( $field: $crate::impl_json_struct!(
                         @field v, $field $(, $default)?
@@ -877,11 +939,13 @@ macro_rules! impl_json_struct {
                     "missing field `", stringify!($field), "`"
                 ))
             })?,
-        )?
+        )
+        .map_err(|e| e.at_key(stringify!($field)))?
     };
     (@field $v:ident, $field:ident, $default:expr) => {
         match $v.get(stringify!($field)) {
-            Some(x) => $crate::json::FromJson::from_json(x)?,
+            Some(x) => $crate::json::FromJson::from_json(x)
+                .map_err(|e| e.at_key(stringify!($field)))?,
             None => $default,
         }
     };

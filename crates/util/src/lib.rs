@@ -45,7 +45,6 @@ pub mod strict;
 pub use hist::Histogram;
 pub use json::{FromJson, Json, JsonError, ToJson};
 pub use rng::Rng;
-pub use strict::check_unknown_fields;
 
 /// 64-bit FNV-1a: the workspace's digest for fingerprints and pins.
 /// It catches accidental drift; collision resistance is not a goal.

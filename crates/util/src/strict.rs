@@ -1,96 +1,42 @@
 //! Strict JSON field checking: reject unknown keys with an actionable
 //! message instead of silently ignoring misspelled knobs.
 //!
-//! The `impl_json_struct!` deserializers are deliberately lenient —
-//! unknown keys are ignored so older documents keep parsing after a
-//! schema gains fields. For *inputs a user hand-writes* (fault plans,
-//! explore specs, tenant mixes, snapshots on the CLI boundary) that
-//! leniency is a foot-gun: a misspelled knob silently becomes its
-//! default. [`check_unknown_fields`] closes the gap without touching
-//! the macro: it walks a document against a *template* value (typically
-//! `T::default().to_json()` with any template-bearing arrays populated
-//! by one exemplar element) and errors on the first key the template
-//! does not know, suggesting the nearest known key.
+//! Every [`impl_json_struct!`](crate::impl_json_struct) deserializer
+//! calls [`reject_unknown_keys`] with its own field list before it
+//! decodes a field, so a misspelled knob is an error rather than its
+//! default. Because the check lives in each derived `from_json`, it
+//! applies at every level a derived type reaches: a nested struct, each
+//! element of a `Vec<T>`, each `Some` of an `Option<T>`. The error names
+//! the key's full path from the document root (`windows[0].widht`), and
+//! the nearest known key when one is close enough.
+//!
+//! One type is lenient on purpose: a struct whose field list ends in
+//! `..` (`impl_json_struct!(T { a, b, .. })`) skips the check at its own
+//! level, for documents that carry keys the reader does not model.
 
 use crate::json::{Json, JsonError};
 
-/// Recursively verifies that every object key in `v` also appears in
-/// `template` at the same path.
-///
-/// Rules of the walk:
-///
-/// * objects: each key of `v` must exist in `template`; matching keys
-///   recurse into their values,
-/// * arrays: every element of `v` is checked against the template
-///   array's **first** element (the exemplar); an empty template array
-///   accepts any element shape,
-/// * everything else (scalars, or a template scalar standing where the
-///   document nests deeper) is accepted — type mismatches are the
-///   deserializer's job, not this checker's.
-///
-/// `what` names the document in error messages ("fault plan", …).
+/// Verifies that `v` is an object whose every key is in `known`.
 ///
 /// # Errors
 ///
-/// Returns [`JsonError`] naming the first unknown field, its JSON path,
-/// and — when one is close enough — the known field it was probably
-/// meant to be.
-pub fn check_unknown_fields(v: &Json, template: &Json, what: &str) -> Result<(), JsonError> {
-    walk(v, template, what, &mut String::new())
-}
-
-fn walk(v: &Json, template: &Json, what: &str, path: &mut String) -> Result<(), JsonError> {
-    match (v, template) {
-        (Json::Object(entries), Json::Object(known)) => {
-            for (key, value) in entries {
-                match known.iter().find(|(k, _)| k == key) {
-                    Some((_, tmpl)) => {
-                        let len = path.len();
-                        if !path.is_empty() {
-                            path.push('.');
-                        }
-                        path.push_str(key);
-                        walk(value, tmpl, what, path)?;
-                        path.truncate(len);
-                    }
-                    None => {
-                        let here = if path.is_empty() {
-                            key.clone()
-                        } else {
-                            format!("{path}.{key}")
-                        };
-                        let names: Vec<&str> = known.iter().map(|(k, _)| k.as_str()).collect();
-                        let hint = match nearest(key, &names) {
-                            Some(n) => format!(" (did you mean `{n}`?)"),
-                            None => {
-                                let mut list = names.join(", ");
-                                if list.is_empty() {
-                                    list = "none".to_string();
-                                }
-                                format!("; known fields: {list}")
-                            }
-                        };
-                        return Err(JsonError::new(format!(
-                            "unknown field `{here}` in {what}{hint}"
-                        )));
-                    }
-                }
-            }
-            Ok(())
-        }
-        (Json::Array(items), Json::Array(tmpl_items)) => {
-            let Some(exemplar) = tmpl_items.first() else {
-                return Ok(());
+/// Returns [`JsonError`] if `v` is not an object, or naming the first
+/// unknown key and — when one is close enough — the known key it was
+/// probably meant to be. Enclosing derived types prefix the key's path
+/// as the error passes up ([`JsonError::at_key`], [`JsonError::at_index`]).
+pub fn reject_unknown_keys(v: &Json, known: &[&str]) -> Result<(), JsonError> {
+    let Json::Object(entries) = v else {
+        return Err(JsonError::new("expected object"));
+    };
+    match entries.iter().find(|(k, _)| !known.contains(&k.as_str())) {
+        None => Ok(()),
+        Some((key, _)) => {
+            let hint = match nearest(key, known) {
+                Some(n) => format!(" (did you mean `{n}`?)"),
+                None => format!("; known fields: {}", known.join(", ")),
             };
-            for (i, item) in items.iter().enumerate() {
-                let len = path.len();
-                path.push_str(&format!("[{i}]"));
-                walk(item, exemplar, what, path)?;
-                path.truncate(len);
-            }
-            Ok(())
+            Err(JsonError::unknown_field(key, hint))
         }
-        _ => Ok(()),
     }
 }
 
@@ -127,57 +73,105 @@ fn edit_distance(a: &str, b: &str) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FromJson;
 
     fn j(text: &str) -> Json {
         Json::parse(text).unwrap()
     }
 
+    #[derive(Debug, Default, PartialEq)]
+    struct Window {
+        start: u64,
+        width: u64,
+    }
+    crate::impl_json_struct!(Window {
+        start = 0,
+        width = 0
+    });
+
+    #[derive(Debug, Default, PartialEq)]
+    struct Plan {
+        seed: u64,
+        latency_jitter: f64,
+        windows: Vec<Window>,
+        nested: Option<Window>,
+    }
+    crate::impl_json_struct!(Plan {
+        seed = 0,
+        latency_jitter = 0.0,
+        windows = Vec::new(),
+        nested = None,
+    });
+
+    #[derive(Debug, PartialEq)]
+    struct Open {
+        seed: u64,
+        window: Window,
+    }
+    crate::impl_json_struct!(Open {
+        seed,
+        window = Window::default(),
+        ..
+    });
+
+    fn err(text: &str) -> String {
+        Plan::from_json(&j(text)).unwrap_err().to_string()
+    }
+
     #[test]
-    fn accepts_known_fields_and_scalars() {
-        let t = j(r#"{ "seed": 0, "windows": [], "name": "" }"#);
-        let v = j(r#"{ "name": "x", "seed": 7 }"#);
-        assert!(check_unknown_fields(&v, &t, "plan").is_ok());
+    fn accepts_known_fields_and_sparse_documents() {
+        let p = Plan::from_json(&j(r#"{ "seed": 7, "windows": [{ "width": 3 }] }"#)).unwrap();
+        assert_eq!(p.seed, 7);
+        assert_eq!(p.windows[0].width, 3);
+        assert_eq!(Plan::from_json(&j("{}")).unwrap(), Plan::default());
     }
 
     #[test]
     fn rejects_unknown_top_level_field_with_suggestion() {
-        let t = j(r#"{ "seed": 0, "latency_jitter": 0 }"#);
-        let v = j(r#"{ "latency_jiter": 3 }"#);
-        let e = check_unknown_fields(&v, &t, "fault plan").unwrap_err();
-        let msg = e.to_string();
-        assert!(
-            msg.contains("unknown field `latency_jiter` in fault plan"),
-            "{msg}"
-        );
+        let msg = err(r#"{ "latency_jiter": 3 }"#);
+        assert!(msg.contains("unknown field `latency_jiter`"), "{msg}");
         assert!(msg.contains("did you mean `latency_jitter`?"), "{msg}");
     }
 
     #[test]
     fn lists_known_fields_when_nothing_is_close() {
-        let t = j(r#"{ "seed": 0, "width": 0 }"#);
-        let v = j(r#"{ "completely_novel_knob": 1 }"#);
-        let msg = check_unknown_fields(&v, &t, "spec")
+        let msg = Window::from_json(&j(r#"{ "completely_novel_knob": 1 }"#))
             .unwrap_err()
             .to_string();
-        assert!(msg.contains("known fields: seed, width"), "{msg}");
+        assert!(msg.contains("known fields: start, width"), "{msg}");
     }
 
     #[test]
-    fn recurses_into_nested_objects_and_array_exemplars() {
-        let t = j(r#"{ "windows": [ { "family": "", "start": 0, "width": 0 } ] }"#);
-        let v = j(r#"{ "windows": [ { "start": 0 }, { "widht": 9 } ] }"#);
-        let msg = check_unknown_fields(&v, &t, "plan")
-            .unwrap_err()
-            .to_string();
-        assert!(msg.contains("windows[1].widht"), "{msg}");
+    fn paths_name_array_elements_and_options() {
+        let msg = err(r#"{ "windows": [ { "start": 0 }, { "widht": 9 } ] }"#);
+        assert!(msg.contains("`windows[1].widht`"), "{msg}");
         assert!(msg.contains("did you mean `width`?"), "{msg}");
+        let msg = err(r#"{ "nested": { "strat": 1 } }"#);
+        assert!(msg.contains("`nested.strat`"), "{msg}");
+        // `null` is `None`, not an object to check.
+        assert_eq!(
+            Plan::from_json(&j(r#"{ "nested": null }"#)).unwrap().nested,
+            None
+        );
+        // Nested arrays chain their indices.
+        let grid = Vec::<Vec<Window>>::from_json(&j(r#"[[], [{}, { "x": 1 }]]"#));
+        assert!(grid.unwrap_err().to_string().contains("`[1][1].x`"));
     }
 
     #[test]
-    fn empty_template_array_accepts_anything() {
-        let t = j(r#"{ "windows": [] }"#);
-        let v = j(r#"{ "windows": [ { "whatever": 1 } ] }"#);
-        assert!(check_unknown_fields(&v, &t, "plan").is_ok());
+    fn a_struct_where_an_object_belongs_must_be_one() {
+        let msg = err(r#"{ "windows": [ 5 ] }"#);
+        assert!(msg.contains("expected object"), "{msg}");
+    }
+
+    #[test]
+    fn the_rest_marker_is_lenient_at_its_own_level_only() {
+        let open = Open::from_json(&j(r#"{ "seed": 1, "wall_clocks": [] }"#)).unwrap();
+        assert_eq!(open.seed, 1);
+        let msg = Open::from_json(&j(r#"{ "seed": 1, "window": { "sart": 0 } }"#))
+            .unwrap_err()
+            .to_string();
+        assert!(msg.contains("`window.sart`"), "{msg}");
     }
 
     #[test]
