@@ -34,6 +34,7 @@
 use std::process::ExitCode;
 
 use hpe_bench::cli::{self, Args, CliError, Command};
+use hpe_bench::explore;
 use hpe_bench::{
     bench_config, campaign, check_containment, drive, f2, replay_repro, repro_for, run,
     run_explore, run_mix, run_policy, save_json, CampaignRun, MixOptions, PolicyKind,
@@ -678,6 +679,7 @@ fn cmd_explore(args: &Args) -> Result<(), CliError> {
     let workers = args.num("--workers")?.unwrap_or(1);
     let path = &args.positional[0];
     let spec: ExploreSpec = cli::read_json(path, "explore spec", ExploreSpec::from_json)?;
+    explore::check(&spec).map_err(|e| CliError::Usage(format!("{path}: bad explore spec: {e}")))?;
     eprintln!(
         "[explore: {} under {} at {}%, invariants [{}], {} worker(s)]",
         spec.app,
@@ -737,6 +739,8 @@ fn cmd_explore(args: &Args) -> Result<(), CliError> {
 fn cmd_replay(args: &Args) -> Result<(), CliError> {
     let path = &args.positional[0];
     let repro: ReproCase = cli::read_json(path, "repro case", ReproCase::from_json)?;
+    explore::check(&repro.spec())
+        .map_err(|e| CliError::Usage(format!("{path}: bad repro case: {e}")))?;
     eprintln!(
         "[replay: {} under {} at {}%, expecting `{}` violation]",
         repro.app, repro.policy, repro.rate, repro.invariant

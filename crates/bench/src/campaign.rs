@@ -315,7 +315,7 @@ pub fn grid_key(app: &str, policy: &str, rate: &str, plan: &str) -> String {
 
 /// One completed grid cell: the cell's coordinates plus its outcome.
 /// Serializes to deterministic JSON and round-trips through `uvm-util`.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CampaignRun {
     /// Position in the enumerated grid.
     pub index: u64,
@@ -434,7 +434,7 @@ impl CampaignReport {
 /// On-disk auto-snapshot of a campaign in flight: the spec fingerprint
 /// plus every completed run. Written atomically (temp file + rename) so
 /// a kill mid-write leaves the previous snapshot intact.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CampaignSnapshot {
     /// Snapshot schema version ([`CAMPAIGN_SNAPSHOT_SCHEMA`]).
     pub schema: u64,

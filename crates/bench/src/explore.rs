@@ -25,10 +25,10 @@ use std::fmt;
 use std::io;
 
 use uvm_sim::{
-    shrink_plan, trace_for, Counterexample, ExploreReport, ExploreSpec, FaultPlan, ReproCase,
-    RetryPolicy, TenantMix, TenantReport, ALL_INVARIANTS,
+    audit, shrink_plan, trace_for, Counterexample, ExploreReport, ExploreSpec, FaultPlan,
+    ReproCase, RetryPolicy, TenantMix, TenantReport, ALL_INVARIANTS,
 };
-use uvm_types::{Oversubscription, SimConfig, SimError};
+use uvm_types::{ConfigError, Oversubscription, SimConfig, SimError};
 use uvm_util::json;
 use uvm_util::pool::Pool;
 use uvm_workloads::{registry, App, Trace};
@@ -47,12 +47,14 @@ pub const RECOVERY_STREAK_FAULTS: u64 = 256;
 /// counterexamples, which is a successful exploration).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ExploreError {
-    /// The spec failed `ExploreSpec::validate`.
-    InvalidSpec(String),
+    /// The spec (or repro case) failed `ExploreSpec::validate`.
+    Invalid(ConfigError),
     /// The spec's app abbreviation is not in the workload registry.
     UnknownApp(String),
     /// The spec's policy label is not in the policy zoo.
     UnknownPolicy(String),
+    /// The `containment` invariant's fault-free baseline mix failed.
+    Baseline(String),
     /// The spec enumerated no cases (empty grid, no fixtures, no batch).
     EmptyCaseList,
     /// The progress stream could not be written.
@@ -62,9 +64,10 @@ pub enum ExploreError {
 impl fmt::Display for ExploreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ExploreError::InvalidSpec(m) => write!(f, "invalid explore spec: {m}"),
+            ExploreError::Invalid(e) => write!(f, "{e}"),
             ExploreError::UnknownApp(a) => write!(f, "unknown app '{a}'"),
             ExploreError::UnknownPolicy(p) => write!(f, "unknown policy '{p}'"),
+            ExploreError::Baseline(m) => write!(f, "containment baseline failed: {m}"),
             ExploreError::EmptyCaseList => write!(f, "spec enumerates no cases"),
             ExploreError::Io(m) => write!(f, "explore i/o error: {m}"),
         }
@@ -129,39 +132,6 @@ impl Ctx<'_> {
             ..RunSpec::new(self.app, self.rate, self.kind)
         };
         drive(self.cfg, &spec, &self.trace, interrupt, |_, _| {})
-    }
-
-    fn check_conservation(&self, base: &Driven) -> Option<String> {
-        let s = &base.result.stats;
-        if s.mem_accesses != self.trace.total_ops() {
-            return Some(format!(
-                "executed {} memory accesses but the trace has {} ops",
-                s.mem_accesses,
-                self.trace.total_ops()
-            ));
-        }
-        let inflow = s.driver.faults_serviced + s.driver.prefetched_pages;
-        if s.driver.evictions > inflow {
-            return Some(format!(
-                "{} evictions exceed {} migrated pages",
-                s.driver.evictions, inflow
-            ));
-        }
-        let capacity = self.rate.capacity_pages(self.app.footprint_pages());
-        if inflow - s.driver.evictions > capacity {
-            return Some(format!(
-                "{} pages resident at end exceed capacity {}",
-                inflow - s.driver.evictions,
-                capacity
-            ));
-        }
-        if s.walk_hits > s.walks {
-            return Some(format!(
-                "{} walk hits exceed {} walks",
-                s.walk_hits, s.walks
-            ));
-        }
-        None
     }
 
     fn check_recovery(&self, base: &Driven) -> Option<String> {
@@ -267,7 +237,10 @@ impl Ctx<'_> {
                 (_, None) => continue,
                 ("conservation", Some(b)) => {
                     checks += 1;
-                    self.check_conservation(b)
+                    let capacity = self.rate.capacity_pages(self.app.footprint_pages());
+                    let ops = self.trace.total_ops();
+                    let audited = audit(&b.result.stats, ops, capacity, Some(plan));
+                    audited.err().map(|e| e.to_string())
                 }
                 ("replay", Some(b)) => {
                     checks += 1;
@@ -325,97 +298,86 @@ impl Ctx<'_> {
     }
 }
 
-/// The run-context inputs shared by a spec and a repro case.
-struct CtxParams<'s> {
-    app: &'s str,
-    policy: &'s str,
-    rate: u64,
-    retry: Option<RetryPolicy>,
-    invariants: &'s [String],
-    sanitize_cadence: u64,
-    checkpoint_at: u64,
-    tenants: u64,
-    tenant_target: u64,
-    tenant_quota_pct: u64,
+/// An explore spec's names resolved and its values validated: the one
+/// step between decoding a spec (or a repro case, as
+/// [`ReproCase::spec`]) and running it.
+#[derive(Debug, Clone)]
+pub struct Target {
+    app: &'static App,
+    kind: PolicyKind,
+    rate: Oversubscription,
+    /// The selected invariants, in [`ALL_INVARIANTS`] order.
+    invariants: Vec<String>,
 }
 
-/// Builds the shared run context, resolving the app, policy and rate.
-fn context<'a>(cfg: &'a SimConfig, p: CtxParams<'_>) -> Result<Ctx<'a>, ExploreError> {
-    let CtxParams {
-        app,
-        policy,
-        rate,
-        retry,
-        invariants,
-        sanitize_cadence,
-        checkpoint_at,
-        tenants,
-        tenant_target,
-        tenant_quota_pct,
-    } = p;
-    let app = registry::by_abbr(app).ok_or_else(|| ExploreError::UnknownApp(app.to_string()))?;
-    let kind =
-        PolicyKind::parse(policy).ok_or_else(|| ExploreError::UnknownPolicy(policy.to_string()))?;
-    let rate = match rate {
+/// Validates `spec` and resolves its app, policy and rate, so that a bad
+/// document fails before any output or run.
+///
+/// # Errors
+///
+/// Returns [`ExploreError`] if the spec fails `ExploreSpec::validate` or
+/// names an unknown app or policy.
+pub fn check(spec: &ExploreSpec) -> Result<Target, ExploreError> {
+    spec.validate().map_err(ExploreError::Invalid)?;
+    let app =
+        registry::by_abbr(&spec.app).ok_or_else(|| ExploreError::UnknownApp(spec.app.clone()))?;
+    let kind = PolicyKind::parse(&spec.policy)
+        .ok_or_else(|| ExploreError::UnknownPolicy(spec.policy.clone()))?;
+    // `validate` admits only the paper's two rates.
+    let rate = match spec.rate {
         50 => Oversubscription::Rate50,
-        75 => Oversubscription::Rate75,
-        other => {
-            return Err(ExploreError::InvalidSpec(format!(
-                "rate must be 50 or 75, got {other}"
-            )))
-        }
+        _ => Oversubscription::Rate75,
     };
-    // Normalize the invariant selection into ALL_INVARIANTS order so
-    // evaluation (and `checks` accounting) is canonical.
-    let ordered: Vec<String> = ALL_INVARIANTS
+    let selected = spec.invariant_set();
+    let invariants = ALL_INVARIANTS
         .iter()
-        .filter(|known| invariants.iter().any(|i| i == *known))
+        .filter(|known| selected.iter().any(|i| i == *known))
         .map(|s| s.to_string())
         .collect();
-    if ordered.is_empty() {
-        return Err(ExploreError::InvalidSpec(format!(
-            "no known invariant selected (known: {})",
-            ALL_INVARIANTS.join(", ")
-        )));
-    }
+    Ok(Target {
+        app,
+        kind,
+        rate,
+        invariants,
+    })
+}
+
+/// Builds the shared run context for a checked spec.
+fn context<'a>(
+    cfg: &'a SimConfig,
+    spec: &ExploreSpec,
+    target: Target,
+) -> Result<Ctx<'a>, ExploreError> {
     // The containment invariant needs a tenant mix and its fault-free
     // baseline. Both are built eagerly here — once, before the worker
     // pool starts — so verdicts stay pure per-case functions and the
     // merged report is byte-identical for any worker count.
-    let wants_containment = ordered.iter().any(|i| i == "containment");
-    let (tenant_mix, tenant_baseline) = if wants_containment && tenants >= 2 {
-        let mix = containment_mix(tenants, tenant_quota_pct);
-        mix.validate()
-            .map_err(|e| ExploreError::InvalidSpec(format!("containment mix invalid: {e}")))?;
-        if !mix.tenants.iter().any(|t| t.id == tenant_target) {
-            return Err(ExploreError::InvalidSpec(format!(
-                "tenant_target {tenant_target} is not part of the containment mix \
-                 (tenants 0..{tenants})"
-            )));
-        }
+    let wants_containment = target.invariants.iter().any(|i| i == "containment");
+    let (tenant_mix, tenant_baseline) = if wants_containment && spec.tenants >= 2 {
+        let mix = containment_mix(spec.tenants, spec.tenant_quota_pct);
         let opts = MixOptions {
-            policy: kind,
+            policy: target.kind,
             ..MixOptions::default()
         };
-        let baseline = run_mix_serial(cfg, &mix, &opts)
-            .map_err(|e| ExploreError::InvalidSpec(format!("containment baseline failed: {e}")))?;
+        let baseline =
+            run_mix_serial(cfg, &mix, &opts).map_err(|e| ExploreError::Baseline(e.to_string()))?;
         (Some(mix), Some(baseline))
     } else {
         (None, None)
     };
     Ok(Ctx {
         cfg,
-        app,
-        trace: trace_for(cfg, app),
-        rate,
-        kind,
-        retry,
-        invariants: ordered,
-        sanitize_cadence,
-        checkpoint_at,
+        app: target.app,
+        trace: trace_for(cfg, target.app),
+        rate: target.rate,
+        kind: target.kind,
+        retry: spec.retry,
+        invariants: target.invariants,
+        sanitize_cadence: spec.sanitize_cadence,
+        checkpoint_at: spec.checkpoint_at,
         tenant_mix,
         tenant_baseline,
-        tenant_target,
+        tenant_target: spec.tenant_target,
     })
 }
 
@@ -443,23 +405,7 @@ pub fn run_explore(
     workers: usize,
     mut progress: Option<&mut dyn io::Write>,
 ) -> Result<ExploreReport, ExploreError> {
-    spec.validate()
-        .map_err(|e| ExploreError::InvalidSpec(e.to_string()))?;
-    let ctx = context(
-        cfg,
-        CtxParams {
-            app: &spec.app,
-            policy: &spec.policy,
-            rate: spec.rate,
-            retry: spec.retry,
-            invariants: &spec.invariant_set(),
-            sanitize_cadence: spec.sanitize_cadence,
-            checkpoint_at: spec.checkpoint_at,
-            tenants: spec.tenants,
-            tenant_target: spec.tenant_target,
-            tenant_quota_pct: spec.tenant_quota_pct,
-        },
-    )?;
+    let ctx = context(cfg, spec, check(spec)?)?;
     let (cases, skipped) = spec.cases();
     if cases.is_empty() {
         return Err(ExploreError::EmptyCaseList);
@@ -568,38 +514,14 @@ pub fn repro_for(spec: &ExploreSpec, cx: &Counterexample) -> ReproCase {
 ///
 /// # Errors
 ///
-/// Returns [`ExploreError`] if the repro names an unknown app, policy or
-/// invariant, or carries an invalid plan.
+/// Returns [`ExploreError`] if the repro fails [`check`] as
+/// [`ReproCase::spec`], or its containment baseline fails.
 pub fn replay_repro(
     cfg: &SimConfig,
     repro: &ReproCase,
 ) -> Result<Option<(String, String)>, ExploreError> {
-    if !ALL_INVARIANTS.contains(&repro.invariant.as_str()) {
-        return Err(ExploreError::InvalidSpec(format!(
-            "unknown invariant `{}` (known: {})",
-            repro.invariant,
-            ALL_INVARIANTS.join(", ")
-        )));
-    }
-    repro
-        .plan
-        .validate()
-        .map_err(|e| ExploreError::InvalidSpec(e.to_string()))?;
-    let ctx = context(
-        cfg,
-        CtxParams {
-            app: &repro.app,
-            policy: &repro.policy,
-            rate: repro.rate,
-            retry: repro.retry,
-            invariants: std::slice::from_ref(&repro.invariant),
-            sanitize_cadence: repro.sanitize_cadence,
-            checkpoint_at: repro.checkpoint_at,
-            tenants: repro.tenants,
-            tenant_target: repro.tenant_target,
-            tenant_quota_pct: repro.tenant_quota_pct,
-        },
-    )?;
+    let spec = repro.spec();
+    let ctx = context(cfg, &spec, check(&spec)?)?;
     Ok(ctx.verdict(&repro.plan).violation)
 }
 
@@ -697,7 +619,7 @@ mod tests {
         let mut bad = spec.clone();
         bad.tenant_target = 9;
         let err = run_explore(&bench_config(), &bad, 1, None).unwrap_err();
-        assert!(matches!(err, ExploreError::InvalidSpec(_)), "{err}");
+        assert!(matches!(err, ExploreError::Invalid(_)), "{err}");
 
         // Without a tenant mix the invariant is skipped, like checkpoint
         // at cycle 0: default spec (all invariants, tenants = 0) still

@@ -43,7 +43,7 @@ pub struct Tolerance {
 }
 
 /// One policy's geomean slowdowns versus Ideal.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PolicyPerf {
     /// Policy label ("LRU", "HPE", …).
     pub policy: String,
@@ -61,7 +61,7 @@ uvm_util::impl_json_struct!(PolicyPerf {
 });
 
 /// One point of the perf trajectory: the `BENCH_NNNN.json` document.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BenchSnapshot {
     /// Schema version ([`BENCH_SCHEMA_VERSION`]).
     pub schema: u64,

@@ -79,3 +79,56 @@ fn a_listed_flag_is_accepted() {
     assert_eq!(out.status.code(), Some(0), "stdout: {stdout}");
     assert!(stdout.contains("RetriesExhausted"), "stdout: {stdout}");
 }
+
+/// A bad name or value in an explore spec or repro case is bad input:
+/// exit 2 with usage, before the run header and before any run.
+#[test]
+fn bad_names_and_values_in_explore_inputs_are_usage_errors() {
+    let dir = std::env::temp_dir().join("hpe-chaos-bad-inputs");
+    std::fs::create_dir_all(&dir).unwrap();
+    for (cmd, name, doc, needle) in [
+        (
+            "replay",
+            "app.json",
+            r#"{"app":"XXX","policy":"lru","invariant":"completes","error":"x"}"#,
+            "bad repro case: unknown app 'XXX'",
+        ),
+        (
+            "replay",
+            "policy.json",
+            r#"{"app":"STN","policy":"nope","invariant":"completes","error":"x"}"#,
+            "bad repro case: unknown policy 'nope'",
+        ),
+        (
+            "replay",
+            "rate.json",
+            r#"{"app":"STN","rate":0,"invariant":"completes","error":"x"}"#,
+            "bad repro case: invalid configuration parameter `rate`: must be 50 or 75, got 0",
+        ),
+        (
+            "replay",
+            "invariant.json",
+            r#"{"app":"STN","invariant":"fast","error":"x"}"#,
+            "unknown invariant `fast`",
+        ),
+        (
+            "replay",
+            "plan.json",
+            r#"{"app":"STN","invariant":"completes","plan":{"latency_jitter":2.0}}"#,
+            "bad repro case: invalid configuration parameter `fixtures`",
+        ),
+        (
+            "explore",
+            "spec.json",
+            r#"{"rate":0}"#,
+            "bad explore spec: invalid configuration parameter `rate`",
+        ),
+    ] {
+        let path = dir.join(name);
+        std::fs::write(&path, doc).unwrap();
+        let out = hpe_chaos(&[cmd, path.to_str().unwrap()]);
+        assert_usage_error(&out, needle);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains(&format!("[{cmd}:")), "no header: {stderr}");
+    }
+}

@@ -1,7 +1,8 @@
 //! One property over every strict JSON document the tools read: the
 //! inputs people hand-write (fault plans, explore specs, repro cases,
-//! tenant mixes) and the results the tools read back (explore and
-//! tenant reports, campaign snapshots, checkpoints).
+//! tenant mixes, traces) and the results the tools read back (explore
+//! and tenant reports, campaign snapshots, checkpoints, and the
+//! leniently read `BENCH_*.json` points).
 //!
 //! For one sample of each type, a byte-mutated document (truncated,
 //! flipped, spliced or nested) never panics the decoder, and a decoded
@@ -9,16 +10,24 @@
 //! document is an `Err` naming that key's full path.
 
 use hpe_bench::campaign::{CampaignRun, CampaignSnapshot, CAMPAIGN_SNAPSHOT_SCHEMA};
+use hpe_bench::{BenchSnapshot, PolicyPerf, BENCH_SCHEMA_VERSION};
 use uvm_sim::{
-    Checkpoint, Counterexample, ExploreReport, ExploreSpec, FaultFamily, FaultPlan, FaultWindow,
-    ReproCase, RetryPolicy, TenantMix, TenantReport, TenantSpec, ALL_INVARIANTS,
+    AdmissionControl, ArrivalProcess, Backoff, Checkpoint, Counterexample, ExploreReport,
+    ExploreSpec, FaultFamily, FaultPlan, FaultWindow, ReproCase, RetryPolicy, TenantMix,
+    TenantReport, TenantSpec, ALL_INVARIANTS,
 };
 use uvm_types::{SimStats, TenantId, TenantStats};
 use uvm_util::prop::Checker;
 use uvm_util::{FromJson, Json, JsonError, Rng, ToJson};
+use uvm_workloads::Trace;
 
 /// Decodes a document as `T` and encodes the result again.
 type Reencode = fn(&Json) -> Result<Json, JsonError>;
+
+/// A sample document: its type's name, the document, its decoder, and
+/// whether every level of it is strict (`BenchSnapshot`'s top level is
+/// lenient on purpose, so it takes the byte mutations only).
+type Sample = (&'static str, Json, Reencode, bool);
 
 fn reencode<T: FromJson + ToJson>(v: &Json) -> Result<Json, JsonError> {
     T::from_json(v).map(|t| t.to_json())
@@ -64,7 +73,7 @@ fn tenant_row(id: u64) -> TenantStats {
 
 /// One sample per strict document type, with every optional part
 /// present so each nested object is in play.
-fn samples() -> Vec<(&'static str, Json, Reencode)> {
+fn samples() -> Vec<Sample> {
     let spec = ExploreSpec {
         fixtures: vec![windowed_plan(1), FaultPlan::livelock(2)],
         base_plan: windowed_plan(3),
@@ -157,7 +166,19 @@ fn samples() -> Vec<(&'static str, Json, Reencode)> {
         hir_down: true,
         ..Checkpoint::default()
     };
-    vec![
+    let bench = BenchSnapshot {
+        schema: BENCH_SCHEMA_VERSION,
+        id: "BENCH_0001".into(),
+        seed: 2019,
+        apps: vec!["STN".into()],
+        policies: vec![PolicyPerf {
+            policy: "HPE".into(),
+            slowdown_75: 1.25,
+            slowdown_50: 1.5,
+        }],
+    };
+    let trace = Trace::from_global(&[0, 1, 2, 1, 0], 3, 2, 2, 1);
+    let strict: [(&'static str, Json, Reencode); 9] = [
         (
             "FaultPlan",
             windowed_plan(0).to_json(),
@@ -182,7 +203,19 @@ fn samples() -> Vec<(&'static str, Json, Reencode)> {
             reencode::<CampaignSnapshot>,
         ),
         ("Checkpoint", checkpoint.to_json(), reencode::<Checkpoint>),
-    ]
+        ("Trace", trace.to_json(), reencode::<Trace>),
+    ];
+    let mut samples: Vec<Sample> = strict
+        .into_iter()
+        .map(|(name, doc, decode)| (name, doc, decode, true))
+        .collect();
+    samples.push((
+        "BenchSnapshot",
+        bench.to_json(),
+        reencode::<BenchSnapshot>,
+        false,
+    ));
+    samples
 }
 
 /// Truncates, flips, splices or nests `text` at a random place. The
@@ -317,14 +350,14 @@ fn new_key(rng: &mut Rng, object: &Json) -> String {
 #[test]
 fn strict_documents_survive_mutation_and_name_every_unknown_key() {
     let samples = samples();
-    for (name, doc, decode) in &samples {
+    for (name, doc, decode, _) in &samples {
         assert!(doc.to_string().is_ascii(), "{name}");
         assert_eq!(decode(doc).as_ref(), Ok(doc), "{name} round-trips");
     }
     Checker::new().cases(512).run(
         |rng| {
             let which = rng.gen_range(0..samples.len());
-            let (_, doc, _) = &samples[which];
+            let (_, doc, _, _) = &samples[which];
             let text = if rng.gen_bool(0.5) {
                 doc.to_string()
             } else {
@@ -338,7 +371,7 @@ fn strict_documents_survive_mutation_and_name_every_unknown_key() {
             (which, mutated, route, key)
         },
         |(which, mutated, route, key)| {
-            let (name, doc, decode) = &samples[*which];
+            let (name, doc, decode, strict) = &samples[*which];
             // Mutated bytes: never a panic, and what decodes re-encodes
             // to a fixed point.
             if let Ok(v) = Json::parse(mutated) {
@@ -347,6 +380,9 @@ fn strict_documents_survive_mutation_and_name_every_unknown_key() {
                 }
             }
             // An inserted key: an error naming its full path.
+            if !strict {
+                return;
+            }
             let mut extended = doc.clone();
             walk(&mut extended, route).insert(key.clone(), Json::UInt(1));
             let err = decode(&extended)
@@ -359,4 +395,28 @@ fn strict_documents_survive_mutation_and_name_every_unknown_key() {
             );
         },
     );
+}
+
+/// `{}` decodes to `T::default()` for every fully defaulted type: the
+/// field list's defaults and the type's `Default` are one set of values.
+#[test]
+fn an_empty_object_decodes_to_the_default() {
+    fn check<T: FromJson + Default + PartialEq + std::fmt::Debug>(name: &str) {
+        let decoded = T::from_json(&Json::object());
+        assert_eq!(decoded.as_ref(), Ok(&T::default()), "{name}");
+    }
+    check::<ExploreSpec>("ExploreSpec");
+    check::<FaultPlan>("FaultPlan");
+    check::<TenantSpec>("TenantSpec");
+    check::<ArrivalProcess>("ArrivalProcess");
+    check::<AdmissionControl>("AdmissionControl");
+    check::<TenantMix>("TenantMix");
+    check::<Backoff>("Backoff");
+    check::<TenantStats>("TenantStats");
+    check::<ExploreReport>("ExploreReport");
+    check::<TenantReport>("TenantReport");
+    check::<Checkpoint>("Checkpoint");
+    check::<PolicyPerf>("PolicyPerf");
+    check::<CampaignRun>("CampaignRun");
+    check::<CampaignSnapshot>("CampaignSnapshot");
 }

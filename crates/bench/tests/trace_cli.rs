@@ -191,6 +191,19 @@ fn explore_rejects_a_report_with_an_unknown_key() {
 }
 
 #[test]
+fn summarize_rejects_an_event_with_an_unknown_key() {
+    let dir = std::env::temp_dir().join("hpe-trace-cli-event-key");
+    std::fs::create_dir_all(&dir).unwrap();
+    let events = write(
+        &dir,
+        "typo.jsonl",
+        "{\"kind\":\"FaultRaised\",\"time\":1,\"page\":1,\"pgae\":2}\n",
+    );
+    let out = hpe_trace(&["summarize", &events], &dir);
+    assert_usage_error(&out, "unknown field `pgae` (did you mean `page`?)");
+}
+
+#[test]
 fn listed_flags_are_still_read() {
     let dir = std::env::temp_dir().join("hpe-trace-cli-listed");
     std::fs::create_dir_all(&dir).unwrap();

@@ -38,7 +38,7 @@ use uvm_util::impl_json_struct;
 /// Serializes to deterministic JSON (insertion-ordered keys); two
 /// checkpoints of the same machine state are byte-identical, which is
 /// exactly how `Simulation::resume` verifies a resumed run.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Checkpoint {
     /// The cycle limit the run was paused at (`run_until`'s argument).
     /// Resuming replays events with `time <= cycle` — replaying to

@@ -17,7 +17,7 @@ use crate::instrument::{Instrument, Probe, SimEvent};
 use crate::memory::GpuMemory;
 use crate::profile::MetricsSample;
 use crate::recovery::{FallbackVictim, Resilience, RetryPolicy};
-use crate::sanitizer::Sanitizer;
+use crate::sanitizer::{audit, Sanitizer};
 use crate::tlb::Tlb;
 
 /// Window (in evictions) within which a re-fault on an evicted page counts
@@ -283,7 +283,7 @@ impl<P: EvictionPolicy, I: Instrument> Simulation<P, I> {
 
     /// Installs fault injection and driver recovery before [`Self::run`],
     /// replacing any earlier call's: the fault `plan` (a
-    /// [`FaultPlan::none`] plan changes no statistic or event), the
+    /// default [`FaultPlan`] changes no statistic or event), the
     /// `retry` policy for lost completions (without one, the plan's flat
     /// delay retries forever and an unbounded loss ends in the watchdog's
     /// [`SimError::Stalled`]), and the `fallback` victim for evictions
@@ -415,12 +415,16 @@ impl<P: EvictionPolicy, I: Instrument> Simulation<P, I> {
             });
         }
         // Final sanitizer pass regardless of cadence phase, so a
-        // corruption in the run's tail cannot slip out unchecked.
+        // corruption in the run's tail cannot slip out unchecked, then
+        // the audit of the finished run's statistics.
         if let Some(s) = &mut self.sanitizer {
             s.note_final_check();
         }
         if self.sanitizer.is_some() {
             self.sanitize_check()?;
+            let ops = self.warps.iter().map(|w| w.ops.len() as u64).sum();
+            let plan = self.resilience.as_ref().and_then(Resilience::plan);
+            audit(&self.stats, ops, self.memory.capacity(), plan)?;
         }
         self.stats.policy = self.policy.stats();
         // Without injection the channel never went down.
@@ -1356,10 +1360,9 @@ mod tests {
             .run()
             .unwrap()
             .stats;
+        audit(&stats, trace.total_ops(), 8, None).unwrap();
         let inserted = stats.faults() + stats.driver.prefetched_pages;
-        let resident_end = inserted - stats.evictions();
-        assert!(resident_end <= 8);
-        assert!(resident_end >= 1);
+        assert!(inserted > stats.evictions());
     }
 
     #[test]
@@ -1403,8 +1406,7 @@ mod tests {
             .run()
             .unwrap()
             .stats;
-        let resident_end = stats.faults() - stats.evictions();
-        assert!(resident_end <= 8);
+        audit(&stats, trace.total_ops(), 8, None).unwrap();
     }
 
     /// A broken policy that never offers a victim: exercises the engine's
@@ -1435,8 +1437,7 @@ mod tests {
             .stats;
         assert!(stats.evictions() > 0);
         assert_eq!(stats.resilience.fallback_victims, stats.evictions());
-        let resident_end = stats.faults() - stats.evictions();
-        assert!(resident_end <= 8);
+        audit(&stats, trace.total_ops(), 8, None).unwrap();
     }
 
     /// A broken policy that offers a victim outside the footprint, past
@@ -1475,15 +1476,15 @@ mod tests {
         let global: Vec<u64> = (0..40u64).cycle().take(160).collect();
         let cfg = tiny_cfg(2, 1);
         let trace = Trace::from_global(&global, 40, 0, 2, 3);
+        let plan = FaultPlan::latency_storm(11);
         let mut sim = Simulation::new(cfg, &trace, Lru::new(), 30).unwrap();
-        sim.set_resilience(Some(FaultPlan::latency_storm(11)), None, MinPage)
+        sim.set_resilience(Some(plan.clone()), None, MinPage)
             .unwrap();
         let stats = sim.run().expect("chaos run completes").stats;
         assert!(stats.resilience.any());
         assert!(stats.resilience.injected_delay_cycles > 0);
         // Latency chaos does not change what migrates or what is evicted.
-        let resident_end = stats.faults() - stats.evictions();
-        assert!(resident_end <= 30);
+        audit(&stats, trace.total_ops(), 30, Some(&plan)).unwrap();
     }
 
     #[test]
@@ -1610,8 +1611,9 @@ mod tests {
         let global: Vec<u64> = (0..40u64).cycle().take(200).collect();
         let cfg = tiny_cfg(2, 1);
         let trace = Trace::from_global(&global, 40, 0, 2, 3);
+        let plan = FaultPlan::victim_drop(3);
         let mut sim = Simulation::new(cfg, &trace, Lru::new(), 30).unwrap();
-        sim.set_resilience(Some(FaultPlan::victim_drop(3)), None, MinPage)
+        sim.set_resilience(Some(plan.clone()), None, MinPage)
             .unwrap();
         let stats = sim.run().expect("dropped victims are tolerated").stats;
         assert!(stats.resilience.victims_dropped > 0, "injection fired");
@@ -1619,8 +1621,7 @@ mod tests {
             stats.resilience.fallback_victims >= stats.resilience.victims_dropped,
             "each drop (and each later stale offer) falls back"
         );
-        let resident_end = stats.faults() - stats.evictions();
-        assert!(resident_end <= 30);
+        audit(&stats, trace.total_ops(), 30, Some(&plan)).unwrap();
     }
 
     #[test]

@@ -133,7 +133,7 @@ impl_json_struct!(ExploreSpec {
     widths = vec![200_000],
     batch_runs = 0,
     batch_seed = 2019,
-    base_plan = FaultPlan::none(),
+    base_plan = FaultPlan::default(),
     fixtures = Vec::new(),
     invariants = Vec::new(),
     retry = None,
@@ -144,33 +144,6 @@ impl_json_struct!(ExploreSpec {
     tenant_target = 0,
     tenant_quota_pct = 75,
 });
-
-impl Default for ExploreSpec {
-    fn default() -> Self {
-        ExploreSpec {
-            app: "STN".to_string(),
-            policy: "hpe".to_string(),
-            rate: 75,
-            families: Vec::new(),
-            grid_origin: 0,
-            grid_limit: 2_000_000,
-            grid_stride: 1_000_000,
-            widths: vec![200_000],
-            batch_runs: 0,
-            batch_seed: 2019,
-            base_plan: FaultPlan::none(),
-            fixtures: Vec::new(),
-            invariants: Vec::new(),
-            retry: None,
-            sanitize_cadence: 1_024,
-            checkpoint_at: 0,
-            shrink_budget: 256,
-            tenants: 0,
-            tenant_target: 0,
-            tenant_quota_pct: 75,
-        }
-    }
-}
 
 impl ExploreSpec {
     /// The fault families whose windows are enumerated (empty spec field
@@ -575,13 +548,36 @@ impl_json_struct!(ReproCase {
     tenants = 0,
     tenant_target = 0,
     tenant_quota_pct = 75,
-    plan = FaultPlan::none(),
+    plan = FaultPlan::default(),
 });
+
+impl ReproCase {
+    /// The repro as the one-case spec it replays: its plan as the only
+    /// fixture, its invariant as the only one selected, no enumeration.
+    /// [`ExploreSpec::validate`] on it is the repro's validation.
+    pub fn spec(&self) -> ExploreSpec {
+        ExploreSpec {
+            app: self.app.clone(),
+            policy: self.policy.clone(),
+            rate: self.rate,
+            grid_limit: 0,
+            fixtures: vec![self.plan.clone()],
+            invariants: vec![self.invariant.clone()],
+            retry: self.retry,
+            sanitize_cadence: self.sanitize_cadence,
+            checkpoint_at: self.checkpoint_at,
+            tenants: self.tenants,
+            tenant_target: self.tenant_target,
+            tenant_quota_pct: self.tenant_quota_pct,
+            ..ExploreSpec::default()
+        }
+    }
+}
 
 /// The merged coverage report of one exploration — byte-identical for
 /// any worker count (cases are merged by enumeration id and shrinking
 /// runs serially in id order).
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExploreReport {
     /// Workload abbreviation.
     pub app: String,
@@ -851,31 +847,33 @@ mod tests {
         // covers cycle 1_000_000. Decoy windows and noise knobs must be
         // stripped, and the width must shrink to the minimum that still
         // covers the target cycle.
-        let mut plan = FaultPlan::none();
-        plan.seed = 77;
-        plan.latency_jitter = 0.25;
-        plan.congestion_period = 2_000_000;
-        plan.congestion_duty = 0.5;
-        plan.congestion_factor = 8;
-        plan.retry_cycles = 10_000;
-        plan.hir_delay_faults = 24;
-        plan.windows = vec![
-            FaultWindow {
-                family: FaultFamily::VictimDrop,
-                start: 0,
-                width: 500_000,
-            },
-            FaultWindow {
-                family: FaultFamily::CompletionLoss,
-                start: 900_000,
-                width: 400_000,
-            },
-            FaultWindow {
-                family: FaultFamily::FlushDelay,
-                start: 2_000_000,
-                width: 100_000,
-            },
-        ];
+        let plan = FaultPlan {
+            seed: 77,
+            latency_jitter: 0.25,
+            congestion_period: 2_000_000,
+            congestion_duty: 0.5,
+            congestion_factor: 8,
+            retry_cycles: 10_000,
+            hir_delay_faults: 24,
+            windows: vec![
+                FaultWindow {
+                    family: FaultFamily::VictimDrop,
+                    start: 0,
+                    width: 500_000,
+                },
+                FaultWindow {
+                    family: FaultFamily::CompletionLoss,
+                    start: 900_000,
+                    width: 400_000,
+                },
+                FaultWindow {
+                    family: FaultFamily::FlushDelay,
+                    start: 2_000_000,
+                    width: 100_000,
+                },
+            ],
+            ..FaultPlan::default()
+        };
         plan.validate().unwrap();
         let mut fails = |p: &FaultPlan| {
             p.windows
@@ -903,13 +901,15 @@ mod tests {
 
     #[test]
     fn shrink_respects_budget() {
-        let mut plan = FaultPlan::none();
-        plan.retry_cycles = 10_000;
-        plan.windows = vec![FaultWindow {
-            family: FaultFamily::CompletionLoss,
-            start: 0,
-            width: 1 << 40,
-        }];
+        let plan = FaultPlan {
+            retry_cycles: 10_000,
+            windows: vec![FaultWindow {
+                family: FaultFamily::CompletionLoss,
+                start: 0,
+                width: 1 << 40,
+            }],
+            ..FaultPlan::default()
+        };
         let mut calls = 0u64;
         // Fails whenever the window survives, so the width binary search
         // would burn ~40 probes unbudgeted.

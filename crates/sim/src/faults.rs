@@ -9,9 +9,9 @@
 //!
 //! All randomness comes from one xoshiro256** stream seeded by
 //! [`FaultPlan::seed`], and every draw is gated on its knob being enabled,
-//! so two runs with the same plan perturb identically and
-//! [`FaultPlan::none`] leaves the simulation byte-identical to an
-//! uninstrumented run.
+//! so two runs with the same plan perturb identically and the default
+//! plan (no perturbation, no RNG draws) leaves the simulation
+//! byte-identical to an uninstrumented run.
 //!
 //! # Examples
 //!
@@ -21,7 +21,7 @@
 //! let plan = FaultPlan::latency_storm(7);
 //! plan.validate().unwrap();
 //! assert!(!plan.is_noop());
-//! assert!(FaultPlan::none().is_noop());
+//! assert!(FaultPlan::default().is_noop());
 //! ```
 
 use uvm_types::{ConfigError, ResilienceStats};
@@ -202,36 +202,7 @@ impl_json_struct!(FaultPlan {
     windows = Vec::new(),
 });
 
-impl Default for FaultPlan {
-    fn default() -> Self {
-        Self::none()
-    }
-}
-
 impl FaultPlan {
-    /// The inert plan: no perturbation, no RNG draws.
-    pub fn none() -> Self {
-        FaultPlan {
-            seed: 0,
-            latency_jitter: 0.0,
-            tail_probability: 0.0,
-            tail_multiplier: 1,
-            congestion_period: 0,
-            congestion_duty: 0.0,
-            congestion_factor: 1,
-            completion_loss_probability: 0.0,
-            retry_cycles: 0,
-            max_completion_retries: None,
-            hir_outage_period: 0,
-            hir_outage_duty: 0.0,
-            spurious_wrong_eviction_probability: 0.0,
-            hir_delay_probability: 0.0,
-            hir_delay_faults: 0,
-            victim_drop_probability: 0.0,
-            windows: Vec::new(),
-        }
-    }
-
     /// Latency chaos: ±25% service jitter with a 1-in-50 8x tail.
     pub fn latency_storm(seed: u64) -> Self {
         FaultPlan {
@@ -239,7 +210,7 @@ impl FaultPlan {
             latency_jitter: 0.25,
             tail_probability: 0.02,
             tail_multiplier: 8,
-            ..Self::none()
+            ..Self::default()
         }
     }
 
@@ -251,7 +222,7 @@ impl FaultPlan {
             congestion_period: 2_000_000,
             congestion_duty: 0.5,
             congestion_factor: 8,
-            ..Self::none()
+            ..Self::default()
         }
     }
 
@@ -263,7 +234,7 @@ impl FaultPlan {
             completion_loss_probability: 0.05,
             retry_cycles: 10_000,
             max_completion_retries: Some(3),
-            ..Self::none()
+            ..Self::default()
         }
     }
 
@@ -276,7 +247,7 @@ impl FaultPlan {
             hir_outage_period: 512,
             hir_outage_duty: 0.4,
             spurious_wrong_eviction_probability: 0.02,
-            ..Self::none()
+            ..Self::default()
         }
     }
 
@@ -289,7 +260,7 @@ impl FaultPlan {
             seed,
             hir_delay_probability: 0.25,
             hir_delay_faults: 24,
-            ..Self::none()
+            ..Self::default()
         }
     }
 
@@ -300,7 +271,7 @@ impl FaultPlan {
         FaultPlan {
             seed,
             victim_drop_probability: 0.05,
-            ..Self::none()
+            ..Self::default()
         }
     }
 
@@ -312,11 +283,11 @@ impl FaultPlan {
             completion_loss_probability: 1.0,
             retry_cycles: 10_000,
             max_completion_retries: None,
-            ..Self::none()
+            ..Self::default()
         }
     }
 
-    /// Whether this plan perturbs nothing (equivalent to [`Self::none`]
+    /// Whether this plan perturbs nothing (equivalent to the default plan
     /// modulo the seed).
     pub fn is_noop(&self) -> bool {
         self.latency_jitter == 0.0
@@ -538,6 +509,11 @@ impl FaultState {
         }
     }
 
+    /// The plan this state injects.
+    pub(crate) fn plan(&self) -> &FaultPlan {
+        &self.plan
+    }
+
     /// Perturbs one fault service: returns the adjusted `(service,
     /// transfer)` cycle counts and records what was injected.
     pub(crate) fn perturb_service(
@@ -680,7 +656,7 @@ mod tests {
 
     #[test]
     fn noop_plan_draws_nothing_and_changes_nothing() {
-        let mut st = FaultState::new(FaultPlan::none());
+        let mut st = FaultState::new(FaultPlan::default());
         let mut res = ResilienceStats::default();
         for now in [0u64, 1_000, 2_000_000] {
             assert_eq!(
@@ -714,7 +690,7 @@ mod tests {
         let mut st = FaultState::new(FaultPlan {
             seed: 5,
             latency_jitter: 0.25,
-            ..FaultPlan::none()
+            ..FaultPlan::default()
         });
         let mut res = ResilienceStats::default();
         for i in 0..1_000u64 {
@@ -755,7 +731,7 @@ mod tests {
             completion_loss_probability: 1.0,
             retry_cycles: 10,
             max_completion_retries: Some(3),
-            ..FaultPlan::none()
+            ..FaultPlan::default()
         });
         let mut res = ResilienceStats::default();
         let mut delivered = 0;
@@ -783,7 +759,7 @@ mod tests {
     #[test]
     fn presets_validate_and_none_is_noop() {
         for plan in [
-            FaultPlan::none(),
+            FaultPlan::default(),
             FaultPlan::latency_storm(1),
             FaultPlan::congestion(1),
             FaultPlan::completion_loss(1),
@@ -794,7 +770,7 @@ mod tests {
         ] {
             plan.validate().unwrap();
         }
-        assert!(FaultPlan::none().is_noop());
+        assert!(FaultPlan::default().is_noop());
         assert!(!FaultPlan::signal_chaos(1).is_noop());
         assert!(!FaultPlan::partial_outage(1).is_noop());
         assert!(!FaultPlan::victim_drop(1).is_noop());
@@ -802,7 +778,7 @@ mod tests {
 
     #[test]
     fn flush_delay_draws_only_when_enabled() {
-        let mut st = FaultState::new(FaultPlan::none());
+        let mut st = FaultState::new(FaultPlan::default());
         let mut res = ResilienceStats::default();
         for _ in 0..100 {
             assert_eq!(st.flush_delay(0, &mut res), None);
@@ -813,7 +789,7 @@ mod tests {
             seed: 7,
             hir_delay_probability: 1.0,
             hir_delay_faults: 24,
-            ..FaultPlan::none()
+            ..FaultPlan::default()
         });
         for _ in 0..10 {
             assert_eq!(st.flush_delay(0, &mut res), Some(24));
@@ -837,41 +813,47 @@ mod tests {
 
     #[test]
     fn validate_rejects_bad_knobs() {
-        let mut p = FaultPlan::none();
-        p.latency_jitter = 1.0;
-        assert!(p.validate().is_err());
-
-        let mut p = FaultPlan::none();
-        p.tail_probability = 1.5;
-        assert!(p.validate().is_err());
-
-        let mut p = FaultPlan::none();
-        p.tail_probability = 0.1;
-        p.tail_multiplier = 1;
-        assert!(p.validate().is_err());
-
-        let mut p = FaultPlan::none();
-        p.congestion_period = 100;
-        p.congestion_factor = 1;
-        assert!(p.validate().is_err());
-
-        let mut p = FaultPlan::none();
-        p.completion_loss_probability = 0.5;
-        p.retry_cycles = 0;
-        assert!(p.validate().is_err());
-
-        let mut p = FaultPlan::none();
-        p.hir_outage_duty = f64::NAN;
-        assert!(p.validate().is_err());
-
-        let mut p = FaultPlan::none();
-        p.hir_delay_probability = 0.2;
-        p.hir_delay_faults = 0;
-        assert!(p.validate().is_err());
-
-        let mut p = FaultPlan::none();
-        p.victim_drop_probability = -0.1;
-        assert!(p.validate().is_err());
+        let d = FaultPlan::default;
+        for p in [
+            FaultPlan {
+                latency_jitter: 1.0,
+                ..d()
+            },
+            FaultPlan {
+                tail_probability: 1.5,
+                ..d()
+            },
+            FaultPlan {
+                tail_probability: 0.1,
+                tail_multiplier: 1,
+                ..d()
+            },
+            FaultPlan {
+                congestion_period: 100,
+                congestion_factor: 1,
+                ..d()
+            },
+            FaultPlan {
+                completion_loss_probability: 0.5,
+                retry_cycles: 0,
+                ..d()
+            },
+            FaultPlan {
+                hir_outage_duty: f64::NAN,
+                ..d()
+            },
+            FaultPlan {
+                hir_delay_probability: 0.2,
+                hir_delay_faults: 0,
+                ..d()
+            },
+            FaultPlan {
+                victim_drop_probability: -0.1,
+                ..d()
+            },
+        ] {
+            assert!(p.validate().is_err(), "{p:?}");
+        }
     }
 
     #[test]
@@ -925,7 +907,7 @@ mod tests {
                 window(FaultFamily::VictimDrop, 6_000, 100),
                 window(FaultFamily::HirOutage, 7_000, 100),
             ],
-            ..FaultPlan::none()
+            ..FaultPlan::default()
         };
         plan.validate().unwrap();
         assert!(!plan.is_noop());
@@ -968,12 +950,14 @@ mod tests {
     #[test]
     fn validate_rejects_overlapping_same_family_windows() {
         // Plain overlap.
-        let mut p = FaultPlan::none();
-        p.congestion_factor = 4;
-        p.windows = vec![
-            window(FaultFamily::Congestion, 100, 50),
-            window(FaultFamily::Congestion, 120, 50),
-        ];
+        let mut p = FaultPlan {
+            congestion_factor: 4,
+            windows: vec![
+                window(FaultFamily::Congestion, 100, 50),
+                window(FaultFamily::Congestion, 120, 50),
+            ],
+            ..FaultPlan::default()
+        };
         let msg = p.validate().unwrap_err().to_string();
         assert!(msg.contains("overlap"), "{msg}");
         assert!(msg.contains("congestion"), "{msg}");
@@ -1027,26 +1011,25 @@ mod tests {
 
     #[test]
     fn validate_rejects_bad_window_knob_couplings() {
-        let mut p = FaultPlan::none();
-        p.windows = vec![window(FaultFamily::Congestion, 0, 0)];
-        let msg = p.validate().unwrap_err().to_string();
+        let only = |w: FaultWindow| FaultPlan {
+            windows: vec![w],
+            ..FaultPlan::default()
+        };
+        let msg = only(window(FaultFamily::Congestion, 0, 0)).validate();
+        let msg = msg.unwrap_err().to_string();
         assert!(msg.contains("zero width"), "{msg}");
 
-        let mut p = FaultPlan::none();
-        p.windows = vec![window(FaultFamily::Congestion, 0, 10)];
+        let p = only(window(FaultFamily::Congestion, 0, 10));
         assert!(p.validate().is_err(), "factor 1 congestion window");
 
-        let mut p = FaultPlan::none();
-        p.windows = vec![window(FaultFamily::LatencyTail, 0, 10)];
+        let p = only(window(FaultFamily::LatencyTail, 0, 10));
         assert!(p.validate().is_err(), "multiplier 1 tail window");
 
-        let mut p = FaultPlan::none();
-        p.windows = vec![window(FaultFamily::CompletionLoss, 0, 10)];
+        let p = only(window(FaultFamily::CompletionLoss, 0, 10));
         let msg = p.validate().unwrap_err().to_string();
         assert!(msg.contains("retry_cycles"), "{msg}");
 
-        let mut p = FaultPlan::none();
-        p.windows = vec![window(FaultFamily::FlushDelay, 0, 10)];
+        let p = only(window(FaultFamily::FlushDelay, 0, 10));
         let msg = p.validate().unwrap_err().to_string();
         assert!(msg.contains("hir_delay_faults"), "{msg}");
     }
@@ -1059,7 +1042,7 @@ mod tests {
                 window(FaultFamily::CompletionLoss, 1_000_000, 400_000),
                 window(FaultFamily::HirOutage, 0, 65_536),
             ],
-            ..FaultPlan::none()
+            ..FaultPlan::default()
         };
         let text = plan.to_json().to_string();
         let back = FaultPlan::from_json(&uvm_util::Json::parse(&text).unwrap()).unwrap();

@@ -10,6 +10,8 @@
 //! events; every trace summary is computed from that recording.
 
 use uvm_types::{CycleAccount, PageId, PolicyEvent, StrategyTag};
+use uvm_util::json::field;
+use uvm_util::strict::reject_unknown_keys;
 use uvm_util::{FromJson, Json, JsonError, ToJson};
 
 use crate::profile::MetricsSample;
@@ -361,74 +363,75 @@ impl ToJson for SimEvent {
 
 impl FromJson for SimEvent {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let field = |k: &str| {
-            v.get(k)
-                .ok_or_else(|| JsonError::new(format!("missing field `{k}`")))
+        let kind: String = field(v, "kind")?;
+        // Each kind's keys besides `kind` and `time`.
+        let own: &[&str] = match kind.as_str() {
+            "FaultRaised" | "FaultServiced" | "Eviction" | "PrefetchIssued" => &["page"],
+            "MemoryFull" => &[],
+            "PageWalk" => &["page", "hit"],
+            "WrongEviction" => &["page", "refault_distance"],
+            "VictimSelected" => &["page", "strategy", "search_comparisons", "victim_age"],
+            "StrategySwitch" => &["from", "to", "ratio1", "ratio2", "fault_num"],
+            "HirFlush" => &["entries", "dropped"],
+            other => {
+                let e = JsonError::new(format!("unknown SimEvent kind '{other}'"));
+                return Err(e.at_key("kind"));
+            }
         };
-        let num = |k: &str| {
-            field(k)?
-                .as_u64()
-                .ok_or_else(|| JsonError::new(format!("field `{k}` must be an unsigned integer")))
-        };
-        let float = |k: &str| {
-            field(k)?
-                .as_f64()
-                .ok_or_else(|| JsonError::new(format!("field `{k}` must be a number")))
-        };
-        let page = || Ok::<_, JsonError>(PageId(num("page")?));
-        let time = num("time")?;
-        match field("kind")?.as_str() {
-            Some("FaultRaised") => Ok(SimEvent::FaultRaised {
+        let keys: Vec<&str> = ["kind", "time"].iter().chain(own).copied().collect();
+        reject_unknown_keys(v, &keys)?;
+        let time = field(v, "time")?;
+        let page = || field(v, "page");
+        Ok(match kind.as_str() {
+            "FaultRaised" => SimEvent::FaultRaised {
                 time,
                 page: page()?,
-            }),
-            Some("FaultServiced") => Ok(SimEvent::FaultServiced {
+            },
+            "FaultServiced" => SimEvent::FaultServiced {
                 time,
                 page: page()?,
-            }),
-            Some("Eviction") => Ok(SimEvent::Eviction {
+            },
+            "Eviction" => SimEvent::Eviction {
                 time,
                 page: page()?,
-            }),
-            Some("MemoryFull") => Ok(SimEvent::MemoryFull { time }),
-            Some("PageWalk") => Ok(SimEvent::PageWalk {
+            },
+            "PrefetchIssued" => SimEvent::PrefetchIssued {
                 time,
                 page: page()?,
-                hit: field("hit")?
-                    .as_bool()
-                    .ok_or_else(|| JsonError::new("field `hit` must be a bool"))?,
-            }),
-            Some("PrefetchIssued") => Ok(SimEvent::PrefetchIssued {
+            },
+            "PageWalk" => SimEvent::PageWalk {
                 time,
                 page: page()?,
-            }),
-            Some("WrongEviction") => Ok(SimEvent::WrongEviction {
+                hit: field(v, "hit")?,
+            },
+            "WrongEviction" => SimEvent::WrongEviction {
                 time,
                 page: page()?,
-                refault_distance: num("refault_distance")?,
-            }),
-            Some("VictimSelected") => Ok(SimEvent::VictimSelected {
+                refault_distance: field(v, "refault_distance")?,
+            },
+            "VictimSelected" => SimEvent::VictimSelected {
                 time,
                 page: page()?,
-                strategy: StrategyTag::from_json(field("strategy")?)?,
-                search_comparisons: num("search_comparisons")?,
-                victim_age: num("victim_age")?,
-            }),
-            Some("StrategySwitch") => Ok(SimEvent::StrategySwitch {
+                strategy: field(v, "strategy")?,
+                search_comparisons: field(v, "search_comparisons")?,
+                victim_age: field(v, "victim_age")?,
+            },
+            "StrategySwitch" => SimEvent::StrategySwitch {
                 time,
-                from: StrategyTag::from_json(field("from")?)?,
-                to: StrategyTag::from_json(field("to")?)?,
-                ratio1: float("ratio1")?,
-                ratio2: float("ratio2")?,
-                fault_num: num("fault_num")?,
-            }),
-            Some("HirFlush") => Ok(SimEvent::HirFlush {
+                from: field(v, "from")?,
+                to: field(v, "to")?,
+                ratio1: field(v, "ratio1")?,
+                ratio2: field(v, "ratio2")?,
+                fault_num: field(v, "fault_num")?,
+            },
+            "HirFlush" => SimEvent::HirFlush {
                 time,
-                entries: num("entries")?,
-                dropped: num("dropped")?,
-            }),
-            _ => Err(JsonError::new("unknown SimEvent kind")),
-        }
+                entries: field(v, "entries")?,
+                dropped: field(v, "dropped")?,
+            },
+            // `MemoryFull`: `own` returned early on every other kind.
+            _ => SimEvent::MemoryFull { time },
+        })
     }
 }
 

@@ -89,7 +89,7 @@ pub use profile::{
     DEFAULT_PROFILE_CADENCE,
 };
 pub use recovery::{AdaptiveBackoff, Backoff, FallbackVictim, RetryPolicy};
-pub use sanitizer::{Sanitizer, DEFAULT_SANITIZER_CADENCE};
+pub use sanitizer::{audit, Sanitizer, DEFAULT_SANITIZER_CADENCE};
 pub use tenant::{
     schedule, AdmissionControl, AdmissionOutcome, ArrivalProcess, HirMode, QuotaLedger,
     TenantAdmission, TenantMix, TenantReport, TenantSchedule, TenantSpec, DEFAULT_LEASE_CYCLES,

@@ -65,17 +65,6 @@ impl_json_struct!(Backoff {
     max_attempts = 8,
 });
 
-impl Default for Backoff {
-    fn default() -> Self {
-        Backoff {
-            base_delay_cycles: 2_000,
-            multiplier: 2,
-            max_delay_cycles: 64_000,
-            max_attempts: 8,
-        }
-    }
-}
-
 impl Backoff {
     /// The backoff delay before retry number `attempt` (1-based):
     /// `base * multiplier^(attempt-1)`, saturating, capped at
@@ -784,6 +773,11 @@ impl Resilience {
     pub(crate) fn fallback_pick(&self, memory: &GpuMemory) -> Option<PageId> {
         let pick = self.shadow.as_ref()?.lru();
         pick.filter(|&p| memory.is_resident(p))
+    }
+
+    /// The installed fault plan, if any.
+    pub(crate) fn plan(&self) -> Option<&FaultPlan> {
+        self.faults.as_ref().map(FaultState::plan)
     }
 
     fn hir_down(&self) -> bool {

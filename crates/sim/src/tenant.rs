@@ -54,18 +54,6 @@ pub struct TenantSpec {
     pub lease_cycles: u64,
 }
 
-impl Default for TenantSpec {
-    fn default() -> Self {
-        TenantSpec {
-            id: 0,
-            app: String::new(),
-            quota_pages: 0,
-            arrival: 0,
-            lease_cycles: DEFAULT_LEASE_CYCLES,
-        }
-    }
-}
-
 impl_json_struct!(TenantSpec {
     id = 0,
     app = String::new(),
@@ -93,18 +81,6 @@ pub struct ArrivalProcess {
     pub lease_cycles: u64,
 }
 
-impl Default for ArrivalProcess {
-    fn default() -> Self {
-        ArrivalProcess {
-            count: 0,
-            mean_gap: 1_000_000,
-            apps: Vec::new(),
-            quota_pct: 75,
-            lease_cycles: DEFAULT_LEASE_CYCLES,
-        }
-    }
-}
-
 impl_json_struct!(ArrivalProcess {
     count = 0,
     mean_gap = 1_000_000,
@@ -127,16 +103,6 @@ pub struct AdmissionControl {
     pub max_pending: u64,
     /// Maximum concurrently active leases.
     pub max_active: u64,
-}
-
-impl Default for AdmissionControl {
-    fn default() -> Self {
-        AdmissionControl {
-            max_oversubscription_pct: 100,
-            max_pending: 4,
-            max_active: 8,
-        }
-    }
 }
 
 impl_json_struct!(AdmissionControl {
@@ -196,19 +162,6 @@ pub struct TenantMix {
     pub admission: AdmissionControl,
     /// HIR sharing mode.
     pub hir_mode: HirMode,
-}
-
-impl Default for TenantMix {
-    fn default() -> Self {
-        TenantMix {
-            seed: 2019,
-            pool_pages: 0,
-            tenants: Vec::new(),
-            arrivals: ArrivalProcess::default(),
-            admission: AdmissionControl::default(),
-            hir_mode: HirMode::PerTenant,
-        }
-    }
 }
 
 impl_json_struct!(TenantMix {
@@ -714,7 +667,7 @@ impl Scheduler<'_> {
 
 /// The merged result of running a whole mix (execution lives in
 /// `hpe-bench`; the type lives here so every tool can parse it).
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TenantReport {
     /// Fingerprint of the producing mix.
     pub fingerprint: String,

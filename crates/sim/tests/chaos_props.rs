@@ -1,9 +1,8 @@
 //! Property-based tests of the engine under random fault-injection plans.
 //!
 //! The clean-run invariant suite lives in `sim_props.rs`; these cases
-//! re-check the core accounting invariants while a randomized
-//! [`FaultPlan`] perturbs latencies, drops completions, and corrupts
-//! policy signals. Timing-sensitive clean-run bounds (e.g. driver busy
+//! run the engine, sanitized, while a randomized [`FaultPlan`] perturbs
+//! latencies, drops completions, and corrupts policy signals. Timing-sensitive clean-run bounds (e.g. driver busy
 //! cycles per fault) are intentionally NOT asserted here: jitter may
 //! legally shrink a service below its base latency.
 
@@ -77,6 +76,9 @@ fn run_chaos(global: &[u64], capacity: u64, plan: &FaultPlan) -> SimStats {
     sim.run().expect("chaos run completes").stats
 }
 
+/// The sanitizer's final pass audits every chaos run (`uvm_sim::audit`,
+/// with the plan's injection bounds); these are the bounds that depend
+/// on this trace and plan.
 #[test]
 fn accounting_invariants_survive_random_fault_plans() {
     Checker::new().cases(48).run(
@@ -93,26 +95,14 @@ fn accounting_invariants_survive_random_fault_plans() {
             let distinct = global.iter().collect::<HashSet<_>>().len() as u64;
             let stats = run_chaos(global, capacity, plan);
 
-            // Execution accounting is injection-independent: every op ran
-            // exactly once no matter how services were perturbed.
-            assert_eq!(stats.mem_accesses, global.len() as u64);
             assert!(stats.faults() >= distinct);
             assert!(stats.faults() <= global.len() as u64);
-            // Residency conservation still bounds live pages by capacity.
             let resident_end = stats.faults() - stats.evictions();
             assert!(resident_end <= capacity.min(distinct));
             assert!(resident_end >= 1);
-            // Injection counters are bounded by what the run serviced.
+            // Without a retry policy, each lost completion stalls the
+            // driver for the plan's flat retry latency.
             let res = &stats.resilience;
-            assert!(res.tail_latency_events <= stats.faults());
-            assert!(res.congested_services <= stats.faults());
-            assert!(res.faults_during_hir_outage <= stats.faults());
-            assert!(res.spurious_wrong_evictions <= stats.faults());
-            assert!(res.fallback_victims <= stats.evictions());
-            // Bounded retries: each fault loses at most max_retries signals.
-            let max_retries = u64::from(plan.max_completion_retries.expect("bounded plan"));
-            assert!(res.completions_lost <= stats.faults() * max_retries);
-            // Lost completions stall the driver for their retry latency.
             assert!(
                 stats.driver.busy_cycles >= res.completions_lost * plan.retry_cycles,
                 "busy {} < lost {} x retry {}",
@@ -440,7 +430,7 @@ fn noop_plan_is_byte_identical_to_no_plan() {
             };
             let clean = sim().run().expect("run completes");
             let mut noop = sim();
-            noop.set_resilience(Some(FaultPlan::none()), *retry, *fallback)
+            noop.set_resilience(Some(FaultPlan::default()), *retry, *fallback)
                 .expect("valid recovery");
             noop.set_sanitizer(Sanitizer::new(256));
             let noop = noop.run().expect("run completes");

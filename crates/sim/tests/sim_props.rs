@@ -2,7 +2,7 @@
 
 use std::collections::HashSet;
 use uvm_policies::Lru;
-use uvm_sim::{parse_jsonl, trace_for, write_jsonl, EventLog, Simulation};
+use uvm_sim::{audit, parse_jsonl, trace_for, write_jsonl, EventLog, Simulation};
 use uvm_types::{Oversubscription, SimConfig, TlbConfig};
 use uvm_util::prop::Checker;
 use uvm_workloads::{registry, Trace};
@@ -48,8 +48,7 @@ fn accounting_invariants_hold() {
                 .expect("run completes")
                 .stats;
 
-            // Every op executed exactly once.
-            assert_eq!(stats.mem_accesses, global.len() as u64);
+            audit(&stats, global.len() as u64, capacity, None).expect("identities hold");
             assert_eq!(
                 stats.instructions,
                 global.len() as u64 * (1 + u64::from(compute))
@@ -61,14 +60,6 @@ fn accounting_invariants_hold() {
             let resident_end = stats.faults() - stats.evictions();
             assert!(resident_end <= capacity.min(distinct));
             assert!(resident_end >= 1);
-            // TLB lookups partition into hits and misses consistently.
-            assert_eq!(
-                stats.tlb.l1_hits + stats.tlb.l1_misses,
-                stats.tlb.l2_hits + stats.tlb.l2_misses + stats.tlb.l1_hits
-            );
-            // Every walk is a hit or a fault-triggering miss; replays re-walk,
-            // so hits + distinct faults cannot exceed total walks.
-            assert!(stats.walk_hits <= stats.walks);
             // Time moved forward and the driver was busy for every fault.
             assert!(stats.cycles > 0);
             assert!(stats.driver.busy_cycles >= stats.faults() * 28_000);

@@ -1,5 +1,7 @@
 //! Simulated-system configuration (Table I of the paper).
 
+use uvm_util::json::field;
+use uvm_util::strict::reject_unknown_keys;
 use uvm_util::{impl_json_struct, FromJson, Json, JsonError, ToJson};
 
 use crate::error::ConfigError;
@@ -209,10 +211,8 @@ impl FromJson for Oversubscription {
             }
             None => {}
         }
-        match v.get("Custom") {
-            Some(f) => Ok(Oversubscription::Custom(f64::from_json(f)?)),
-            None => Err(JsonError::new("expected Oversubscription")),
-        }
+        reject_unknown_keys(v, &["Custom"])?;
+        Ok(Oversubscription::Custom(field(v, "Custom")?))
     }
 }
 

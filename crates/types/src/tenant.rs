@@ -30,7 +30,7 @@ impl_json_newtype!(TenantId);
 /// One tenant's end-to-end result within a mix: its identity and
 /// contract echo, the admission outcome, and the simulator statistics
 /// of its run (default-zero when it never ran).
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TenantStats {
     /// The tenant.
     pub tenant: TenantId,

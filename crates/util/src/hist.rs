@@ -22,7 +22,7 @@
 //! assert_eq!(h.max(), Some(99));
 //! ```
 
-use crate::json::{Json, JsonError, ToJson};
+use crate::json::{field, Json, JsonError, ToJson};
 use crate::FromJson;
 
 /// A fixed-width-bucket histogram over `u64` samples.
@@ -212,31 +212,39 @@ impl ToJson for Histogram {
 
 impl FromJson for Histogram {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let buckets: Vec<u64> = Vec::from_json(
-            v.get("buckets")
-                .ok_or_else(|| JsonError::new("missing field `buckets`"))?,
+        // `mean` is derived, so it is accepted and not read back.
+        crate::strict::reject_unknown_keys(
+            v,
+            &[
+                "name",
+                "bucket_width",
+                "buckets",
+                "overflow",
+                "count",
+                "sum",
+                "min",
+                "max",
+                "mean",
+            ],
         )?;
+        let buckets: Vec<u64> = field(v, "buckets")?;
         if buckets.is_empty() {
-            return Err(JsonError::new("histogram needs at least one bucket"));
+            return Err(JsonError::new("histogram needs at least one bucket").at_key("buckets"));
         }
-        let num = |k: &str| {
-            v.get(k)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| JsonError::new(format!("missing numeric field `{k}`")))
-        };
-        let count = num("count")?;
+        let count = field(v, "count")?;
         Ok(Histogram {
-            name: String::from_json(
-                v.get("name")
-                    .ok_or_else(|| JsonError::new("missing field `name`"))?,
-            )?,
-            bucket_width: num("bucket_width")?.max(1),
+            name: field(v, "name")?,
+            bucket_width: field::<u64>(v, "bucket_width")?.max(1),
             buckets,
-            overflow: num("overflow")?,
+            overflow: field(v, "overflow")?,
             count,
-            sum: num("sum")?,
-            min: if count > 0 { num("min")? } else { u64::MAX },
-            max: if count > 0 { num("max")? } else { 0 },
+            sum: field(v, "sum")?,
+            min: if count > 0 {
+                field(v, "min")?
+            } else {
+                u64::MAX
+            },
+            max: if count > 0 { field(v, "max")? } else { 0 },
         })
     }
 }

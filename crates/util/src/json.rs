@@ -48,18 +48,23 @@ pub enum Json {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
     msg: String,
-    /// For an unknown-key error ([`crate::strict::reject_unknown_keys`]),
-    /// the key's path from the document root; `None` for every other
-    /// error.
-    path: Option<String>,
+    /// Where the error arose, from the document root
+    /// (`fixtures[0].seed`); empty for the root itself. Decoders prefix
+    /// it as the error passes up ([`Self::at_key`], [`Self::at_index`]).
+    path: String,
+    /// For an unknown or a missing key, which of the two (the key ends
+    /// `path`).
+    field: Option<&'static str>,
 }
 
 impl JsonError {
-    /// Creates an error with the given message.
+    /// Creates an error with the given message, at the root until a
+    /// caller prefixes its path.
     pub fn new(msg: impl Into<String>) -> Self {
         JsonError {
             msg: msg.into(),
-            path: None,
+            path: String::new(),
+            field: None,
         }
     }
 
@@ -67,43 +72,50 @@ impl JsonError {
     pub(crate) fn unknown_field(key: &str, hint: String) -> Self {
         JsonError {
             msg: hint,
-            path: Some(key.to_string()),
+            path: key.to_string(),
+            field: Some("unknown"),
         }
     }
 
-    /// Prefixes an unknown key's path with the object field `key` it was
-    /// found under (`width` becomes `window.width`). Other errors pass
-    /// through unchanged.
+    /// The error for a required `key` that the object lacks.
+    pub fn missing_field(key: &str) -> Self {
+        JsonError {
+            msg: String::new(),
+            path: key.to_string(),
+            field: Some("missing"),
+        }
+    }
+
+    /// Prefixes the error's path with the object field `key` it arose
+    /// under (`width` becomes `window.width`).
     #[must_use]
     pub fn at_key(self, key: &str) -> Self {
         self.prefixed(key)
     }
 
-    /// Prefixes an unknown key's path with the array index `i` it was
-    /// found under (`width` becomes `[3].width`). Other errors pass
-    /// through unchanged.
+    /// Prefixes the error's path with the array index `i` it arose under
+    /// (`width` becomes `[3].width`).
     #[must_use]
     pub fn at_index(self, i: usize) -> Self {
-        match self.path {
-            Some(_) => self.prefixed(&format!("[{i}]")),
-            None => self,
-        }
+        self.prefixed(&format!("[{i}]"))
     }
 
     fn prefixed(mut self, segment: &str) -> Self {
-        if let Some(path) = &mut self.path {
-            let dot = if path.starts_with('[') { "" } else { "." };
-            *path = format!("{segment}{dot}{path}");
-        }
+        self.path = match self.path.as_str() {
+            "" => segment.to_string(),
+            path if path.starts_with('[') => format!("{segment}{path}"),
+            path => format!("{segment}.{path}"),
+        };
         self
     }
 }
 
 impl fmt::Display for JsonError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.path {
-            Some(path) => write!(f, "json error: unknown field `{path}`{}", self.msg),
-            None => write!(f, "json error: {}", self.msg),
+        match (self.field, self.path.as_str()) {
+            (Some(what), path) => write!(f, "json error: {what} field `{path}`{}", self.msg),
+            (None, "") => write!(f, "json error: {}", self.msg),
+            (None, path) => write!(f, "json error: at `{path}`: {}", self.msg),
         }
     }
 }
@@ -406,6 +418,17 @@ pub trait FromJson: Sized {
     fn from_json(v: &Json) -> Result<Self, JsonError>;
 }
 
+/// Decodes the required field `key` of the object `v`; an error's path
+/// starts at `key`.
+///
+/// # Errors
+///
+/// Returns [`JsonError`] if `v` lacks `key` or its value does not decode.
+pub fn field<T: FromJson>(v: &Json, key: &str) -> Result<T, JsonError> {
+    let x = v.get(key).ok_or_else(|| JsonError::missing_field(key))?;
+    T::from_json(x).map_err(|e| e.at_key(key))
+}
+
 impl ToJson for Json {
     fn to_json(&self) -> Json {
         self.clone()
@@ -591,7 +614,10 @@ impl<A: FromJson, B: FromJson> FromJson for (A, B) {
         if xs.len() != 2 {
             return Err(JsonError::new("expected 2-element array"));
         }
-        Ok((A::from_json(&xs[0])?, B::from_json(&xs[1])?))
+        Ok((
+            A::from_json(&xs[0]).map_err(|e| e.at_index(0))?,
+            B::from_json(&xs[1]).map_err(|e| e.at_index(1))?,
+        ))
     }
 }
 
@@ -879,6 +905,15 @@ macro_rules! json {
 /// the nearest field ([`crate::strict`]). A list ending in `..` makes
 /// the type's own level lenient instead, for documents that carry keys
 /// the reader does not model; its nested derived fields stay strict.
+/// Every other error names its path too (``at `fixtures[0].seed`:
+/// expected unsigned integer for u64``, ``missing field `x` ``),
+/// prefixed by [`JsonError::at_key`]/[`JsonError::at_index`] as it
+/// passes up.
+///
+/// When every field has a default, the macro also implements
+/// `Default` from those defaults, so the type must not derive or write
+/// its own: `T::default()` and `T::from_json({})` agree by
+/// construction.
 ///
 /// ```
 /// use uvm_util::impl_json_struct;
@@ -896,14 +931,39 @@ macro_rules! json {
 /// let typo = Json::parse(r#"{"x": 3, "z": 1}"#).unwrap();
 /// let err = P::from_json(&typo).unwrap_err().to_string();
 /// assert!(err.contains("unknown field `z`"));
+/// let bad = Json::parse(r#"{"x": "3"}"#).unwrap();
+/// let err = P::from_json(&bad).unwrap_err().to_string();
+/// assert!(err.contains("at `x`: expected unsigned integer"));
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Q { y: u32 }
+/// impl_json_struct!(Q { y = 7 });
+/// assert_eq!(Q::default(), Q { y: 7 });
 /// ```
 #[macro_export]
 macro_rules! impl_json_struct {
+    ($ty:ident { $($field:ident = $default:expr),+ , .. $(,)? }) => {
+        $crate::impl_json_struct!(@derive $ty, false, $($field = $default),+);
+        $crate::impl_json_struct!(@default $ty, $($field = $default),+);
+    };
     ($ty:ident { $($field:ident $(= $default:expr)?),+ , .. $(,)? }) => {
         $crate::impl_json_struct!(@derive $ty, false, $($field $(= $default)?),+);
     };
+    ($ty:ident { $($field:ident = $default:expr),+ $(,)? }) => {
+        $crate::impl_json_struct!(@derive $ty, true, $($field = $default),+);
+        $crate::impl_json_struct!(@default $ty, $($field = $default),+);
+    };
     ($ty:ident { $($field:ident $(= $default:expr)?),+ $(,)? }) => {
         $crate::impl_json_struct!(@derive $ty, true, $($field $(= $default)?),+);
+    };
+    (@default $ty:ident, $($field:ident = $default:expr),+) => {
+        impl ::core::default::Default for $ty {
+            fn default() -> Self {
+                $ty {
+                    $( $field: $default, )+
+                }
+            }
+        }
     };
     (@derive $ty:ident, $strict:literal, $($field:ident $(= $default:expr)?),+) => {
         impl $crate::json::ToJson for $ty {
@@ -933,14 +993,7 @@ macro_rules! impl_json_struct {
         }
     };
     (@field $v:ident, $field:ident) => {
-        $crate::json::FromJson::from_json(
-            $v.get(stringify!($field)).ok_or_else(|| {
-                $crate::json::JsonError::new(concat!(
-                    "missing field `", stringify!($field), "`"
-                ))
-            })?,
-        )
-        .map_err(|e| e.at_key(stringify!($field)))?
+        $crate::json::field($v, stringify!($field))?
     };
     (@field $v:ident, $field:ident, $default:expr) => {
         match $v.get(stringify!($field)) {
@@ -1132,6 +1185,48 @@ mod tests {
             }
         );
         assert!(Demo::from_json(&Json::parse(r#"{"b": 1.0}"#).unwrap()).is_err());
+    }
+
+    #[derive(Debug)]
+    struct Fixture {
+        seed: u64,
+    }
+    crate::impl_json_struct!(Fixture { seed });
+
+    #[derive(Debug)]
+    struct Spec {
+        fixtures: Vec<Fixture>,
+        pairs: Vec<(u64, u32)>,
+    }
+    crate::impl_json_struct!(Spec {
+        fixtures,
+        pairs = Vec::new()
+    });
+
+    #[test]
+    fn every_decode_error_names_its_path() {
+        let err = |text: &str| {
+            let v = Json::parse(text).unwrap();
+            Spec::from_json(&v).unwrap_err().to_string()
+        };
+        assert_eq!(
+            err(r#"{"fixtures": [{"seed": "x"}]}"#),
+            "json error: at `fixtures[0].seed`: expected unsigned integer for u64"
+        );
+        assert_eq!(
+            err(r#"{"fixtures": [{"seed": 1}, {}]}"#),
+            "json error: missing field `fixtures[1].seed`"
+        );
+        assert_eq!(
+            err(r#"{"fixtures": [], "pairs": [[1, 2], [3, -4]]}"#),
+            "json error: at `pairs[1][1]`: expected unsigned integer for u32"
+        );
+        assert_eq!(
+            err(r#"{"fixtures": 5}"#),
+            "json error: at `fixtures`: expected array"
+        );
+        assert_eq!(err("{}"), "json error: missing field `fixtures`");
+        assert_eq!(err("[]"), "json error: expected object");
     }
 
     #[derive(Debug, PartialEq)]

@@ -79,7 +79,7 @@ mod tests {
         Json::parse(text).unwrap()
     }
 
-    #[derive(Debug, Default, PartialEq)]
+    #[derive(Debug, PartialEq)]
     struct Window {
         start: u64,
         width: u64,
@@ -89,7 +89,7 @@ mod tests {
         width = 0
     });
 
-    #[derive(Debug, Default, PartialEq)]
+    #[derive(Debug, PartialEq)]
     struct Plan {
         seed: u64,
         latency_jitter: f64,

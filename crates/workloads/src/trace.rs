@@ -1,6 +1,8 @@
 //! Trace representation and distribution over per-warp streams.
 
 use uvm_types::PageId;
+use uvm_util::json::field;
+use uvm_util::strict::reject_unknown_keys;
 use uvm_util::{impl_json_struct, FromJson, Json, JsonError, ToJson};
 
 use crate::App;
@@ -59,13 +61,10 @@ impl ToJson for Trace {
 /// the first.
 impl FromJson for Trace {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let field = |name: &str| {
-            v.get(name)
-                .ok_or_else(|| JsonError::new(format!("missing field `{name}`")))
-        };
-        let streams = Vec::<Vec<Op>>::from_json(field("streams")?)?;
-        let footprint_pages = u64::from_json(field("footprint_pages")?)?;
-        let total_ops = u64::from_json(field("total_ops")?)?;
+        reject_unknown_keys(v, &["streams", "footprint_pages", "total_ops"])?;
+        let streams: Vec<Vec<Op>> = field(v, "streams")?;
+        let footprint_pages = field(v, "footprint_pages")?;
+        let total_ops = field(v, "total_ops")?;
         if let Some(op) = streams
             .iter()
             .flatten()

@@ -3,45 +3,46 @@
 
 use hpe::core::{Hpe, HpeConfig};
 use hpe::policies::{EvictionPolicy, Lru};
-use hpe::sim::{ideal_for, trace_for, Simulation};
+use hpe::sim::{audit, ideal_for, trace_for, Simulation};
 use hpe::types::{Oversubscription, SimConfig, SimStats};
-use hpe::workloads::registry;
+use hpe::workloads::{registry, Trace};
 
 fn cfg() -> SimConfig {
     SimConfig::scaled_default()
 }
 
-fn run<P: EvictionPolicy>(abbr: &str, rate: Oversubscription, policy: P) -> SimStats {
+/// Runs `abbr` at `rate` under the policy `make` builds for its trace,
+/// and audits the run's accounting identities.
+fn run<P: EvictionPolicy>(
+    abbr: &str,
+    rate: Oversubscription,
+    make: impl FnOnce(&Trace) -> P,
+) -> SimStats {
     let app = registry::by_abbr(abbr).expect("registered app");
     let c = cfg();
     let trace = trace_for(&c, app);
     let capacity = rate.capacity_pages(app.footprint_pages());
-    Simulation::new(c, &trace, policy, capacity)
+    let stats = Simulation::new(c, &trace, make(&trace), capacity)
         .expect("valid sim")
         .run()
         .expect("run completes")
-        .stats
+        .stats;
+    audit(&stats, trace.total_ops(), capacity, None).expect("accounting identities hold");
+    stats
 }
 
 fn run_lru(abbr: &str, rate: Oversubscription) -> SimStats {
-    run(abbr, rate, Lru::new())
+    run(abbr, rate, |_| Lru::new())
 }
 
 fn run_hpe(abbr: &str, rate: Oversubscription) -> SimStats {
-    run(abbr, rate, Hpe::new(HpeConfig::from_sim(&cfg())).unwrap())
+    run(abbr, rate, |_| {
+        Hpe::new(HpeConfig::from_sim(&cfg())).unwrap()
+    })
 }
 
 fn run_ideal(abbr: &str, rate: Oversubscription) -> SimStats {
-    let app = registry::by_abbr(abbr).expect("registered app");
-    let c = cfg();
-    let trace = trace_for(&c, app);
-    let capacity = rate.capacity_pages(app.footprint_pages());
-    let ideal = ideal_for(&trace);
-    Simulation::new(c, &trace, ideal, capacity)
-        .expect("valid sim")
-        .run()
-        .expect("run completes")
-        .stats
+    run(abbr, rate, ideal_for)
 }
 
 #[test]
